@@ -21,6 +21,7 @@ from .diffcore import (
 )
 from .episodes import (
     Episode,
+    EpisodeShape,
     LabeledDataset,
     PqsPolicy,
     build_pseudo_query,
@@ -28,7 +29,7 @@ from .episodes import (
     sample_episode,
     write_dataset,
 )
-from .evalharness import AblationResult, EpisodeShape, EvalReport, ablate, emit_report, run_eval
+from .evalharness import AblationResult, EvalPlan, EvalReport, ablate, emit_report, run_eval
 from .fewshot import (
     Backbone,
     BackboneSpec,

@@ -14,13 +14,15 @@ import dataclasses
 import json
 import logging
 import sys
+import types
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
-from .episodes import PqsPolicy, load_dataset, write_dataset
+from .episodes import EpisodeShape, load_dataset, write_dataset
 from .errors import ContractError, DataError, ParameterError
-from .evalharness import EpisodeShape, ablate, emit_report, run_eval
-from .fewshot import Backbone, BackboneSpec, meta_train
+from .evalharness import EvalPlan, ablate, emit_report, run_eval
+from .fewshot import META_LEARNING_RATE, META_MOMENTUM, META_TASKS_PER_EPOCH, Backbone, BackboneSpec, meta_train
 from .losses import HyperParams
 from .rng import RngStream
 from .synthetic import generate_synthetic, source_domain, target_domain
@@ -30,7 +32,11 @@ log = logging.getLogger("fewtune")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything needed to reproduce a run; serialized next to outputs."""
+    """Everything needed to reproduce a run; serialized next to outputs.
+
+    Defaults come from the dataclasses that own them: EpisodeShape,
+    HyperParams, BackboneSpec and meta_train's constants.
+    """
 
     command: str = "eval"
     out: str = "out"
@@ -39,23 +45,23 @@ class RunConfig:
     data: str | None = None
     snapshot: str | None = None
     mode: str = "with_pqs"
-    n_way: int = 5
-    k_shot: int = 5
-    m_query: int = 15
-    episodes: int = 600
-    epochs: int = 100
-    margin: float = 1.0
-    s: float = 30.0
-    m: float = 0.35
-    lambda_pt: float = 1.0
-    lr: float = 3e-4
-    momentum: float = 0.9
-    transductive: bool = True
+    n_way: int = EpisodeShape.n_way
+    k_shot: int = EpisodeShape.k_shot
+    m_query: int = EpisodeShape.m_query
+    episodes: int = HyperParams.episodes_count
+    epochs: int = HyperParams.finetune_epochs
+    margin: float = HyperParams.triplet_margin
+    s: float = HyperParams.lmm_scale
+    m: float = HyperParams.lmm_margin
+    lambda_pt: float = HyperParams.ptloss_weight
+    lr: float = HyperParams.learning_rate
+    momentum: float = HyperParams.momentum
+    transductive: bool = HyperParams.transductive
     timing: bool = False
     # metatrain extras
-    tasks_per_epoch: int = 300
-    hidden: tuple[int, ...] = (128, 64)
-    embed_dim: int = 32
+    tasks_per_epoch: int = META_TASKS_PER_EPOCH
+    hidden: tuple[int, ...] = BackboneSpec.hidden
+    embed_dim: int = BackboneSpec.embed_dim
     # synth extras
     preset: str = "source"
     tag: str | None = None
@@ -81,16 +87,41 @@ class RunConfig:
             transductive=self.transductive,
         )
 
+    def shape(self) -> EpisodeShape:
+        return EpisodeShape(self.n_way, self.k_shot, self.m_query)
+
     def to_json(self) -> str:
-        payload = dataclasses.asdict(self)
-        payload["hidden"] = list(self.hidden)
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        data = json.loads(text)
-        data["hidden"] = tuple(data.get("hidden", (128, 64)))
-        return cls(**data)
+    def from_json(cls, text: str | bytes) -> "RunConfig":
+        """Strict inverse of to_json: every key a field, every value of its type."""
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ParameterError(f"run config is not JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ParameterError(f"run config must be a JSON object, got {type(data).__name__}")
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        unknown = sorted(set(data) - set(fields))
+        if unknown:
+            raise ParameterError(f"unknown run config keys {unknown}")
+        hints = get_type_hints(cls)
+        return cls(**{key: _typed(fields[key], hints[key], value) for key, value in data.items()})
+
+
+def _typed(field: dataclasses.Field, hint, value):
+    """`value` as `field` holds it (a JSON list becomes a tuple), or ParameterError."""
+    kinds = get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    if value is None and type(None) in kinds:
+        return None
+    if kinds[0] is float and type(value) in (int, float):
+        return float(value)
+    if get_origin(kinds[0]) is tuple and type(value) is list and all(type(v) is int for v in value):
+        return tuple(value)
+    if type(value) is kinds[0]:
+        return value
+    raise ParameterError(f"run config key {field.name!r} must be {field.type}, got {value!r}")
 
 
 def _hidden_widths(text: str) -> tuple[int, ...]:
@@ -101,21 +132,21 @@ def _hidden_widths(text: str) -> tuple[int, ...]:
 
 
 def _add_episode_flags(p: argparse.ArgumentParser):
-    p.add_argument("--n-way", type=int, default=5)
-    p.add_argument("--k-shot", type=int, default=5)
-    p.add_argument("--m-query", type=int, default=15)
+    p.add_argument("--n-way", type=int)
+    p.add_argument("--k-shot", type=int)
+    p.add_argument("--m-query", type=int)
 
 
 def _add_hp_flags(p: argparse.ArgumentParser):
-    p.add_argument("--episodes", type=int, default=600, help="evaluation episode count")
-    p.add_argument("--epochs", type=int, default=100, help="fine-tune epochs per episode")
-    p.add_argument("--margin", type=float, default=1.0, help="triplet margin")
-    p.add_argument("--s", type=float, default=30.0, help="cosine softmax scale")
-    p.add_argument("--m", type=float, default=0.35, help="cosine margin")
-    p.add_argument("--lambda-pt", type=float, default=1.0, dest="lambda_pt")
-    p.add_argument("--lr", type=float, default=3e-4)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--transductive", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--episodes", type=int, help="evaluation episode count")
+    p.add_argument("--epochs", type=int, help="fine-tune epochs per episode")
+    p.add_argument("--margin", type=float, help="triplet margin")
+    p.add_argument("--s", type=float, help="cosine softmax scale")
+    p.add_argument("--m", type=float, help="cosine margin")
+    p.add_argument("--lambda-pt", type=float, dest="lambda_pt")
+    p.add_argument("--lr", type=float)
+    p.add_argument("--momentum", type=float)
+    p.add_argument("--transductive", action=argparse.BooleanOptionalAction)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,11 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_meta.add_argument("--out", required=True)
     p_meta.add_argument("--seed", type=int, default=0)
     p_meta.add_argument("--epochs", type=int, default=5)
-    p_meta.add_argument("--tasks-per-epoch", type=int, default=300)
-    p_meta.add_argument("--lr", type=float, default=0.01)
-    p_meta.add_argument("--momentum", type=float, default=0.9)
-    p_meta.add_argument("--hidden", type=_hidden_widths, default=(128, 64))
-    p_meta.add_argument("--embed-dim", type=int, default=32)
+    p_meta.add_argument("--tasks-per-epoch", type=int)
+    p_meta.add_argument("--lr", type=float, default=META_LEARNING_RATE)
+    p_meta.add_argument("--momentum", type=float, default=META_MOMENTUM)
+    p_meta.add_argument("--hidden", type=_hidden_widths)
+    p_meta.add_argument("--embed-dim", type=int)
     _add_episode_flags(p_meta)
 
     p_eval = sub.add_parser("eval", help="episodic evaluation or paired ablation")
@@ -167,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """Flags that were not given (None) leave the RunConfig default in place."""
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     data = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     return RunConfig(**data)
@@ -199,6 +231,7 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_metatrain(cfg: RunConfig) -> int:
+    shape = cfg.shape()
     ds = load_dataset(cfg.data)
     sample = ds.images_for(ds.classes[0])[0]
     spec = BackboneSpec(
@@ -219,12 +252,10 @@ def cmd_metatrain(cfg: RunConfig) -> int:
     trained = meta_train(
         bk,
         ds,
+        shape,
         episodes_per_epoch=cfg.tasks_per_epoch,
         epochs=cfg.epochs,
         rng=RngStream(cfg.seed, (1,)),
-        n_way=cfg.n_way,
-        k_shot=cfg.k_shot,
-        m_query=cfg.m_query,
         learning_rate=cfg.lr,
         momentum=cfg.momentum,
         on_epoch=on_epoch,
@@ -239,13 +270,11 @@ def cmd_metatrain(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
+    plan = EvalPlan(cfg.hyperparams(), cfg.shape(), cfg.seed)
     bk = Backbone.load(cfg.snapshot)
     ds = load_dataset(cfg.data)
-    hp = cfg.hyperparams()
-    shape = EpisodeShape(cfg.n_way, cfg.k_shot, cfg.m_query)
-    policy = PqsPolicy()
-    if policy.is_fallback(cfg.k_shot):
-        rule = policy.rule_for(cfg.n_way, cfg.k_shot)
+    if plan.policy.is_fallback(cfg.k_shot):
+        rule = plan.policy.rule_for(cfg.n_way, cfg.k_shot)
         log.warning(
             "no sizing rule for k=%d; falling back to %d pseudo images per support sample",
             cfg.k_shot,
@@ -255,14 +284,14 @@ def cmd_eval(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if cfg.mode == "ablate":
-        result = ablate(bk, ds, hp, cfg.seed, shape, cfg.episodes, cfg.workers, policy)
+        result = ablate(bk, ds, plan, cfg.workers)
         emit_report(result.with_pqs, "json", out / "report_with_pqs.json", include_timing=cfg.timing)
         emit_report(result.no_finetune, "json", out / "report_no_finetune.json", include_timing=cfg.timing)
         emit_report(result, "json", out / "ablation.json")
         emit_report(result, "table", out / "ablation.txt")
         log.info("paired delta %.4f (ci95 %.4f)", result.delta_mean, result.delta_ci95)
     else:
-        report = run_eval(bk, ds, hp, cfg.mode, cfg.seed, shape, cfg.episodes, cfg.workers, policy)
+        report = run_eval(bk, ds, plan, cfg.mode, cfg.workers)
         emit_report(report, "json", out / "report.json", include_timing=cfg.timing)
         emit_report(report, "table", out / "report.txt")
         log.info("accuracy %.4f (ci95 %.4f) over %d episodes", report.mean, report.ci95, report.episodes)
@@ -287,7 +316,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "replay":
-            cfg = RunConfig.from_json(Path(args.config).read_text())
+            cfg = RunConfig.from_json(Path(args.config).read_bytes())
             if args.out is not None:
                 cfg = dataclasses.replace(cfg, out=args.out)
         else:
@@ -296,10 +325,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except ContractError as exc:

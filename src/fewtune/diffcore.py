@@ -66,9 +66,6 @@ class DiffTensor:
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.values)
 
-    def detach(self) -> "DiffTensor":
-        return DiffTensor(self.values.copy())
-
     def __repr__(self):
         return f"DiffTensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -342,11 +339,6 @@ def squared_euclidean_matrix(q: DiffTensor, p: DiffTensor) -> DiffTensor:
         raise ShapeError(f"embedding dims differ: {q.shape} vs {p.shape}")
     diff = sub(reshape(q, (q.shape[0], 1, q.shape[1])), reshape(p, (1, p.shape[0], p.shape[1])))
     return tensor_sum(mul(diff, diff), axis=2)
-
-
-def euclidean_matrix(q: DiffTensor, p: DiffTensor) -> DiffTensor:
-    """Pairwise (non-squared) Euclidean distances; gradient 0 at zero distance."""
-    return squared_euclidean_matrix(q, p).sqrt()
 
 
 @dataclass

@@ -15,10 +15,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityError, ContractError, DataLoadError, QueryIsolationError
+from .errors import CapacityError, ContractError, DataLoadError, ParameterError, QueryIsolationError
 from .imageaug import AugmentationConfig, Image, augment
 from .ppm import read_ppm
 from .rng import RngStream
+
+
+@dataclass(frozen=True)
+class EpisodeShape:
+    """N classes per episode, K support and M query images per class."""
+
+    n_way: int = 5
+    k_shot: int = 5
+    m_query: int = 15
+
+    def __post_init__(self):
+        if min(self.n_way, self.k_shot, self.m_query) < 1:
+            raise ParameterError(f"n_way, k_shot and m_query must each be >= 1, got {self}")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,10 @@
 """Many-episode evaluation with confidence intervals and the paired
 with/without-pseudo-query ablation.
 
-Episode i is a pure function of (master_seed, i): its stream seeds the
-sampler and the augmenter, and every arm re-derives the same stream, so
-the two ablation arms see bit-identical episodes and reports do not
-depend on worker count or scheduling. Aggregation is a single-threaded
-reduction in episode-index order.
+Episode i is a pure function of (plan, i): its stream seeds the sampler
+and the augmenter, so reports do not depend on worker count or
+scheduling. The ablation samples each episode once and scores both arms
+on it. Aggregation is a single-threaded reduction in episode-index order.
 """
 
 from __future__ import annotations
@@ -14,12 +13,12 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 from pathlib import Path
 
 import numpy as np
 
-from .episodes import LabeledDataset, PqsPolicy, build_pseudo_query, sample_episode
+from .episodes import EpisodeShape, LabeledDataset, PqsPolicy, build_pseudo_query, sample_episode
 from .errors import ParameterError
 from .fewshot import Backbone, finetune, infer, pristine_state
 from .imageaug import AugmentationConfig
@@ -27,26 +26,18 @@ from .losses import HyperParams
 from .rng import RngStream
 
 MODES = ("with_pqs", "no_finetune")
-DESK_SCALE_EPISODES = 100
-
-REPORT_KEYS = (
-    "fingerprint",
-    "mode",
-    "n_way",
-    "k_shot",
-    "episodes",
-    "mean",
-    "ci95",
-    "accuracies",
-    "wall_seconds",
-)
 
 
 @dataclass(frozen=True)
-class EpisodeShape:
-    n_way: int = 5
-    k_shot: int = 5
-    m_query: int = 15
+class EvalPlan:
+    """What fixes an evaluation's episodes and scores, given a backbone and
+    a dataset: hp.episodes_count episodes of `shape` drawn from master_seed."""
+
+    hp: HyperParams = field(default_factory=HyperParams)
+    shape: EpisodeShape = field(default_factory=EpisodeShape)
+    master_seed: int = 0
+    policy: PqsPolicy = field(default_factory=PqsPolicy)
+    aug: AugmentationConfig = field(default_factory=AugmentationConfig)
 
 
 @dataclass
@@ -100,20 +91,13 @@ def mean_and_ci95(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), float(1.96 * arr.std(ddof=1) / np.sqrt(arr.size))
 
 
-def config_fingerprint(
-    hp: HyperParams,
-    shape: EpisodeShape,
-    mode: str,
-    master_seed: int,
-    episodes: int,
-    dataset: LabeledDataset,
-) -> str:
+def config_fingerprint(plan: EvalPlan, mode: str, dataset: LabeledDataset) -> str:
     payload = {
-        "hp": asdict(hp),
-        "shape": asdict(shape),
+        "hp": asdict(plan.hp),
+        "shape": asdict(plan.shape),
         "mode": mode,
-        "master_seed": master_seed,
-        "episodes": episodes,
+        "master_seed": plan.master_seed,
+        "episodes": plan.hp.episodes_count,
         "dataset": dataset.fingerprint(),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
@@ -121,94 +105,88 @@ def config_fingerprint(
 
 
 def run_episode(
-    bk: Backbone,
-    dataset: LabeledDataset,
-    hp: HyperParams,
-    shape: EpisodeShape,
-    mode: str,
-    master_seed: int,
-    index: int,
-    policy: PqsPolicy | None = None,
-    aug: AugmentationConfig | None = None,
-) -> float:
-    """Accuracy of one episode; pure in (master_seed, index)."""
-    stream = RngStream(master_seed, (index,))
+    bk: Backbone, dataset: LabeledDataset, plan: EvalPlan, index: int, modes: tuple[str, ...]
+) -> tuple[float, ...]:
+    """Accuracy in each of `modes` of episode `index`, sampled once; pure in (plan, index)."""
+    stream = RngStream(plan.master_seed, (index,))
+    shape = plan.shape
     ep = sample_episode(dataset, shape.n_way, shape.k_shot, shape.m_query, stream.child(0))
-    if mode == "with_pqs":
-        build_pseudo_query(ep, policy, aug, stream.child(1))
-        state = finetune(bk, ep, hp)
-    else:
-        state = pristine_state(bk)
-    return infer(state, ep, hp)
+    accuracies = []
+    for mode in modes:
+        if mode == "with_pqs":
+            build_pseudo_query(ep, plan.policy, plan.aug, stream.child(1))
+            state = finetune(bk, ep, plan.hp)
+        else:
+            state = pristine_state(bk)
+        accuracies.append(infer(state, ep, plan.hp))
+    return tuple(accuracies)
 
 
 _WORKER: dict = {}
 
 
-def _init_worker(snapshot: bytes, dataset, hp, shape, mode, master_seed, policy, aug):
-    _WORKER.update(
-        backbone=Backbone.from_bytes(snapshot),
-        dataset=dataset,
-        hp=hp,
-        shape=shape,
-        mode=mode,
-        master_seed=master_seed,
-        policy=policy,
-        aug=aug,
-    )
+def _init_worker(snapshot: bytes, dataset: LabeledDataset, plan: EvalPlan, modes: tuple[str, ...]):
+    _WORKER.update(backbone=Backbone.from_bytes(snapshot), dataset=dataset, plan=plan, modes=modes)
 
 
-def _worker_episode(index: int) -> float:
+def _worker_episode(index: int) -> tuple[float, ...]:
     w = _WORKER
-    return run_episode(
-        w["backbone"], w["dataset"], w["hp"], w["shape"], w["mode"],
-        w["master_seed"], index, w["policy"], w["aug"],
-    )
+    return run_episode(w["backbone"], w["dataset"], w["plan"], index, w["modes"])
+
+
+@dataclass(frozen=True)
+class ScoredPass:
+    """Per-mode accuracies of one pass over a plan's episodes, and its wall time."""
+
+    accuracies: dict[str, list[float]]
+    wall_seconds: float
+
+
+def score_episodes(
+    bk: Backbone, target: LabeledDataset, plan: EvalPlan, modes: tuple[str, ...], workers: int = 1
+) -> ScoredPass:
+    """One pass over the plan's episodes, scoring each in every mode."""
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+    indices = range(plan.hp.episodes_count)
+    start = time.monotonic()
+    if workers == 1:
+        rows = [run_episode(bk, target, plan, i, modes) for i in indices]
+    else:
+        init_args = (bk.to_bytes(), target, plan, modes)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=init_args) as pool:
+            rows = list(pool.map(_worker_episode, indices))
+    wall = time.monotonic() - start
+    return ScoredPass({mode: [float(row[j]) for row in rows] for j, mode in enumerate(modes)}, wall)
 
 
 def run_eval(
     bk: Backbone,
     target: LabeledDataset,
-    hp: HyperParams,
+    plan: EvalPlan,
     mode: str,
-    master_seed: int,
-    shape: EpisodeShape | None = None,
-    episodes: int | None = None,
     workers: int = 1,
-    policy: PqsPolicy | None = None,
-    aug: AugmentationConfig | None = None,
+    scored: ScoredPass | None = None,
 ) -> EvalReport:
+    """Report of `mode` over the plan's episodes. `scored`, a pass that
+    already scored `mode` on them, stands in for a new pass."""
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
-    shape = shape or EpisodeShape()
-    count = episodes if episodes is not None else hp.episodes_count
-
-    start = time.monotonic()
-    if workers == 1:
-        accuracies = [
-            run_episode(bk, target, hp, shape, mode, master_seed, i, policy, aug)
-            for i in range(count)
-        ]
-    else:
-        init_args = (bk.to_bytes(), target, hp, shape, mode, master_seed, policy, aug)
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=init_args) as pool:
-            accuracies = list(pool.map(_worker_episode, range(count)))
-    wall = time.monotonic() - start
-
+    if scored is None:
+        scored = score_episodes(bk, target, plan, (mode,), workers)
+    accuracies = scored.accuracies[mode]
     mean, ci95 = mean_and_ci95(accuracies)
     return EvalReport(
-        fingerprint=config_fingerprint(hp, shape, mode, master_seed, count, target),
+        fingerprint=config_fingerprint(plan, mode, target),
         mode=mode,
-        n_way=shape.n_way,
-        k_shot=shape.k_shot,
-        m_query=shape.m_query,
-        episodes=count,
-        accuracies=[float(a) for a in accuracies],
+        n_way=plan.shape.n_way,
+        k_shot=plan.shape.k_shot,
+        m_query=plan.shape.m_query,
+        episodes=len(accuracies),
+        accuracies=accuracies,
         mean=mean,
         ci95=ci95,
-        wall_seconds=wall,
+        wall_seconds=scored.wall_seconds,
     )
 
 
@@ -239,21 +217,11 @@ class AblationResult:
         return "\n".join(lines) + "\n"
 
 
-def ablate(
-    bk: Backbone,
-    target: LabeledDataset,
-    hp: HyperParams,
-    master_seed: int,
-    shape: EpisodeShape | None = None,
-    episodes: int | None = None,
-    workers: int = 1,
-    policy: PqsPolicy | None = None,
-    aug: AugmentationConfig | None = None,
-) -> AblationResult:
-    """Both modes on identical episode streams; paired difference CI."""
-    count = episodes if episodes is not None else DESK_SCALE_EPISODES
-    with_r = run_eval(bk, target, hp, "with_pqs", master_seed, shape, count, workers, policy, aug)
-    without_r = run_eval(bk, target, hp, "no_finetune", master_seed, shape, count, workers, policy, aug)
+def ablate(bk: Backbone, target: LabeledDataset, plan: EvalPlan, workers: int = 1) -> AblationResult:
+    """Both modes scored on each episode of one pass; paired difference CI."""
+    scored = score_episodes(bk, target, plan, MODES, workers)
+    # each arm's report comes from run_eval, whose `mode` argument names the arm's trace span
+    with_r, without_r = (run_eval(bk, target, plan, mode, workers, scored) for mode in MODES)
     deltas = [a - b for a, b in zip(with_r.accuracies, without_r.accuracies)]
     delta_mean, delta_ci = mean_and_ci95(deltas)
     return AblationResult(with_r, without_r, delta_mean, delta_ci)

@@ -13,14 +13,14 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import diffcore as dc
 from .diffcore import BatchNormState, DiffTensor, SgdConfig
-from .episodes import Episode, LabeledDataset, sample_episode
+from .episodes import Episode, EpisodeShape, LabeledDataset, sample_episode
 from .errors import ContractError, DataLoadError, ParameterError, ShapeError
 from .imageaug import Image
 from .losses import HyperParams, Prototypes, compute_prototypes, finetune_objective, proto_xent
@@ -28,6 +28,11 @@ from .rng import RngStream
 
 SNAPSHOT_MAGIC = b"FTBK"
 SNAPSHOT_VERSION = 1
+
+# meta_train's defaults, which the `metatrain` command shares
+META_TASKS_PER_EPOCH = 300
+META_LEARNING_RATE = 0.01
+META_MOMENTUM = 0.9
 
 
 @dataclass(frozen=True)
@@ -98,27 +103,15 @@ class Backbone:
     # -- snapshot ----------------------------------------------------------
 
     def _arrays(self) -> list[tuple[str, np.ndarray]]:
-        out: list[tuple[str, np.ndarray]] = []
-        for i, layer in enumerate(self.dense):
-            out.append((f"dense{i}.weight", layer.weight.values))
-            out.append((f"dense{i}.bias", layer.bias.values))
-        for i, norm in enumerate(self.norms):
-            out.append((f"norm{i}.gamma", norm.gamma.values))
-            out.append((f"norm{i}.beta", norm.beta.values))
-            out.append((f"norm{i}.running_mean", norm.running_mean))
-            out.append((f"norm{i}.running_var", norm.running_var))
-        return out
+        arrays = [a for layer in self.dense for a in (layer.weight.values, layer.bias.values)]
+        for norm in self.norms:
+            arrays += [norm.gamma.values, norm.beta.values, norm.running_mean, norm.running_var]
+        return [(name, a) for (name, _), a in zip(_layout(self.spec), arrays)]
 
     def to_bytes(self) -> bytes:
         arrays = self._arrays()
         header = {
-            "spec": {
-                "input_dim": self.spec.input_dim,
-                "hidden": list(self.spec.hidden),
-                "embed_dim": self.spec.embed_dim,
-                "bn_momentum": self.spec.bn_momentum,
-                "bn_eps": self.spec.bn_eps,
-            },
+            "spec": asdict(self.spec),
             "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
         }
         head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -134,32 +127,35 @@ class Backbone:
     def from_bytes(cls, blob: bytes) -> "Backbone":
         if blob[:4] != SNAPSHOT_MAGIC:
             raise DataLoadError("not a backbone snapshot (bad magic)")
+        if len(blob) < 12:
+            raise DataLoadError("snapshot truncated")
         version, head_len = struct.unpack("<II", blob[4:12])
         if version != SNAPSHOT_VERSION:
             raise DataLoadError(f"unsupported snapshot version {version}")
-        header = json.loads(blob[12 : 12 + head_len].decode("utf-8"))
-        spec = BackboneSpec(
-            input_dim=header["spec"]["input_dim"],
-            hidden=tuple(header["spec"]["hidden"]),
-            embed_dim=header["spec"]["embed_dim"],
-            bn_momentum=header["spec"]["bn_momentum"],
-            bn_eps=header["spec"]["bn_eps"],
-        )
-        values: dict[str, np.ndarray] = {}
         pos = 12 + head_len
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = blob[pos : pos + 8 * count]
-            if len(raw) != 8 * count:
-                raise DataLoadError("snapshot truncated")
-            values[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            pos += 8 * count
+        if len(blob) < pos:
+            raise DataLoadError("snapshot truncated")
+        try:
+            header = json.loads(blob[12:pos].decode("utf-8"))
+            spec = BackboneSpec(**dict(header["spec"], hidden=tuple(header["spec"]["hidden"])))
+            layout = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+            if layout != _layout(spec):
+                raise DataLoadError("snapshot arrays do not match its spec")
+            values: dict[str, np.ndarray] = {}
+            for name, shape in layout:
+                end = pos + 8 * shape[0] * shape[1]
+                if end > len(blob):
+                    raise DataLoadError("snapshot truncated")
+                values[name] = np.frombuffer(blob[pos:end], dtype="<f8").reshape(shape).copy()
+                pos = end
+        except (ValueError, KeyError, TypeError, ParameterError) as exc:
+            raise DataLoadError(f"bad snapshot header: {type(exc).__name__}: {exc}") from exc
+        if pos != len(blob):
+            raise DataLoadError(f"{len(blob) - pos} stray bytes after the last snapshot array")
 
-        widths = (spec.input_dim, *spec.hidden, spec.embed_dim)
         dense = [
             DenseLayer(dc.param(values[f"dense{i}.weight"]), dc.param(values[f"dense{i}.bias"]))
-            for i in range(len(widths) - 1)
+            for i in range(len(spec.hidden) + 1)
         ]
         norms = [
             BatchNormState(
@@ -183,6 +179,18 @@ class Backbone:
             return cls.from_bytes(Path(path).read_bytes())
         except OSError as exc:
             raise DataLoadError(f"cannot read snapshot {path}: {exc}") from exc
+
+
+def _layout(spec: BackboneSpec) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every snapshot array, in file order."""
+    widths = (spec.input_dim, *spec.hidden, spec.embed_dim)
+    dense = [
+        (f"dense{i}.{name}", shape)
+        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:]))
+        for name, shape in (("weight", (fan_in, fan_out)), ("bias", (1, fan_out)))
+    ]
+    stats = ("gamma", "beta", "running_mean", "running_var")
+    return dense + [(f"norm{i}.{name}", (1, width)) for i, width in enumerate(spec.hidden) for name in stats]
 
 
 def images_to_batch(images: list[Image], input_dim: int) -> DiffTensor:
@@ -275,14 +283,12 @@ def pristine_state(bk: Backbone) -> FinetuneState:
 def meta_train(
     bk: Backbone,
     ds: LabeledDataset,
-    episodes_per_epoch: int = 300,
+    shape: EpisodeShape = EpisodeShape(),
+    episodes_per_epoch: int = META_TASKS_PER_EPOCH,
     epochs: int = 1,
     rng: RngStream | None = None,
-    n_way: int = 5,
-    k_shot: int = 5,
-    m_query: int = 15,
-    learning_rate: float = 0.01,
-    momentum: float = 0.9,
+    learning_rate: float = META_LEARNING_RATE,
+    momentum: float = META_MOMENTUM,
     on_epoch=None,
 ) -> Backbone:
     """Episodic training on prototype cross-entropy; returns a trained clone.
@@ -298,7 +304,7 @@ def meta_train(
         losses = []
         for task in range(episodes_per_epoch):
             stream = rng.child(epoch * episodes_per_epoch + task)
-            ep = sample_episode(ds, n_way, k_shot, m_query, stream)
+            ep = sample_episode(ds, shape.n_way, shape.k_shot, shape.m_query, stream)
             support_emb = embed(work, ep.support_images, "train")
             query_emb = embed(work, ep.query_images, "train")
             protos = compute_prototypes(support_emb, ep.support_labels, ep.n_way)

@@ -12,18 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ALGORITHM = "pcg64"
-
 
 @dataclass(frozen=True)
 class RngStream:
     seed: int
     key: tuple[int, ...] = field(default_factory=tuple)
-    algorithm: str = ALGORITHM
-
-    def __post_init__(self):
-        if self.algorithm != ALGORITHM:
-            raise ValueError(f"unsupported rng algorithm: {self.algorithm!r}")
 
     def child(self, index: int) -> "RngStream":
         """Derive an independent substream. child(i) != child(j) for i != j."""

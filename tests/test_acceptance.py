@@ -10,9 +10,9 @@ import time
 import numpy as np
 
 import fewtune.diffcore as dc
-from fewtune.cli import RunConfig
-from fewtune.episodes import PqsPolicy, build_pseudo_query, sample_episode
-from fewtune.evalharness import EpisodeShape, ablate, emit_report, run_eval
+from fewtune.cli import _config_from_args, build_parser
+from fewtune.episodes import EpisodeShape, PqsPolicy, build_pseudo_query, sample_episode
+from fewtune.evalharness import EvalPlan, ablate, emit_report, run_eval
 from fewtune.fewshot import Backbone, BackboneSpec, finetune, meta_train
 from fewtune.imageaug import (
     AugmentationConfig,
@@ -263,11 +263,10 @@ def test_criterion_7_determinism_under_parallelism(tmp_path):
     ds = generate_synthetic(
         target_domain(n_classes=6, images_per_class=12, image_size=4), RngStream(9)
     )
-    hp = HyperParams(finetune_epochs=2)
-    shape = EpisodeShape(n_way=3, k_shot=2, m_query=3)
+    plan = EvalPlan(HyperParams(episodes_count=8, finetune_epochs=2), EpisodeShape(3, 2, 3), 1007)
     paths = {}
     for workers in (1, 8):
-        rep = run_eval(bk, ds, hp, "with_pqs", 1007, shape, episodes=8, workers=workers)
+        rep = run_eval(bk, ds, plan, "with_pqs", workers)
         paths[workers] = emit_report(rep, "json", tmp_path / f"report_w{workers}.json")
     identical = paths[1].read_bytes() == paths[8].read_bytes()
     report(7, identical, f"1-worker vs 8-worker machine-readable reports byte-identical: {identical}")
@@ -281,8 +280,8 @@ def test_criterion_8_directional_ablation():
     trained = meta_train(
         backbone, source, episodes_per_epoch=300, epochs=5, rng=RngStream(84)
     )
-    hp = HyperParams()  # 100 fine-tune epochs, transductive inference
-    result = ablate(trained, target, hp, master_seed=2024, episodes=100)
+    # 100 fine-tune epochs, transductive inference
+    result = ablate(trained, target, EvalPlan(HyperParams(episodes_count=100), master_seed=2024))
     elapsed = time.monotonic() - start
     lower = result.delta_mean - result.delta_ci95
     ok = result.delta_mean > 0.0 and lower > 0.0 and elapsed < 900.0
@@ -296,21 +295,15 @@ def test_criterion_8_directional_ablation():
 
 
 def test_criterion_9_published_defaults():
-    cfg = RunConfig()
-    hp = cfg.hyperparams()
+    args = build_parser().parse_args(["eval", "--snapshot", "s", "--data", "d", "--out", "o"])
+    hp = _config_from_args(args).hyperparams()
     values = {
-        "episodes": cfg.episodes,
-        "epochs": cfg.epochs,
-        "margin": cfg.margin,
-        "s": cfg.s,
-        "m": cfg.m,
+        "episodes": hp.episodes_count,
+        "epochs": hp.finetune_epochs,
+        "margin": hp.triplet_margin,
+        "s": hp.lmm_scale,
+        "m": hp.lmm_margin,
+        "transductive": hp.transductive,
     }
-    ok = (
-        values == {"episodes": 600, "epochs": 100, "margin": 1.0, "s": 30.0, "m": 0.35}
-        and hp.episodes_count == 600
-        and hp.finetune_epochs == 100
-        and hp.triplet_margin == 1.0
-        and hp.lmm_scale == 30.0
-        and hp.lmm_margin == 0.35
-    )
-    report(9, ok, f"fresh run config reports {values}")
+    expected = {"episodes": 600, "epochs": 100, "margin": 1.0, "s": 30.0, "m": 0.35, "transductive": True}
+    report(9, values == expected, f"bare `fewtune eval` runs with {values}")

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fewtune.cli import RunConfig, build_parser, main
+from fewtune.cli import RunConfig, _config_from_args, build_parser, main
 from fewtune.episodes import load_dataset
 from fewtune.fewshot import Backbone
 from fewtune.ppm import read_ppm
@@ -57,14 +57,41 @@ class TestRunConfigDefaults:
         assert cfg.m == 0.35
 
     def test_parser_defaults_match(self):
+        # the parser leaves unset flags as None; a bare argv resolves to the RunConfig defaults
         args = build_parser().parse_args(["eval", "--snapshot", "x", "--data", "y", "--out", "z"])
-        assert args.episodes == 600 and args.epochs == 100
-        assert args.margin == 1.0 and args.s == 30.0 and args.m == 0.35
-        assert args.transductive is True
+        cfg = _config_from_args(args)
+        assert cfg.episodes == 600 and cfg.epochs == 100
+        assert cfg.margin == 1.0 and cfg.s == 30.0 and cfg.m == 0.35
+        assert cfg.transductive is True
 
     def test_round_trips_through_json(self):
         cfg = RunConfig(command="eval", data="d", snapshot="s", k_shot=20)
         assert RunConfig.from_json(cfg.to_json()) == cfg
+
+
+class TestReplayConfigErrors:
+    @pytest.mark.parametrize("text, fragment", [
+        ('{"command": "eval", "colour": "red"}', "unknown run config keys ['colour']"),
+        ('{"command": "eval", "k_shot": "5"}', "'k_shot'"),
+        ('{"command": "eval", "k_shot": 5.0}', "'k_shot'"),
+        ('{"command": "eval", "transductive": 1}', "'transductive'"),
+        ('{"command": "eval", "hidden": [12, "x"]}', "'hidden'"),
+        ('["eval"]', "must be a JSON object, got list"),
+        ('{"command": "eval",', "not JSON"),
+        (b'\xff\xfe{}', "not JSON"),
+    ], ids=["unknown-key", "str-for-int", "float-for-int", "int-for-bool", "bad-width",
+            "not-object", "not-json", "not-utf8"])
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, text, fragment):
+        path = tmp_path / "run_config.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and fragment in err
+
+    def test_integer_read_as_float_for_float_key(self):
+        # an int would serialize as 30, not 30.0, and change the report fingerprint
+        cfg = RunConfig.from_json('{"s": 30, "lr": 1}')
+        assert type(cfg.s) is float and type(cfg.lr) is float
 
 
 class TestSynth:
@@ -178,6 +205,13 @@ class TestEval:
 
 
 class TestExitCodes:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("trained")
+        run_synth(root / "d")
+        run_metatrain(root / "d", root / "m")
+        return root / "m" / "backbone.snap", root / "d", root
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval"])  # missing required flags
@@ -214,6 +248,41 @@ class TestExitCodes:
         assert code == 4
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command, flags", [
+        ("eval", ["--m-query", "0"]),
+        ("eval", ["--m-query", "-1"]),
+        ("eval", ["--k-shot", "0"]),
+        ("eval", ["--n-way", "0"]),
+        ("metatrain", ["--k-shot", "0"]),
+    ])
+    def test_empty_episode_shape_is_usage_error(self, trained, capsys, command, flags):
+        snap, data, out = trained
+        argv = [command, "--data", str(data), "--out", str(out / "o"), *flags]
+        if command == "eval":
+            argv += ["--snapshot", str(snap), "--episodes", "1", "--epochs", "0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and ">= 1" in err
+
+    @pytest.mark.parametrize("command", ["eval", "metatrain"])
+    def test_one_way_episodes_still_run(self, trained, command):
+        snap, data, out = trained
+        argv = [command, "--data", str(data), "--out", str(out / command), "--n-way", "1",
+                "--k-shot", "2", "--m-query", "2", "--epochs", "1"]
+        if command == "eval":
+            argv += ["--snapshot", str(snap), "--mode", "no_finetune", "--episodes", "2"]
+        else:
+            argv += ["--tasks-per-epoch", "2", "--hidden", "12,10", "--embed-dim", "8"]
+        assert main(argv) == 0
+
+    def test_truncated_snapshot_is_data_error(self, trained, capsys):
+        snap, data, out = trained
+        short = out / "short.snap"
+        short.write_bytes(snap.read_bytes()[:10])
+        code = main(["eval", "--snapshot", str(short), "--data", str(data), "--out", str(out / "o")])
+        assert code == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     def test_bad_parameter_is_usage_error(self, tmp_path, capsys):
         run_synth(tmp_path / "d")

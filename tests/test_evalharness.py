@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from fewtune.episodes import sample_episode
+import fewtune.evalharness as evalharness
+from fewtune.episodes import EpisodeShape, sample_episode
 from fewtune.errors import ParameterError
 from fewtune.evalharness import (
-    EpisodeShape,
+    EvalPlan,
     EvalReport,
     ablate,
     emit_report,
@@ -22,6 +23,10 @@ from fewtune.synthetic import generate_synthetic, target_domain
 
 SPEC = BackboneSpec(input_dim=48, hidden=(16, 12), embed_dim=8)
 SHAPE = EpisodeShape(n_way=3, k_shot=2, m_query=3)
+
+
+def plan(seed, episodes, epochs):
+    return EvalPlan(HyperParams(episodes_count=episodes, finetune_epochs=epochs), SHAPE, seed)
 
 
 def tiny_setup(seed=0):
@@ -55,8 +60,7 @@ class TestAggregation:
 class TestRunEval:
     def test_report_consistent_with_accuracies(self):
         bk, ds = tiny_setup()
-        hp = HyperParams(finetune_epochs=2)
-        report = run_eval(bk, ds, hp, "no_finetune", 7, SHAPE, episodes=6)
+        report = run_eval(bk, ds, plan(7, 6, 2), "no_finetune")
         assert len(report.accuracies) == 6
         mean, ci = mean_and_ci95(report.accuracies)
         assert report.mean == mean and report.ci95 == ci
@@ -64,62 +68,67 @@ class TestRunEval:
 
     def test_episode_count_defaults_to_hp(self):
         bk, ds = tiny_setup()
-        hp = HyperParams(episodes_count=4, finetune_epochs=0)
-        report = run_eval(bk, ds, hp, "no_finetune", 7, SHAPE)
+        report = run_eval(bk, ds, plan(7, 4, 0), "no_finetune")
         assert report.episodes == 4
 
     def test_mode_validation(self):
         bk, ds = tiny_setup()
         with pytest.raises(ParameterError):
-            run_eval(bk, ds, HyperParams(), "nope", 0, SHAPE, episodes=1)
+            run_eval(bk, ds, plan(0, 1, 100), "nope")
 
     def test_deterministic_across_runs(self):
         bk, ds = tiny_setup()
-        hp = HyperParams(finetune_epochs=2)
-        a = run_eval(bk, ds, hp, "with_pqs", 11, SHAPE, episodes=4)
-        b = run_eval(bk, ds, hp, "with_pqs", 11, SHAPE, episodes=4)
+        a = run_eval(bk, ds, plan(11, 4, 2), "with_pqs")
+        b = run_eval(bk, ds, plan(11, 4, 2), "with_pqs")
         assert a.accuracies == b.accuracies
         assert a.fingerprint == b.fingerprint
         assert a.to_json() == b.to_json()
 
     def test_worker_pool_matches_serial(self):
         bk, ds = tiny_setup()
-        hp = HyperParams(finetune_epochs=2)
-        serial = run_eval(bk, ds, hp, "with_pqs", 11, SHAPE, episodes=6, workers=1)
-        pooled = run_eval(bk, ds, hp, "with_pqs", 11, SHAPE, episodes=6, workers=3)
+        serial = run_eval(bk, ds, plan(11, 6, 2), "with_pqs", workers=1)
+        pooled = run_eval(bk, ds, plan(11, 6, 2), "with_pqs", workers=3)
         assert serial.to_json() == pooled.to_json()
 
     def test_fingerprint_sensitive_to_inputs(self):
         bk, ds = tiny_setup()
-        hp = HyperParams(finetune_epochs=0)
-        base = run_eval(bk, ds, hp, "no_finetune", 3, SHAPE, episodes=2)
-        other_seed = run_eval(bk, ds, hp, "no_finetune", 4, SHAPE, episodes=2)
-        other_hp = run_eval(bk, ds, HyperParams(finetune_epochs=1), "no_finetune", 3, SHAPE, episodes=2)
+        base = run_eval(bk, ds, plan(3, 2, 0), "no_finetune")
+        other_seed = run_eval(bk, ds, plan(4, 2, 0), "no_finetune")
+        other_hp = run_eval(bk, ds, plan(3, 2, 1), "no_finetune")
         assert base.fingerprint != other_seed.fingerprint
         assert base.fingerprint != other_hp.fingerprint
 
 
 class TestAblate:
-    def test_arms_see_identical_episodes(self):
-        _, ds = tiny_setup()
-        # hash the sampled image indices the way both arms derive them
-        for index in range(5):
-            a = sample_episode(ds, 3, 2, 3, RngStream(13, (index,)).child(0))
-            b = sample_episode(ds, 3, 2, 3, RngStream(13, (index,)).child(0))
-            assert a.support_sources == b.support_sources
-            assert a.query_sources == b.query_sources
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_arm_reports_equal_run_eval(self, workers):
+        bk, ds = tiny_setup()
+        res = ablate(bk, ds, plan(13, 5, 2), workers)
+        for arm in (res.with_pqs, res.no_finetune):
+            alone = run_eval(bk, ds, plan(13, 5, 2), arm.mode, workers)
+            assert arm.to_json() == alone.to_json()
+
+    def test_samples_each_episode_once(self, monkeypatch):
+        bk, ds = tiny_setup()
+        streams = []
+
+        def counted(ds, n, k, m, rng):
+            streams.append(rng)
+            return sample_episode(ds, n, k, m, rng)
+
+        monkeypatch.setattr(evalharness, "sample_episode", counted)
+        ablate(bk, ds, plan(13, 5, 2))
+        assert streams == [RngStream(13, (i, 0)) for i in range(5)]
 
     def test_zero_epochs_zero_delta(self):
         bk, ds = tiny_setup()
-        hp = HyperParams(finetune_epochs=0)
-        res = ablate(bk, ds, hp, 17, SHAPE, episodes=5)
+        res = ablate(bk, ds, plan(17, 5, 0))
         assert res.with_pqs.accuracies == res.no_finetune.accuracies
         assert res.delta_mean == 0.0 and res.delta_ci95 == 0.0
 
     def test_paired_delta_matches_reports(self):
         bk, ds = tiny_setup()
-        hp = HyperParams(finetune_epochs=2)
-        res = ablate(bk, ds, hp, 19, SHAPE, episodes=5)
+        res = ablate(bk, ds, plan(19, 5, 2))
         deltas = [a - b for a, b in zip(res.with_pqs.accuracies, res.no_finetune.accuracies)]
         mean, ci = mean_and_ci95(deltas)
         assert res.delta_mean == mean and res.delta_ci95 == ci

@@ -1,11 +1,14 @@
 """Backbone, fine-tuning loop, inference, snapshots, toy meta-training."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 import fewtune.diffcore as dc
 from fewtune.episodes import build_pseudo_query, sample_episode
-from fewtune.errors import ContractError, QueryIsolationError, ShapeError
+from fewtune.errors import ContractError, DataLoadError, QueryIsolationError, ShapeError
 from fewtune.fewshot import (
     Backbone,
     BackboneSpec,
@@ -104,6 +107,56 @@ class TestBackbone:
     def test_create_deterministic(self):
         assert snapshot_equal(small_backbone(7), small_backbone(7))
         assert not snapshot_equal(small_backbone(7), small_backbone(8))
+
+
+def tiny_snapshot() -> bytes:
+    return Backbone.create(BackboneSpec(input_dim=3, hidden=(2,), embed_dim=2), RngStream(5)).to_bytes()
+
+
+def with_header(blob: bytes, header) -> bytes:
+    """`blob` with its JSON header replaced by `header` (bytes are written as given)."""
+    old_len = struct.unpack("<I", blob[8:12])[0]
+    head = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + old_len :]
+
+
+def header_of(blob: bytes) -> dict:
+    return json.loads(blob[12 : 12 + struct.unpack("<I", blob[8:12])[0]])
+
+
+class TestSnapshotErrors:
+    def test_every_truncation_is_a_data_error(self):
+        blob = tiny_snapshot()
+        Backbone.from_bytes(blob)
+        for end in range(len(blob)):
+            with pytest.raises(DataLoadError):
+                Backbone.from_bytes(blob[:end])
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(DataLoadError, match="stray bytes"):
+            Backbone.from_bytes(tiny_snapshot() + b"\0")
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: b"\xff\xfe",
+        lambda h: b"[1, 2",
+        lambda h: [h],
+        lambda h: {"arrays": h["arrays"]},
+        lambda h: {"spec": h["spec"]},
+        lambda h: dict(h, spec=dict(h["spec"], hidden=3)),
+        lambda h: dict(h, spec=dict(h["spec"], hidden=[0])),
+        lambda h: dict(h, arrays=h["arrays"][1:]),
+        lambda h: dict(h, arrays=[dict(h["arrays"][0], name="dense9.weight"), *h["arrays"][1:]]),
+        lambda h: dict(h, arrays=[dict(h["arrays"][0], shape=[2, 3]), *h["arrays"][1:]]),
+    ], ids=["not-utf8", "not-json", "not-object", "no-spec", "no-arrays", "hidden-not-list",
+            "zero-width", "array-missing", "array-renamed", "array-reshaped"])
+    def test_bad_header_is_a_data_error(self, edit):
+        blob = tiny_snapshot()
+        with pytest.raises(DataLoadError):
+            Backbone.from_bytes(with_header(blob, edit(header_of(blob))))
+
+    def test_unchanged_header_still_loads(self):
+        blob = tiny_snapshot()
+        assert Backbone.from_bytes(with_header(blob, header_of(blob))).spec.hidden == (2,)
 
 
 class TestClassifyCosine:
