@@ -23,9 +23,10 @@ from .episodes import (
     Episode,
     EpisodeShape,
     LabeledDataset,
-    PqsPolicy,
+    PQS_RULES,
     build_pseudo_query,
     load_dataset,
+    pqs_rule,
     sample_episode,
     write_dataset,
 )
@@ -54,13 +55,11 @@ from .imageaug import (
 )
 from .losses import (
     HyperParams,
-    Prototypes,
     compute_prototypes,
     cosface_loss,
     finetune_objective,
     proto_xent,
     ptloss,
-    triplet,
 )
 from .rng import RngStream
 from .synthetic import DomainSpec, generate_synthetic, source_domain, target_domain

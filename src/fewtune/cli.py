@@ -19,10 +19,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .episodes import EpisodeShape, load_dataset, write_dataset
+from .episodes import PQS_RULES, EpisodeShape, load_dataset, pqs_rule, write_dataset
 from .errors import ContractError, DataError, ParameterError
-from .evalharness import EvalPlan, ablate, emit_report, run_eval
-from .fewshot import META_LEARNING_RATE, META_MOMENTUM, META_TASKS_PER_EPOCH, Backbone, BackboneSpec, meta_train
+from .evalharness import MODES, EvalPlan, ablate, emit_report, run_eval
+from .fewshot import (
+    META_EPOCHS,
+    META_LEARNING_RATE,
+    META_MOMENTUM,
+    META_TASKS_PER_EPOCH,
+    Backbone,
+    BackboneSpec,
+    meta_train,
+)
 from .losses import HyperParams
 from .rng import RngStream
 from .synthetic import generate_synthetic, source_domain, target_domain
@@ -44,7 +52,7 @@ class RunConfig:
     workers: int = 1
     data: str | None = None
     snapshot: str | None = None
-    mode: str = "with_pqs"
+    mode: str = MODES[0]
     n_way: int = EpisodeShape.n_way
     k_shot: int = EpisodeShape.k_shot
     m_query: int = EpisodeShape.m_query
@@ -155,23 +163,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="render a synthetic dataset as PPM files")
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--preset", choices=("source", "target"), default="source")
-    p_synth.add_argument("--tag", default=None)
-    p_synth.add_argument("--classes", type=int, default=None)
-    p_synth.add_argument("--images-per-class", type=int, default=None)
-    p_synth.add_argument("--size", type=int, default=None)
-    p_synth.add_argument("--pattern-offset", type=int, default=None)
-    p_synth.add_argument("--palette-angle", type=float, default=None)
-    p_synth.add_argument("--background", type=float, default=None)
-    p_synth.add_argument("--contrast", type=float, default=None)
-    p_synth.add_argument("--noise-sigma", type=float, default=None)
+    p_synth.add_argument("--seed", type=int)
+    p_synth.add_argument("--preset", choices=("source", "target"))
+    p_synth.add_argument("--tag")
+    p_synth.add_argument("--classes", type=int)
+    p_synth.add_argument("--images-per-class", type=int)
+    p_synth.add_argument("--size", type=int)
+    p_synth.add_argument("--pattern-offset", type=int)
+    p_synth.add_argument("--palette-angle", type=float)
+    p_synth.add_argument("--background", type=float)
+    p_synth.add_argument("--contrast", type=float)
+    p_synth.add_argument("--noise-sigma", type=float)
 
     p_meta = sub.add_parser("metatrain", help="episodic training, snapshot the backbone")
     p_meta.add_argument("--data", required=True)
     p_meta.add_argument("--out", required=True)
-    p_meta.add_argument("--seed", type=int, default=0)
-    p_meta.add_argument("--epochs", type=int, default=5)
+    p_meta.add_argument("--seed", type=int)
+    p_meta.add_argument("--epochs", type=int, default=META_EPOCHS)
     p_meta.add_argument("--tasks-per-epoch", type=int)
     p_meta.add_argument("--lr", type=float, default=META_LEARNING_RATE)
     p_meta.add_argument("--momentum", type=float, default=META_MOMENTUM)
@@ -183,9 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--snapshot", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--mode", choices=("with_pqs", "no_finetune", "ablate"), default="with_pqs")
-    p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--workers", type=int, default=1)
+    p_eval.add_argument("--mode", choices=(*MODES, "ablate"))
+    p_eval.add_argument("--seed", type=int)
+    p_eval.add_argument("--workers", type=int)
     p_eval.add_argument("--timing", action="store_true", help="include wall time in report.json")
     _add_episode_flags(p_eval)
     _add_hp_flags(p_eval)
@@ -273,12 +281,11 @@ def cmd_eval(cfg: RunConfig) -> int:
     plan = EvalPlan(cfg.hyperparams(), cfg.shape(), cfg.seed)
     bk = Backbone.load(cfg.snapshot)
     ds = load_dataset(cfg.data)
-    if plan.policy.is_fallback(cfg.k_shot):
-        rule = plan.policy.rule_for(cfg.n_way, cfg.k_shot)
+    if cfg.k_shot not in PQS_RULES:
         log.warning(
             "no sizing rule for k=%d; falling back to %d pseudo images per support sample",
             cfg.k_shot,
-            rule.per_support,
+            pqs_rule(cfg.n_way, cfg.k_shot)[0],
         )
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

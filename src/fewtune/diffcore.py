@@ -25,6 +25,10 @@ Array = np.ndarray
 
 MODES = ("train", "eval", "transductive")
 
+BN_MOMENTUM = 0.1  # weight of the newest batch in the running statistics
+BN_EPS = 1e-5  # added to the variance before the square root
+NORM_FLOOR = 1e-12  # smallest row norm a normalization divides by
+
 
 def _as_f64(values) -> Array:
     arr = np.asarray(values, dtype=np.float64)
@@ -183,11 +187,6 @@ class ComputeGraph:
                 held = adjoint.get(id(parent))
                 adjoint[id(parent)] = grad_in if held is None else held + grad_in
 
-    def zero_grads(self) -> None:
-        for tensor in self.nodes:
-            tensor.zero_grad()
-        self.nodes = []
-
 
 def backward(loss: DiffTensor) -> None:
     """Accumulate d(loss)/d(tensor) into .grad for the whole graph."""
@@ -318,7 +317,7 @@ def sqrt(a: DiffTensor) -> DiffTensor:
 # composite ops
 # ---------------------------------------------------------------------------
 
-def l2_normalize(x: DiffTensor, epsilon: float = 1e-12) -> DiffTensor:
+def l2_normalize(x: DiffTensor, epsilon: float = NORM_FLOOR) -> DiffTensor:
     """Divide each row by max(its L2 norm, epsilon)."""
     if epsilon <= 0:
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
@@ -326,11 +325,11 @@ def l2_normalize(x: DiffTensor, epsilon: float = 1e-12) -> DiffTensor:
     return div(x, norms.clamp_min(epsilon))
 
 
-def cosine_matrix(q: DiffTensor, p: DiffTensor, epsilon: float = 1e-12) -> DiffTensor:
+def cosine_matrix(q: DiffTensor, p: DiffTensor) -> DiffTensor:
     """Pairwise cosine similarities between rows of q (BxD) and p (NxD)."""
     if q.shape[1] != p.shape[1]:
         raise ShapeError(f"embedding dims differ: {q.shape} vs {p.shape}")
-    return matmul(l2_normalize(q, epsilon), transpose(l2_normalize(p, epsilon)))
+    return matmul(l2_normalize(q), transpose(l2_normalize(p)))
 
 
 def squared_euclidean_matrix(q: DiffTensor, p: DiffTensor) -> DiffTensor:
@@ -349,11 +348,11 @@ class BatchNormState:
     beta: DiffTensor
     running_mean: Array
     running_var: Array
-    momentum: float = 0.1
-    eps: float = 1e-5
+    momentum: float
+    eps: float
 
     @classmethod
-    def create(cls, dim: int, momentum: float = 0.1, eps: float = 1e-5) -> "BatchNormState":
+    def create(cls, dim: int, momentum: float = BN_MOMENTUM, eps: float = BN_EPS) -> "BatchNormState":
         return cls(
             gamma=param(np.ones((1, dim))),
             beta=param(np.zeros((1, dim))),

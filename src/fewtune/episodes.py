@@ -9,7 +9,7 @@ backs the isolation tests.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil
 from pathlib import Path
 
@@ -125,37 +125,16 @@ class Episode:
             self._query_locked = False
 
 
-@dataclass(frozen=True)
-class PqsRule:
-    per_support: int
-    subsample: int | None = None  # support images used per class, None = all
+# K -> (pseudo images per support sample, support images used per class or
+# None for all): 5-shot gives 100 pseudo images at 5-way, 20-shot 200, and
+# 50-shot 200 from 40 subsampled supports per class.
+PQS_RULES: dict[int, tuple[int, int | None]] = {5: (4, None), 20: (2, None), 50: (1, 40)}
 
 
-@dataclass(frozen=True)
-class PqsPolicy:
-    """Pseudo images generated per support sample, keyed by K.
-
-    5-shot: 4 each (set size 100 at 5-way); 20-shot: 2 each (200);
-    50-shot: 1 each from 40 subsampled supports per class (200). Other K
-    fall back to ceil(100 / (N*K)) per support, capped at 4.
-    """
-
-    rules: dict[int, PqsRule] = field(
-        default_factory=lambda: {
-            5: PqsRule(per_support=4),
-            20: PqsRule(per_support=2),
-            50: PqsRule(per_support=1, subsample=40),
-        }
-    )
-
-    def rule_for(self, n_way: int, k_shot: int) -> PqsRule:
-        rule = self.rules.get(k_shot)
-        if rule is None:
-            rule = PqsRule(per_support=min(4, ceil(100 / (n_way * k_shot))))
-        return rule
-
-    def is_fallback(self, k_shot: int) -> bool:
-        return k_shot not in self.rules
+def pqs_rule(n_way: int, k_shot: int) -> tuple[int, int | None]:
+    """The pseudo-query sizing rule for K; a K outside PQS_RULES falls back
+    to ceil(100 / (N*K)) pseudo images per support sample, capped at 4."""
+    return PQS_RULES.get(k_shot, (min(4, ceil(100 / (n_way * k_shot))), None))
 
 
 def sample_episode(
@@ -209,45 +188,32 @@ def sample_episode(
     )
 
 
-def build_pseudo_query(
-    ep: Episode,
-    policy: PqsPolicy | None = None,
-    cfg: AugmentationConfig | None = None,
-    rng: RngStream | None = None,
-) -> Episode:
-    """Populate ep.pseudo_* by augmenting support images per the policy.
+def build_pseudo_query(ep: Episode, rng: RngStream) -> Episode:
+    """Populate ep.pseudo_* by augmenting support images per `pqs_rule`.
 
     Each pseudo image keeps its source support image's label; sources are
     recorded as indices into ep.support_images. Mutates and returns ep.
     """
     if not ep.support_images:
         raise ContractError("episode has no support set")
-    policy = policy or PqsPolicy()
-    cfg = cfg or AugmentationConfig()
-    rng = rng or RngStream(0)
-    rule = policy.rule_for(ep.n_way, ep.k_shot)
+    per_support, subsample = pqs_rule(ep.n_way, ep.k_shot)
 
-    source_indices: list[int] = []
-    if rule.subsample is None:
-        source_indices = list(range(len(ep.support_images)))
-    else:
+    source_indices = list(range(len(ep.support_images)))
+    if subsample is not None:
         gen = rng.child(0).generator()
+        source_indices = []
         for label in range(ep.n_way):
             members = [i for i, y in enumerate(ep.support_labels) if y == label]
-            if len(members) < rule.subsample:
-                raise CapacityError(
-                    f"class {label} has {len(members)} support images, "
-                    f"policy subsamples {rule.subsample}"
-                )
-            picks = gen.choice(len(members), size=rule.subsample, replace=False)
+            picks = gen.choice(len(members), size=subsample, replace=False)
             source_indices.extend(members[int(p)] for p in picks)
 
+    cfg = AugmentationConfig()
     pseudo_images: list[Image] = []
     pseudo_labels: list[int] = []
     pseudo_sources: list[int] = []
     draw = 0
     for src in source_indices:
-        for _ in range(rule.per_support):
+        for _ in range(per_support):
             pseudo_images.append(augment(ep.support_images[src], rng.child(1).child(draw), cfg))
             pseudo_labels.append(int(ep.support_labels[src]))
             pseudo_sources.append(src)
@@ -272,11 +238,11 @@ def write_dataset(ds: LabeledDataset, root: str | Path) -> Path:
     return root
 
 
-def load_dataset(path: str | Path, domain: str | None = None, require_square: bool = True) -> LabeledDataset:
+def load_dataset(path: str | Path) -> LabeledDataset:
     """Load `root/<class_name>/<image>.ppm` with lexicographic ordering.
 
-    require_square rejects non-square images up front, since the default
-    augmentation pipeline may rotate by 90/270 degrees.
+    Non-square images are rejected up front, since the augmentation
+    pipeline may rotate by 90/270 degrees. The domain tag is the directory name.
     """
     root = Path(path)
     if not root.is_dir():
@@ -294,7 +260,7 @@ def load_dataset(path: str | Path, domain: str | None = None, require_square: bo
         loaded = []
         for f in files:
             img = read_ppm(f)
-            if require_square and not img.is_square:
+            if not img.is_square:
                 raise DataLoadError(
                     f"{f}: non-square image ({img.height}x{img.width}) with rotation enabled"
                 )
@@ -308,7 +274,7 @@ def load_dataset(path: str | Path, domain: str | None = None, require_square: bo
         images[class_dir.name] = tuple(loaded)
 
     return LabeledDataset(
-        domain=domain if domain is not None else root.name,
+        domain=root.name,
         classes=tuple(d.name for d in class_dirs),
         images=images,
     )

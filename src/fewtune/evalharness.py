@@ -18,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .episodes import EpisodeShape, LabeledDataset, PqsPolicy, build_pseudo_query, sample_episode
+from .episodes import EpisodeShape, LabeledDataset, build_pseudo_query, sample_episode
 from .errors import ParameterError
 from .fewshot import Backbone, finetune, infer, pristine_state
-from .imageaug import AugmentationConfig
 from .losses import HyperParams
 from .rng import RngStream
 
@@ -36,8 +35,6 @@ class EvalPlan:
     hp: HyperParams = field(default_factory=HyperParams)
     shape: EpisodeShape = field(default_factory=EpisodeShape)
     master_seed: int = 0
-    policy: PqsPolicy = field(default_factory=PqsPolicy)
-    aug: AugmentationConfig = field(default_factory=AugmentationConfig)
 
 
 @dataclass
@@ -92,6 +89,7 @@ def mean_and_ci95(values: list[float]) -> tuple[float, float]:
 
 
 def config_fingerprint(plan: EvalPlan, mode: str, dataset: LabeledDataset) -> str:
+    """Hash of every plan field, the mode and the dataset's pixels."""
     payload = {
         "hp": asdict(plan.hp),
         "shape": asdict(plan.shape),
@@ -114,7 +112,7 @@ def run_episode(
     accuracies = []
     for mode in modes:
         if mode == "with_pqs":
-            build_pseudo_query(ep, plan.policy, plan.aug, stream.child(1))
+            build_pseudo_query(ep, stream.child(1))
             state = finetune(bk, ep, plan.hp)
         else:
             state = pristine_state(bk)

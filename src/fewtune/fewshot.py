@@ -23,13 +23,14 @@ from .diffcore import BatchNormState, DiffTensor, SgdConfig
 from .episodes import Episode, EpisodeShape, LabeledDataset, sample_episode
 from .errors import ContractError, DataLoadError, ParameterError, ShapeError
 from .imageaug import Image
-from .losses import HyperParams, Prototypes, compute_prototypes, finetune_objective, proto_xent
+from .losses import HyperParams, compute_prototypes, finetune_objective, proto_xent
 from .rng import RngStream
 
 SNAPSHOT_MAGIC = b"FTBK"
 SNAPSHOT_VERSION = 1
 
 # meta_train's defaults, which the `metatrain` command shares
+META_EPOCHS = 5
 META_TASKS_PER_EPOCH = 300
 META_LEARNING_RATE = 0.01
 META_MOMENTUM = 0.9
@@ -40,8 +41,8 @@ class BackboneSpec:
     input_dim: int = 768  # 16x16x3 flattened
     hidden: tuple[int, ...] = (128, 64)
     embed_dim: int = 32
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
+    bn_momentum: float = dc.BN_MOMENTUM
+    bn_eps: float = dc.BN_EPS
 
     def __post_init__(self):
         if self.input_dim < 1 or self.embed_dim < 1 or any(h < 1 for h in self.hidden):
@@ -205,9 +206,9 @@ def embed(bk: Backbone, images: list[Image], mode: str) -> DiffTensor:
     return bk.forward(images_to_batch(images, bk.spec.input_dim), mode)
 
 
-def classify_cosine(query_emb: DiffTensor, protos: Prototypes) -> tuple[np.ndarray, np.ndarray]:
+def classify_cosine(query_emb: DiffTensor, protos: DiffTensor) -> tuple[np.ndarray, np.ndarray]:
     """Argmax of cosine similarity per query; ties go to the lowest class."""
-    scores = dc.cosine_matrix(query_emb, protos.embeddings).values
+    scores = dc.cosine_matrix(query_emb, protos).values
     return np.argmax(scores, axis=1), scores
 
 
@@ -221,9 +222,9 @@ class FinetuneState:
     loss_history: list[float] = field(default_factory=list)
 
 
-def _normalized_rows(values: np.ndarray, epsilon: float = 1e-12) -> np.ndarray:
+def _normalized_rows(values: np.ndarray) -> np.ndarray:
     norms = np.sqrt(np.sum(values * values, axis=1, keepdims=True))
-    return values / np.maximum(norms, epsilon)
+    return values / np.maximum(norms, dc.NORM_FLOOR)
 
 
 def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
@@ -241,7 +242,7 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
         # mode keeps the init free of running-stat side effects
         init_emb = embed(work, ep.support_images, "transductive")
         init_protos = compute_prototypes(init_emb, ep.support_labels, ep.n_way)
-        head = dc.param(_normalized_rows(init_protos.embeddings.values))
+        head = dc.param(_normalized_rows(init_protos.values))
         state.head = head
 
         for _ in range(hp.finetune_epochs):
@@ -284,9 +285,10 @@ def meta_train(
     bk: Backbone,
     ds: LabeledDataset,
     shape: EpisodeShape = EpisodeShape(),
+    *,
+    rng: RngStream,
     episodes_per_epoch: int = META_TASKS_PER_EPOCH,
-    epochs: int = 1,
-    rng: RngStream | None = None,
+    epochs: int = META_EPOCHS,
     learning_rate: float = META_LEARNING_RATE,
     momentum: float = META_MOMENTUM,
     on_epoch=None,
@@ -296,7 +298,8 @@ def meta_train(
     Desk-scale stand-in for large-scale meta-training; `on_epoch(epoch,
     mean_loss)` is invoked after each epoch when given.
     """
-    rng = rng or RngStream(0)
+    if episodes_per_epoch < 1 or epochs < 0:
+        raise ParameterError("episodes_per_epoch must be >= 1 and epochs >= 0")
     work = bk.clone()
     params = work.parameters()
     cfg = SgdConfig(learning_rate, momentum)

@@ -206,8 +206,7 @@ def apply_plan(img: Image, plan: AugmentationPlan) -> Image:
     return img
 
 
-def augment(img: Image, rng: RngStream, cfg: AugmentationConfig | None = None) -> Image:
+def augment(img: Image, rng: RngStream, cfg: AugmentationConfig) -> Image:
     """One stochastic pipeline pass, bit-determined by (img, seed, key)."""
-    cfg = cfg or AugmentationConfig()
     plan = plan_augmentation(rng, cfg, img.channels, img.height, img.width)
     return apply_plan(img, plan)

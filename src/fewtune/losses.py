@@ -56,17 +56,6 @@ class HyperParams:
             raise ParameterError("episodes_count must be >= 1 and finetune_epochs >= 0")
 
 
-@dataclass
-class Prototypes:
-    """Per-class mean support embeddings, rows in episode class order."""
-
-    embeddings: DiffTensor  # N x D
-
-    @property
-    def n_way(self) -> int:
-        return self.embeddings.shape[0]
-
-
 def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
@@ -76,8 +65,9 @@ def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return hot
 
 
-def compute_prototypes(support_emb: DiffTensor, labels, n_way: int | None = None) -> Prototypes:
-    """Class means of support embeddings, differentiable through them."""
+def compute_prototypes(support_emb: DiffTensor, labels, n_way: int | None = None) -> DiffTensor:
+    """N x D class means of support embeddings, rows in episode class order,
+    differentiable through them."""
     labels = np.asarray(labels, dtype=np.int64)
     n = int(n_way) if n_way is not None else int(labels.max()) + 1
     counts = np.bincount(labels, minlength=n)
@@ -85,19 +75,10 @@ def compute_prototypes(support_emb: DiffTensor, labels, n_way: int | None = None
         missing = np.flatnonzero(counts == 0).tolist()
         raise ContractError(f"no support embeddings for classes {missing}")
     averaging = _one_hot(labels, n).T / counts[:, None]
-    return Prototypes(dc.matmul(dc.constant(averaging), support_emb))
+    return dc.matmul(dc.constant(averaging), support_emb)
 
 
-def triplet(anchor: DiffTensor, positive: DiffTensor, negative: DiffTensor, margin: float) -> DiffTensor:
-    """Hinge on non-squared Euclidean distances: max(0, d(a,p) - d(a,n) + margin)."""
-    if margin < 0:
-        raise ParameterError(f"margin must be >= 0, got {margin}")
-    d_pos = dc.tensor_sum(dc.mul(dc.sub(anchor, positive), dc.sub(anchor, positive))).sqrt()
-    d_neg = dc.tensor_sum(dc.mul(dc.sub(anchor, negative), dc.sub(anchor, negative))).sqrt()
-    return (d_pos - d_neg + margin).relu()
-
-
-def ptloss(support_emb: DiffTensor, labels, protos: Prototypes, margin: float) -> DiffTensor:
+def ptloss(support_emb: DiffTensor, labels, protos: DiffTensor, margin: float) -> DiffTensor:
     """Sum of anchor/own-prototype/other-prototype hinges over the support set.
 
     Equivalent to looping every support sample against every other
@@ -105,16 +86,14 @@ def ptloss(support_emb: DiffTensor, labels, protos: Prototypes, margin: float) -
     so a brute-force loop reproduces it bit for bit.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    n = protos.n_way
+    n = protos.shape[0]
     if n < 2:
         raise ContractError("prototypical triplet loss needs at least 2 classes")
     if margin < 0:
         raise ParameterError(f"margin must be >= 0, got {margin}")
 
     hot = _one_hot(labels, n)
-    b, d = support_emb.shape
-    diff = dc.sub(dc.reshape(support_emb, (b, 1, d)), dc.reshape(protos.embeddings, (1, n, d)))
-    dist = dc.tensor_sum(dc.mul(diff, diff), axis=2).sqrt()  # B x N
+    dist = dc.squared_euclidean_matrix(support_emb, protos).sqrt()  # B x N
     own = dc.tensor_sum(dc.mul(dist, dc.constant(hot)), axis=1, keepdims=True)  # B x 1
     hinge = (own - dist + margin).relu()
     return dc.tensor_sum(dc.mul(hinge, dc.constant(1.0 - hot)))
@@ -147,11 +126,11 @@ def cosface_loss(
     return _stable_cross_entropy(logits, hot)
 
 
-def proto_xent(query_emb: DiffTensor, labels, protos: Prototypes) -> DiffTensor:
+def proto_xent(query_emb: DiffTensor, labels, protos: DiffTensor) -> DiffTensor:
     """Softmax cross-entropy over negative squared distances to prototypes."""
     labels = np.asarray(labels, dtype=np.int64)
-    hot = _one_hot(labels, protos.n_way)
-    logits = -dc.squared_euclidean_matrix(query_emb, protos.embeddings)
+    hot = _one_hot(labels, protos.shape[0])
+    logits = -dc.squared_euclidean_matrix(query_emb, protos)
     return _stable_cross_entropy(logits, hot)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 import fewtune.diffcore as dc
 from fewtune.cli import _config_from_args, build_parser
-from fewtune.episodes import EpisodeShape, PqsPolicy, build_pseudo_query, sample_episode
+from fewtune.episodes import EpisodeShape, build_pseudo_query, sample_episode
 from fewtune.evalharness import EvalPlan, ablate, emit_report, run_eval
 from fewtune.fewshot import Backbone, BackboneSpec, finetune, meta_train
 from fewtune.imageaug import (
@@ -60,7 +60,7 @@ def test_criterion_1_ptloss_oracle_equivalence():
         margin = float(rng.uniform(0.0, 2.0))
         protos = compute_prototypes(dc.constant(support), labels)
         ours = float(ptloss(dc.constant(support), labels, protos, margin).values)
-        reference = ptloss_bruteforce(support, labels, protos.embeddings.values, margin)
+        reference = ptloss_bruteforce(support, labels, protos.values, margin)
         mismatches += ours != reference
     elapsed = time.monotonic() - start
     report(
@@ -188,7 +188,7 @@ def test_criterion_4_pseudo_query_sizing():
         }
         ds = LabeledDataset(domain="toy", classes=names, images=images)
         ep = sample_episode(ds, 5, k, 3, RngStream(4000 + k))
-        build_pseudo_query(ep, PqsPolicy(), AugmentationConfig(), RngStream(5000 + k))
+        build_pseudo_query(ep, RngStream(5000 + k))
         sizes[k] = len(ep.pseudo_images)
         traced &= all(
             label == ep.support_labels[src]

@@ -265,6 +265,16 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and ">= 1" in err
 
+    @pytest.mark.parametrize("flags", [["--tasks-per-epoch", "0"], ["--epochs", "-1"]],
+                             ids=["no-tasks", "negative-epochs"])
+    def test_bad_metatrain_count_is_usage_error(self, trained, capsys, flags):
+        _, data, root = trained
+        out = root / f"bad{flags[0]}"
+        argv = ["metatrain", "--data", str(data), "--out", str(out), "--hidden", "12,10", "--embed-dim", "8"]
+        assert main([*argv, *flags]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (out / "backbone.snap").exists()
+
     @pytest.mark.parametrize("command", ["eval", "metatrain"])
     def test_one_way_episodes_still_run(self, trained, command):
         snap, data, out = trained

@@ -220,15 +220,6 @@ class TestBackward:
         graph.run_backward(loss)
         np.testing.assert_allclose(x.grad, [8.0], atol=1e-12)
 
-    def test_graph_zero_grads_drops_nodes(self):
-        x = dc.param([2.0])
-        loss = (x * x).sum()
-        graph = dc.ComputeGraph.from_root(loss)
-        graph.run_backward(loss)
-        graph.zero_grads()
-        assert graph.nodes == []
-        np.testing.assert_array_equal(x.grad, [0.0])
-
 
 class TestSgd:
     def test_plain_step(self):

@@ -1,5 +1,6 @@
 """Evaluation harness: aggregation, determinism, paired ablation."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from fewtune.evalharness import (
     EvalPlan,
     EvalReport,
     ablate,
+    config_fingerprint,
     emit_report,
     mean_and_ci95,
     run_eval,
@@ -97,6 +99,22 @@ class TestRunEval:
         other_hp = run_eval(bk, ds, plan(3, 2, 1), "no_finetune")
         assert base.fingerprint != other_seed.fingerprint
         assert base.fingerprint != other_hp.fingerprint
+
+    def test_fingerprint_covers_every_plan_field(self):
+        # a plan field the fingerprint ignores would let two reports with
+        # different accuracies carry one fingerprint
+        _, ds = tiny_setup()
+        base = plan(3, 2, 1)
+        variants = {
+            "hp": HyperParams(episodes_count=2, finetune_epochs=2),
+            "shape": EpisodeShape(n_way=2, k_shot=2, m_query=3),
+            "master_seed": 4,
+        }
+        assert [f.name for f in dataclasses.fields(EvalPlan)] == list(variants)
+        fingerprint = config_fingerprint(base, "with_pqs", ds)
+        for name, value in variants.items():
+            changed = dataclasses.replace(base, **{name: value})
+            assert config_fingerprint(changed, "with_pqs", ds) != fingerprint, name
 
 
 class TestAblate:

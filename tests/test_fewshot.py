@@ -173,7 +173,7 @@ class TestClassifyCosine:
         base, _ = classify_cosine(dc.constant(q), protos)
         scaled, _ = classify_cosine(dc.constant(q * rng.uniform(0.5, 8.0, (5, 1))), protos)
         assert np.array_equal(base, scaled)
-        protos2 = compute_prototypes(dc.constant(protos.embeddings.values * 3.7), [0, 1, 2, 3])
+        protos2 = compute_prototypes(dc.constant(protos.values * 3.7), [0, 1, 2, 3])
         global_scaled, _ = classify_cosine(dc.constant(q), protos2)
         assert np.array_equal(base, global_scaled)
 
@@ -238,6 +238,38 @@ class TestFinetune:
         state = finetune(small_backbone(), small_episode(), HyperParams(finetune_epochs=2))
         norms = np.linalg.norm(state.head.values, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+
+    def test_batch_norm_statistics_per_batch(self, monkeypatch):
+        # each step normalizes the support and the pseudo batch with its own
+        # batch statistics, and so updates every layer's running stats twice
+        bk = small_backbone()
+        ep = small_episode()
+        seen = []
+        batch_norm = dc.batch_norm
+
+        def spy(x, state, mode):
+            out = batch_norm(x, state, mode)
+            if mode == "train":
+                x_hat = (out.values - state.beta.values) / state.gamma.values
+                seen.append((len(seen) % len(bk.norms), x.values.copy(), x_hat))
+            return out
+
+        monkeypatch.setattr(dc, "batch_norm", spy)
+        epochs = 3
+        state = finetune(bk, ep, HyperParams(finetune_epochs=epochs))
+
+        rows = [x.shape[0] for layer, x, _ in seen if layer == 0]
+        assert rows == [len(ep.support_images), len(ep.pseudo_images)] * epochs
+        for _, _, x_hat in seen:
+            np.testing.assert_allclose(x_hat.mean(axis=0), 0.0, atol=1e-9)
+        for i, norm in enumerate(state.backbone.norms):
+            mean, var = bk.norms[i].running_mean, bk.norms[i].running_var
+            for layer, x, _ in seen:
+                if layer == i:
+                    mean = (1.0 - norm.momentum) * mean + norm.momentum * x.mean(axis=0, keepdims=True)
+                    var = (1.0 - norm.momentum) * var + norm.momentum * x.var(axis=0, keepdims=True)
+            np.testing.assert_allclose(norm.running_mean, mean, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(norm.running_var, var, rtol=1e-12, atol=1e-12)
 
     def test_loss_mostly_decreases(self):
         # net decrease first -> last epoch in >= 90% of 100 episodes

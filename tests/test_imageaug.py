@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fewtune.errors import ParameterError, ShapeError
 from fewtune.imageaug import (
@@ -22,6 +25,17 @@ from fewtune.rng import RngStream
 
 def random_image(seed, c=3, h=8, w=8):
     return Image(np.random.default_rng(seed).uniform(0.0, 1.0, size=(c, h, w)))
+
+
+# square images (quarter turns need them), any channel count, pixels in [0, 1]
+images = st.tuples(st.integers(1, 4), st.integers(1, 9)).flatmap(
+    lambda cs: arrays(np.float64, (cs[0], cs[1], cs[1]), elements=st.floats(0.0, 1.0))
+).map(Image)
+streams = st.builds(RngStream, st.integers(0, 2**32), st.lists(st.integers(0, 2**16), max_size=3).map(tuple))
+configs = st.builds(
+    AugmentationConfig,
+    **{name: st.floats(0.0, 1.0) for name in ("p_gamma", "p_shuffle", "p_flip", "p_rotate", "p_erase")},
+)
 
 
 class TestImageType:
@@ -219,6 +233,18 @@ class TestAugmentPipeline:
         assert plan.gamma is not None and plan.erase_box is not None
         manual = erase_block(gamma_correct(img, plan.gamma), *plan.erase_box)
         np.testing.assert_array_equal(apply_plan(img, plan).pixels, manual.pixels)
+
+
+class TestAugmentProperties:
+    @given(images, streams, configs)
+    def test_range_and_shape_preserved(self, img, rng, cfg):
+        out = augment(img, rng, cfg)
+        assert out.pixels.shape == img.pixels.shape
+        assert 0.0 <= out.pixels.min() and out.pixels.max() <= 1.0
+
+    @given(images, streams, configs)
+    def test_same_stream_same_output(self, img, rng, cfg):
+        assert np.array_equal(augment(img, rng, cfg).pixels, augment(img, rng, cfg).pixels)
 
 
 class TestConfigValidation:

@@ -12,7 +12,6 @@ from fewtune.losses import (
     finetune_objective,
     proto_xent,
     ptloss,
-    triplet,
 )
 
 
@@ -80,20 +79,20 @@ class TestComputePrototypes:
     def test_single_shot_copies_embeddings(self):
         emb = dc.constant([[1.0, 2.0], [3.0, 4.0]])
         protos = compute_prototypes(emb, [0, 1])
-        np.testing.assert_allclose(protos.embeddings.values, emb.values, atol=1e-15)
+        np.testing.assert_allclose(protos.values, emb.values, atol=1e-15)
 
     def test_midpoint(self):
         emb = dc.constant([[0.0, 0.0], [2.0, 2.0], [5.0, 5.0]])
         protos = compute_prototypes(emb, [0, 0, 1])
-        np.testing.assert_allclose(protos.embeddings.values[0], [1.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(protos.values[0], [1.0, 1.0], atol=1e-15)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
         emb = rng.normal(size=(10, 4))
         labels = np.repeat(np.arange(5), 2)
         order = rng.permutation(10)
-        a = compute_prototypes(dc.constant(emb), labels).embeddings.values
-        b = compute_prototypes(dc.constant(emb[order]), labels[order]).embeddings.values
+        a = compute_prototypes(dc.constant(emb), labels).values
+        b = compute_prototypes(dc.constant(emb[order]), labels[order]).values
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_missing_class(self):
@@ -106,32 +105,9 @@ class TestComputePrototypes:
         c = dc.constant(rng.normal(size=(2, 3)))
         x = dc.param(rng.normal(size=(4, 3)))
         err = dc.gradient_check(
-            lambda t: (compute_prototypes(t, labels).embeddings * c).sum(), x
+            lambda t: (compute_prototypes(t, labels) * c).sum(), x
         )
         assert err < 1e-4
-
-
-class TestTriplet:
-    def test_coincident_points_give_margin(self):
-        v = dc.constant([1.0, 2.0])
-        out = triplet(v, v, v, 1.0)
-        np.testing.assert_allclose(out.values, 1.0, atol=1e-15)
-
-    def test_inactive_hinge(self):
-        a = dc.constant([0.0, 0.0])
-        p = dc.constant([0.0, 0.0])
-        n = dc.constant([5.0, 0.0])
-        np.testing.assert_array_equal(triplet(a, p, n, 1.0).values, 0.0)
-
-    def test_partial_slack(self):
-        a = dc.constant([0.0, 0.0])
-        out = triplet(a, dc.constant([0.0, 0.0]), dc.constant([0.5, 0.0]), 1.0)
-        np.testing.assert_allclose(out.values, 0.5, atol=1e-15)
-
-    def test_negative_margin_rejected(self):
-        v = dc.constant([1.0])
-        with pytest.raises(ParameterError):
-            triplet(v, v, v, -0.5)
 
 
 class TestPtloss:
@@ -167,7 +143,7 @@ class TestPtloss:
             margin = float(rng.uniform(0.0, 2.0))
             ours = ptloss(dc.constant(support), labels, compute_prototypes(dc.constant(support), labels), margin)
             # the oracle consumes the same prototype values
-            proto_vals = compute_prototypes(dc.constant(support), labels).embeddings.values
+            proto_vals = compute_prototypes(dc.constant(support), labels).values
             reference = ptloss_bruteforce(support, labels, proto_vals, margin)
             assert float(ours.values) == reference
 
@@ -191,6 +167,11 @@ class TestPtloss:
         protos = compute_prototypes(emb, [0])
         with pytest.raises(ContractError):
             ptloss(emb, [0], protos, 1.0)
+
+    def test_negative_margin_rejected(self):
+        emb = dc.constant([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ParameterError):
+            ptloss(emb, [0, 1], compute_prototypes(emb, [0, 1]), -0.5)
 
 
 class TestCosfaceLoss:
