@@ -50,7 +50,6 @@ from .imageaug import (
     flip,
     gamma_correct,
     plan_augmentation,
-    random_erase,
     rotate,
 )
 from .losses import (

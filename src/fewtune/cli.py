@@ -240,6 +240,11 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 def cmd_metatrain(cfg: RunConfig) -> int:
     shape = cfg.shape()
+    # checked before the dataset is read or --out is created
+    if cfg.tasks_per_epoch < 1:
+        raise ParameterError(f"--tasks-per-epoch must be >= 1, got {cfg.tasks_per_epoch}")
+    if cfg.epochs < 0:
+        raise ParameterError(f"--epochs must be >= 0, got {cfg.epochs}")
     ds = load_dataset(cfg.data)
     sample = ds.images_for(ds.classes[0])[0]
     spec = BackboneSpec(

@@ -7,6 +7,11 @@ topological order and pushes adjoints through it in reverse, so each
 node is visited exactly once and repeated backward calls accumulate into
 `.grad` until the grads are zeroed.
 
+Gradients cost only what is needed: `.grad` is allocated when the first
+adjoint arrives (a tensor no gradient reached reads as zeros), and the
+binary ops compute no gradient for an operand that does not require one,
+such as the constant image batch entering the first dense layer.
+
 The op set is intentionally small: just enough to express dense layers,
 batch normalization, cosine / Euclidean metrics, and the losses built on
 them. No convolutions, no mixed precision.
@@ -51,13 +56,19 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 class DiffTensor:
-    """Dense array plus an accumulated gradient of identical shape."""
+    """Dense array plus an accumulated gradient of identical shape.
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward", "_velocity")
+    The gradient is held as None until a backward pass reaches the
+    tensor; reading `.grad` then gives zeros of the value's shape. A
+    stored gradient may share memory with the adjoint of another tensor,
+    so it is replaced, never modified in place.
+    """
+
+    __slots__ = ("values", "_grad", "requires_grad", "_parents", "_backward", "_velocity")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = _as_f64(values)
-        self.grad = np.zeros_like(self.values)
+        self._grad: Array | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[DiffTensor, ...] = ()
         self._backward: Callable[[Array], Sequence[Array | None]] | None = None
@@ -67,8 +78,16 @@ class DiffTensor:
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
+    @property
+    def grad(self) -> Array:
+        return np.zeros_like(self.values) if self._grad is None else self._grad
+
+    @grad.setter
+    def grad(self, value: Array) -> None:
+        self._grad = value
+
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.values)
+        self._grad = None
 
     def __repr__(self):
         return f"DiffTensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -178,7 +197,8 @@ class ComputeGraph:
             if grad_out is None:
                 continue
             if tensor.requires_grad:
-                tensor.grad = tensor.grad + grad_out
+                held = tensor._grad
+                tensor._grad = grad_out if held is None else held + grad_out
             if tensor._backward is None:
                 continue
             for parent, grad_in in zip(tensor._parents, tensor._backward(grad_out)):
@@ -204,11 +224,17 @@ def zero_grads(tensors: Iterable[DiffTensor]) -> None:
 # primitive ops
 # ---------------------------------------------------------------------------
 
+# The backward closures of the binary ops return None for an operand that
+# does not require a gradient; run_backward skips it.
+
 def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     return _node(
         a.values + b.values,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+        lambda g: (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        ),
     )
 
 
@@ -216,7 +242,10 @@ def sub(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     return _node(
         a.values - b.values,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
+        lambda g: (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+        ),
     )
 
 
@@ -224,7 +253,10 @@ def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     return _node(
         a.values * b.values,
         (a, b),
-        lambda g: (_unbroadcast(g * b.values, a.shape), _unbroadcast(g * a.values, b.shape)),
+        lambda g: (
+            _unbroadcast(g * b.values, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.values, b.shape) if b.requires_grad else None,
+        ),
     )
 
 
@@ -233,8 +265,8 @@ def div(a: DiffTensor, b: DiffTensor) -> DiffTensor:
         a.values / b.values,
         (a, b),
         lambda g: (
-            _unbroadcast(g / b.values, a.shape),
-            _unbroadcast(-g * a.values / (b.values * b.values), b.shape),
+            _unbroadcast(g / b.values, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g * a.values / (b.values * b.values), b.shape) if b.requires_grad else None,
         ),
     )
 
@@ -245,7 +277,10 @@ def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     return _node(
         a.values @ b.values,
         (a, b),
-        lambda g: (g @ b.values.T, a.values.T @ g),
+        lambda g: (
+            g @ b.values.T if a.requires_grad else None,
+            a.values.T @ g if b.requires_grad else None,
+        ),
     )
 
 

@@ -238,16 +238,19 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
     state = FinetuneState(backbone=work, head=None)
 
     with ep.query_guard():
+        # the images are fixed for the whole episode: stack them once
+        support_batch = images_to_batch(ep.support_images, work.spec.input_dim)
+        pseudo_batch = images_to_batch(ep.pseudo_images, work.spec.input_dim)
         # head starts at the normalized support prototypes; transductive
         # mode keeps the init free of running-stat side effects
-        init_emb = embed(work, ep.support_images, "transductive")
+        init_emb = work.forward(support_batch, "transductive")
         init_protos = compute_prototypes(init_emb, ep.support_labels, ep.n_way)
         head = dc.param(_normalized_rows(init_protos.values))
         state.head = head
 
         for _ in range(hp.finetune_epochs):
-            support_emb = embed(work, ep.support_images, "train")
-            pseudo_emb = embed(work, ep.pseudo_images, "train")
+            support_emb = work.forward(support_batch, "train")
+            pseudo_emb = work.forward(pseudo_batch, "train")
             loss = finetune_objective(
                 support_emb, ep.support_labels, pseudo_emb, ep.pseudo_labels, head, hp
             )

@@ -133,12 +133,6 @@ def erase_block(img: Image, top: int, left: int, block_h: int, block_w: int) -> 
     return Image(px)
 
 
-def random_erase(img: Image, rng: RngStream, cfg: AugmentationConfig | None = None) -> Image:
-    cfg = cfg or AugmentationConfig()
-    box = _draw_erase_box(rng.generator(), cfg, img.height, img.width)
-    return erase_block(img, *box)
-
-
 # ---------------------------------------------------------------------------
 # stochastic pipeline
 # ---------------------------------------------------------------------------

@@ -24,6 +24,26 @@ class TestMatmul:
         err = dc.gradient_check(lambda t: dc.matmul(t, b).sum(), dc.param([[1.0, 2.0]]), 1e-6)
         assert err < 1e-6
 
+    def test_constant_operand_gets_no_gradient(self):
+        rng = np.random.default_rng(3)
+        batch = rng.normal(size=(4, 3))
+        weight = rng.normal(size=(3, 2))
+        g = rng.normal(size=(4, 2))
+        to_batch, to_weight = dc.matmul(dc.constant(batch), dc.param(weight))._backward(g)
+        assert to_batch is None
+        np.testing.assert_array_equal(to_weight, batch.T @ g)
+        to_weight, to_batch = dc.matmul(dc.param(weight.T), dc.constant(batch.T))._backward(g.T)
+        assert to_batch is None
+        np.testing.assert_array_equal(to_weight, g.T @ batch)
+
+    @pytest.mark.parametrize("constant_side", ["left", "right"])
+    def test_gradient_check_with_constant_operand(self, constant_side):
+        rng = np.random.default_rng(4)
+        const = dc.constant(rng.normal(size=(3, 3)))
+        chain = (lambda t: dc.matmul(const, t)) if constant_side == "left" else (lambda t: dc.matmul(t, const))
+        err = dc.gradient_check(lambda t: (chain(t) * chain(t)).sum(), dc.param(rng.normal(size=(3, 3))))
+        assert err < 1e-6
+
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             dc.matmul(dc.constant(np.zeros((2, 3))), dc.constant(np.zeros((2, 2))))
@@ -183,6 +203,10 @@ class TestBackward:
         dc.backward(loss)
         dc.backward(loss)
         np.testing.assert_allclose(x.grad, [4.0, 8.0], atol=1e-12)
+        dc.zero_grads([x])  # the next pass starts from no gradient
+        dc.backward(loss)
+        dc.backward(loss)
+        np.testing.assert_allclose(x.grad, [4.0, 8.0], atol=1e-12)
 
     def test_root_grad_is_one(self):
         x = dc.param([3.0])
@@ -204,6 +228,11 @@ class TestBackward:
             dc.backward((y * y).mean())
             grads.append(x.grad.copy())
         assert np.array_equal(grads[0], grads[1])
+
+    def test_fresh_tensor_grad_reads_as_zeros(self):
+        x = dc.param(np.ones((2, 3)))
+        np.testing.assert_array_equal(x.grad, np.zeros((2, 3)))
+        assert dc.constant([1.0]).grad.shape == (1,)
 
     def test_zero_grads_resets(self):
         x = dc.param([1.0, 2.0])

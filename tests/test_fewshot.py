@@ -1,5 +1,6 @@
 """Backbone, fine-tuning loop, inference, snapshots, toy meta-training."""
 
+import hashlib
 import json
 import struct
 
@@ -270,6 +271,18 @@ class TestFinetune:
                     var = (1.0 - norm.momentum) * var + norm.momentum * x.var(axis=0, keepdims=True)
             np.testing.assert_allclose(norm.running_mean, mean, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(norm.running_var, var, rtol=1e-12, atol=1e-12)
+
+    def test_bits_pinned(self):
+        # sha256 of the loss history, the adapted backbone snapshot and the
+        # head; a change to the fine-tune step that moves any bit fails here.
+        # The digest was taken with numpy 2.4 on x86-64 OpenBLAS; another
+        # BLAS may round the matmuls differently.
+        state = finetune(small_backbone(), small_episode(seed=3), HyperParams(finetune_epochs=5))
+        digest = hashlib.sha256()
+        digest.update(np.asarray(state.loss_history, dtype="<f8").tobytes())
+        digest.update(state.backbone.to_bytes())
+        digest.update(state.head.values.astype("<f8").tobytes())
+        assert digest.hexdigest() == "78a3a98d94a368640542423913e495225247ad557b773d67993b34a8829d64f1"
 
     def test_loss_mostly_decreases(self):
         # net decrease first -> last epoch in >= 90% of 100 episodes

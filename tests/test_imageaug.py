@@ -10,6 +10,7 @@ from fewtune.errors import ParameterError, ShapeError
 from fewtune.imageaug import (
     AugmentationConfig,
     Image,
+    _draw_erase_box,
     apply_plan,
     augment,
     channel_shuffle,
@@ -17,7 +18,6 @@ from fewtune.imageaug import (
     flip,
     gamma_correct,
     plan_augmentation,
-    random_erase,
     rotate,
 )
 from fewtune.rng import RngStream
@@ -153,8 +153,8 @@ class TestRotate:
 class TestRandomErase:
     def test_constant_image_unchanged(self):
         img = Image(np.full((3, 8, 8), 0.4))
-        out = random_erase(img, RngStream(0))
-        np.testing.assert_allclose(out.pixels, img.pixels, atol=1e-15)
+        box = _draw_erase_box(RngStream(0).generator(), AugmentationConfig(), img.height, img.width)
+        np.testing.assert_allclose(erase_block(img, *box).pixels, img.pixels, atol=1e-15)
 
     def test_block_becomes_constant(self):
         img = random_image(15)
@@ -178,7 +178,10 @@ class TestRandomErase:
 
     def test_tiny_image_block_at_least_one_pixel(self):
         img = Image(np.random.default_rng(18).uniform(size=(3, 2, 2)))
-        random_erase(img, RngStream(1))  # must not raise
+        for seed in range(16):
+            top, left, bh, bw = _draw_erase_box(RngStream(seed).generator(), AugmentationConfig(), 2, 2)
+            assert bh >= 1 and bw >= 1 and top + bh <= 2 and left + bw <= 2
+            erase_block(img, top, left, bh, bw)  # must not raise
 
 
 class TestAugmentPipeline:
