@@ -42,7 +42,6 @@ from .fewshot import (
     meta_train,
 )
 from .imageaug import (
-    AugmentationConfig,
     AugmentationPlan,
     Image,
     augment,

@@ -245,6 +245,10 @@ def cmd_metatrain(cfg: RunConfig) -> int:
         raise ParameterError(f"--tasks-per-epoch must be >= 1, got {cfg.tasks_per_epoch}")
     if cfg.epochs < 0:
         raise ParameterError(f"--epochs must be >= 0, got {cfg.epochs}")
+    if cfg.lr <= 0:
+        raise ParameterError(f"--lr must be positive, got {cfg.lr}")
+    if not 0.0 <= cfg.momentum < 1.0:
+        raise ParameterError(f"--momentum must be in [0, 1), got {cfg.momentum}")
     ds = load_dataset(cfg.data)
     sample = ds.images_for(ds.classes[0])[0]
     spec = BackboneSpec(
@@ -284,8 +288,16 @@ def cmd_metatrain(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig) -> int:
     plan = EvalPlan(cfg.hyperparams(), cfg.shape(), cfg.seed)
+    if cfg.workers < 1:
+        raise ParameterError(f"--workers must be >= 1, got {cfg.workers}")
     bk = Backbone.load(cfg.snapshot)
     ds = load_dataset(cfg.data)
+    sample = ds.images_for(ds.classes[0])[0]
+    if sample.pixels.size != bk.spec.input_dim:
+        raise DataError(
+            f"snapshot {cfg.snapshot} takes {bk.spec.input_dim} values per image, "
+            f"but the images in {cfg.data} are {'x'.join(map(str, sample.pixels.shape))}"
+        )
     if cfg.k_shot not in PQS_RULES:
         log.warning(
             "no sizing rule for k=%d; falling back to %d pseudo images per support sample",

@@ -352,12 +352,10 @@ def sqrt(a: DiffTensor) -> DiffTensor:
 # composite ops
 # ---------------------------------------------------------------------------
 
-def l2_normalize(x: DiffTensor, epsilon: float = NORM_FLOOR) -> DiffTensor:
-    """Divide each row by max(its L2 norm, epsilon)."""
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+def l2_normalize(x: DiffTensor) -> DiffTensor:
+    """Divide each row by max(its L2 norm, NORM_FLOOR)."""
     norms = tensor_sum(mul(x, x), axis=1, keepdims=True).sqrt()
-    return div(x, norms.clamp_min(epsilon))
+    return div(x, norms.clamp_min(NORM_FLOOR))
 
 
 def cosine_matrix(q: DiffTensor, p: DiffTensor) -> DiffTensor:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapacityError, ContractError, DataLoadError, ParameterError, QueryIsolationError
-from .imageaug import AugmentationConfig, Image, augment
+from .imageaug import Image, augment
 from .ppm import read_ppm
 from .rng import RngStream
 
@@ -207,14 +207,13 @@ def build_pseudo_query(ep: Episode, rng: RngStream) -> Episode:
             picks = gen.choice(len(members), size=subsample, replace=False)
             source_indices.extend(members[int(p)] for p in picks)
 
-    cfg = AugmentationConfig()
     pseudo_images: list[Image] = []
     pseudo_labels: list[int] = []
     pseudo_sources: list[int] = []
     draw = 0
     for src in source_indices:
         for _ in range(per_support):
-            pseudo_images.append(augment(ep.support_images[src], rng.child(1).child(draw), cfg))
+            pseudo_images.append(augment(ep.support_images[src], rng.child(1).child(draw)))
             pseudo_labels.append(int(ep.support_labels[src]))
             pseudo_sources.append(src)
             draw += 1

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping in the CLI relies on these base classes: usage errors
-are argparse's business, DataError maps to 3, ContractError to 4.
+Exit-code mapping in the CLI relies on these base classes: ParameterError
+maps to 2, like argparse's own usage errors, DataError to 3 and
+ContractError to 4.
 """
 
 

@@ -218,7 +218,6 @@ class FinetuneState:
 
     backbone: Backbone
     head: DiffTensor | None
-    epochs_run: int = 0
     loss_history: list[float] = field(default_factory=list)
 
 
@@ -260,7 +259,6 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
             head.values = _normalized_rows(head.values)
             dc.zero_grads(sgd_step_params)
             state.loss_history.append(float(loss.values))
-            state.epochs_run += 1
 
     return state
 
@@ -281,7 +279,7 @@ def infer(state: FinetuneState, ep: Episode, hp: HyperParams) -> float:
 
 def pristine_state(bk: Backbone) -> FinetuneState:
     """Un-adapted state for the no-fine-tuning arm."""
-    return FinetuneState(backbone=bk.clone(), head=None, epochs_run=0)
+    return FinetuneState(backbone=bk.clone(), head=None)
 
 
 def meta_train(

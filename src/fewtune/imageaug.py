@@ -4,9 +4,9 @@ Images are channels-first float64 arrays with values in [0, 1]; every
 operation preserves both the value range and the image shape. The
 pipeline applies, in this fixed order: gamma correction, random erasing,
 channel shuffle, flip, rotation. Each op fires independently with its
-configured probability, and one Bernoulli draw per op is consumed in
+fixed probability, and one Bernoulli draw per op is consumed in
 pipeline order even when the op is skipped, so a given (seed, key)
-stream yields the same plan for the same config.
+stream always yields the same plan.
 """
 
 from __future__ import annotations
@@ -52,29 +52,16 @@ class Image:
         return self.height == self.width
 
 
-@dataclass(frozen=True)
-class AugmentationConfig:
-    p_gamma: float = 0.3
-    p_shuffle: float = 0.3
-    p_flip: float = 0.5
-    p_rotate: float = 0.5
-    p_erase: float = 0.5
-    gamma_range: tuple[float, float] = (1.0, 1.5)
-    rotation_choices: tuple[int, ...] = (90, 180, 270)
-    erase_fraction_range: tuple[float, float] = (0.2, 0.5)
-
-    def __post_init__(self):
-        for name in ("p_gamma", "p_shuffle", "p_flip", "p_rotate", "p_erase"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ParameterError(f"{name} must be in [0, 1], got {p}")
-        if self.gamma_range[0] < 0 or self.gamma_range[0] > self.gamma_range[1]:
-            raise ParameterError(f"bad gamma_range {self.gamma_range}")
-        lo, hi = self.erase_fraction_range
-        if not (0.0 < lo <= hi <= 1.0):
-            raise ParameterError(f"erase fractions must lie in (0, 1], got {self.erase_fraction_range}")
-        if any(d not in (90, 180, 270) for d in self.rotation_choices):
-            raise ParameterError(f"rotation_choices limited to 90/180/270, got {self.rotation_choices}")
+# The fixed pseudo-query recipe: each op's firing probability and the
+# ranges its parameters are drawn from.
+P_GAMMA = 0.3
+P_ERASE = 0.5
+P_SHUFFLE = 0.3
+P_FLIP = 0.5
+P_ROTATE = 0.5
+GAMMA_RANGE = (1.0, 1.5)
+ERASE_FRACTION_RANGE = (0.2, 0.5)
+ROTATION_CHOICES = (90, 180, 270)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +102,8 @@ def rotate(img: Image, degrees: int) -> Image:
     return Image(np.rot90(img.pixels, k=k, axes=(1, 2)).copy())
 
 
-def _draw_erase_box(rng: np.random.Generator, cfg: AugmentationConfig, height: int, width: int):
-    lo, hi = cfg.erase_fraction_range
+def _draw_erase_box(rng: np.random.Generator, height: int, width: int):
+    lo, hi = ERASE_FRACTION_RANGE
     block_h = min(height, max(1, int(round(rng.uniform(lo, hi) * height))))
     block_w = min(width, max(1, int(round(rng.uniform(lo, hi) * width))))
     top = int(rng.integers(0, height - block_h + 1))
@@ -153,35 +140,29 @@ class AugmentationPlan:
         return tuple(n for n, f in zip(names, flags) if f is not None)
 
 
-def plan_augmentation(
-    rng: RngStream,
-    cfg: AugmentationConfig,
-    channels: int,
-    height: int,
-    width: int,
-) -> AugmentationPlan:
+def plan_augmentation(rng: RngStream, channels: int, height: int, width: int) -> AugmentationPlan:
     """Draw one pipeline plan. Draw order is part of the stream contract."""
     gen = rng.generator()
 
     gamma = None
-    if gen.random() < cfg.p_gamma:
-        gamma = float(gen.uniform(cfg.gamma_range[0], cfg.gamma_range[1]))
+    if gen.random() < P_GAMMA:
+        gamma = float(gen.uniform(*GAMMA_RANGE))
 
     erase_box = None
-    if gen.random() < cfg.p_erase:
-        erase_box = _draw_erase_box(gen, cfg, height, width)
+    if gen.random() < P_ERASE:
+        erase_box = _draw_erase_box(gen, height, width)
 
     channel_perm = None
-    if gen.random() < cfg.p_shuffle:
+    if gen.random() < P_SHUFFLE:
         channel_perm = tuple(int(i) for i in gen.permutation(channels))
 
     flip_axis = None
-    if gen.random() < cfg.p_flip:
+    if gen.random() < P_FLIP:
         flip_axis = "horizontal" if gen.random() < 0.5 else "vertical"
 
     rotate_degrees = None
-    if gen.random() < cfg.p_rotate:
-        rotate_degrees = int(cfg.rotation_choices[gen.integers(0, len(cfg.rotation_choices))])
+    if gen.random() < P_ROTATE:
+        rotate_degrees = int(ROTATION_CHOICES[gen.integers(0, len(ROTATION_CHOICES))])
 
     return AugmentationPlan(gamma, erase_box, channel_perm, flip_axis, rotate_degrees)
 
@@ -200,7 +181,7 @@ def apply_plan(img: Image, plan: AugmentationPlan) -> Image:
     return img
 
 
-def augment(img: Image, rng: RngStream, cfg: AugmentationConfig) -> Image:
+def augment(img: Image, rng: RngStream) -> Image:
     """One stochastic pipeline pass, bit-determined by (img, seed, key)."""
-    plan = plan_augmentation(rng, cfg, img.channels, img.height, img.width)
+    plan = plan_augmentation(rng, img.channels, img.height, img.width)
     return apply_plan(img, plan)

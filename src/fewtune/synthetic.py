@@ -29,7 +29,6 @@ class DomainSpec:
     images_per_class: int = 40
     image_size: int = 16
     pattern_offset: int = 0
-    freq_base: float = 1.0
     orientation_spread: float = 1.0
     palette_angle: float = 0.0
     background: float = 0.15
@@ -92,11 +91,10 @@ def _pattern(
     size: int,
     phase: float,
     jitter: float,
-    freq_base: float,
     orientation_spread: float,
 ) -> np.ndarray:
     theta = pattern_id * GOLDEN_ANGLE / 2.0 * orientation_spread
-    freq = freq_base + (pattern_id % 4) + jitter
+    freq = 1.0 + (pattern_id % 4) + jitter
     coords = np.arange(size) / size
     yy, xx = np.meshgrid(coords, coords, indexing="ij")
     wave = np.cos(theta) * xx + np.sin(theta) * yy
@@ -118,10 +116,7 @@ def generate_synthetic(spec: DomainSpec, rng: RngStream) -> LabeledDataset:
             gen = class_rng.child(i).generator()
             phase = gen.uniform(0.0, 2.0 * np.pi)
             jitter = gen.uniform(-0.15, 0.15)
-            plane = _pattern(
-                pattern_id, spec.image_size, phase, jitter,
-                spec.freq_base, spec.orientation_spread,
-            )
+            plane = _pattern(pattern_id, spec.image_size, phase, jitter, spec.orientation_spread)
             px = spec.background + spec.contrast * plane[None, :, :] * color[:, None, None]
             px = np.einsum("ij,jhw->ihw", rot, px)
             if spec.noise_sigma > 0:

@@ -15,7 +15,6 @@ from fewtune.episodes import EpisodeShape, build_pseudo_query, sample_episode
 from fewtune.evalharness import EvalPlan, ablate, emit_report, run_eval
 from fewtune.fewshot import Backbone, BackboneSpec, finetune, meta_train
 from fewtune.imageaug import (
-    AugmentationConfig,
     Image,
     augment,
     channel_shuffle,
@@ -199,12 +198,11 @@ def test_criterion_4_pseudo_query_sizing():
 
 
 def test_criterion_5_augmentation_statistics():
-    cfg = AugmentationConfig()
     n = 10_000
     counts = {"gamma": 0, "erase": 0, "shuffle": 0, "flip": 0, "rotate": 0}
     root = RngStream(1005)
     for i in range(n):
-        for op in plan_augmentation(root.child(i), cfg, 3, 16, 16).applied_ops():
+        for op in plan_augmentation(root.child(i), 3, 16, 16).applied_ops():
             counts[op] += 1
     rates_ok = True
     for op, p in (("gamma", 0.3), ("shuffle", 0.3), ("flip", 0.5), ("rotate", 0.5), ("erase", 0.5)):
@@ -229,7 +227,7 @@ def test_criterion_5_augmentation_statistics():
     range_ok = True
     for i in range(1000):
         sample = Image(rng.uniform(size=(3, 8, 8)))
-        result = augment(sample, root.child(n + i), cfg)
+        result = augment(sample, root.child(n + i))
         range_ok &= 0.0 <= result.pixels.min() and result.pixels.max() <= 1.0
 
     report(

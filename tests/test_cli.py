@@ -265,8 +265,11 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and ">= 1" in err
 
-    @pytest.mark.parametrize("flags", [["--tasks-per-epoch", "0"], ["--epochs", "-1"]],
-                             ids=["no-tasks", "negative-epochs"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tasks-per-epoch", "0"], ["--epochs", "-1"], ["--lr", "0"], ["--momentum", "1"]],
+        ids=["no-tasks", "negative-epochs", "zero-lr", "unit-momentum"],
+    )
     def test_bad_metatrain_count_is_usage_error(self, trained, capsys, flags):
         _, data, root = trained
         out = root / f"bad{flags[0]}"
@@ -275,6 +278,26 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
         assert flags[0] in err
+        assert not out.exists()
+
+    def test_zero_workers_is_usage_error(self, trained, capsys):
+        snap, data, root = trained
+        out = root / "no-workers"
+        argv = ["eval", "--snapshot", str(snap), "--data", str(data), "--out", str(out), "--workers", "0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "--workers" in err
+        assert not out.exists()
+
+    def test_snapshot_width_mismatch_is_data_error(self, trained, tmp_path, capsys):
+        snap, _, _ = trained  # trained on 4x4 images
+        run_synth(tmp_path / "wide", extra=["--size", "16"])
+        capsys.readouterr()
+        out = tmp_path / "o"
+        argv = ["eval", "--snapshot", str(snap), "--data", str(tmp_path / "wide"), "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "3x16x16" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "metatrain"])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fewtune.diffcore as dc
 from fewtune.errors import ContractError, DegenerateBatchError, ParameterError, ShapeError
@@ -71,20 +73,16 @@ class TestRelu:
 
 class TestL2Normalize:
     def test_closed_form(self):
-        out = dc.l2_normalize(dc.constant([[3.0, 4.0]]), 1e-12)
+        out = dc.l2_normalize(dc.constant([[3.0, 4.0]]))
         np.testing.assert_allclose(out.values, [[0.6, 0.8]], atol=1e-12)
 
     def test_unit_row_unchanged(self):
         row = np.array([[1.0, 0.0]])
-        np.testing.assert_allclose(dc.l2_normalize(dc.constant(row), 1e-12).values, row, atol=1e-15)
+        np.testing.assert_allclose(dc.l2_normalize(dc.constant(row)).values, row, atol=1e-15)
 
     def test_zero_row_guarded(self):
-        out = dc.l2_normalize(dc.constant([[0.0, 0.0]]), 1e-12)
+        out = dc.l2_normalize(dc.constant([[0.0, 0.0]]))
         np.testing.assert_array_equal(out.values, [[0.0, 0.0]])
-
-    def test_epsilon_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            dc.l2_normalize(dc.constant([[1.0, 0.0]]), 0.0)
 
 
 class TestCosineMatrix:
@@ -318,7 +316,7 @@ class TestRandomPointGradients:
         for _ in range(self.N_POINTS):
             c = dc.constant(rng.normal(size=(3, 5)))
             x = dc.param(rng.normal(size=(3, 5)) + 0.5)
-            assert dc.gradient_check(lambda t: (dc.l2_normalize(t, 1e-12) * c).sum(), x) < self.TOL
+            assert dc.gradient_check(lambda t: (dc.l2_normalize(t) * c).sum(), x) < self.TOL
 
     def test_cosine_matrix(self):
         rng = np.random.default_rng(13)
@@ -350,3 +348,88 @@ class TestRandomPointGradients:
             assert dc.gradient_check(
                 lambda t: (dc.batch_norm(t, state, "transductive") * c).sum(), x
             ) < self.TOL
+
+
+dims = st.integers(1, 4)
+seeds = st.integers(0, 2**32 - 1)
+BINARY = {"add": dc.add, "sub": dc.sub, "mul": dc.mul, "div": dc.div}
+UNARY = {
+    # (op, input domain); signed inputs stay at least 0.5 from zero, which
+    # keeps relu off its kink, and positive ones are their magnitudes
+    "transpose": (dc.transpose, "signed"),
+    "reshape": (lambda t: dc.reshape(t, (-1,)), "signed"),
+    "relu": (dc.relu, "signed"),
+    "exp": (dc.exp, "signed"),
+    "log": (dc.log, "positive"),
+    "sqrt": (dc.sqrt, "positive"),
+    "l2_normalize": (dc.l2_normalize, "signed"),
+}
+
+
+def _weighted_sum(out, seed):
+    """A scalar that weighs every output entry differently."""
+    return (out * dc.constant(np.random.default_rng(seed).normal(size=out.shape))).sum()
+
+
+class TestGradientProperties:
+    """gradient_check on every diffcore op over random shapes up to 4x4."""
+
+    TOL = 1e-4
+
+    def check(self, fn, values, seed):
+        return dc.gradient_check(lambda t: _weighted_sum(fn(t), seed), dc.param(values)) < self.TOL
+
+    @pytest.mark.parametrize("op", sorted(BINARY))
+    @given(rows=dims, cols=dims, broadcast=st.sampled_from([None, "left", "right"]), seed=seeds)
+    def test_binary(self, op, rows, cols, broadcast, seed):
+        rng = np.random.default_rng(seed)
+        a = _away_from_zero(rng, (1, cols) if broadcast == "left" else (rows, cols), 0.5)
+        b = _away_from_zero(rng, (1, cols) if broadcast == "right" else (rows, cols), 0.5)
+        fn = BINARY[op]
+        assert self.check(lambda t: fn(t, dc.constant(b)), a, seed)
+        assert self.check(lambda t: fn(dc.constant(a), t), b, seed)
+
+    @given(rows=dims, inner=dims, cols=dims, seed=seeds)
+    def test_matmul(self, rows, inner, cols, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(rows, inner)), rng.normal(size=(inner, cols))
+        assert self.check(lambda t: dc.matmul(t, dc.constant(b)), a, seed)
+        assert self.check(lambda t: dc.matmul(dc.constant(a), t), b, seed)
+
+    @pytest.mark.parametrize("op", sorted(UNARY))
+    @given(rows=dims, cols=dims, seed=seeds)
+    def test_unary(self, op, rows, cols, seed):
+        fn, domain = UNARY[op]
+        x = _away_from_zero(np.random.default_rng(seed), (rows, cols), 0.5)
+        assert self.check(fn, np.abs(x) if domain == "positive" else x, seed)
+
+    @given(rows=dims, cols=dims, floor=st.floats(-1.0, 1.0), seed=seeds)
+    def test_clamp_min(self, rows, cols, floor, seed):
+        x = floor + _away_from_zero(np.random.default_rng(seed), (rows, cols), 0.5)
+        assert self.check(lambda t: dc.clamp_min(t, floor), x, seed)
+
+    @pytest.mark.parametrize("op", [dc.tensor_sum, dc.tensor_mean], ids=["sum", "mean"])
+    @given(rows=dims, cols=dims, axis=st.sampled_from([None, 0, 1]), keepdims=st.booleans(), seed=seeds)
+    def test_reduction(self, op, rows, cols, axis, keepdims, seed):
+        x = np.random.default_rng(seed).normal(size=(rows, cols))
+        assert self.check(lambda t: op(t, axis=axis, keepdims=keepdims), x, seed)
+
+    @pytest.mark.parametrize("op", [dc.cosine_matrix, dc.squared_euclidean_matrix], ids=["cosine", "sq_euclidean"])
+    @given(rows=dims, protos=dims, dim=dims, seed=seeds)
+    def test_pairwise(self, op, rows, protos, dim, seed):
+        rng = np.random.default_rng(seed)
+        q = _away_from_zero(rng, (rows, dim), 0.5)
+        p = _away_from_zero(rng, (protos, dim), 0.5)
+        assert self.check(lambda t: op(t, dc.constant(p)), q, seed)
+        assert self.check(lambda t: op(dc.constant(q), t), p, seed)
+
+    @pytest.mark.parametrize("mode", dc.MODES)
+    @given(rows=st.integers(2, 4), cols=dims, seed=seeds)
+    def test_batch_norm(self, mode, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        state = dc.BatchNormState.create(cols)
+        state.running_mean = rng.normal(size=(1, cols))
+        state.running_var = rng.uniform(0.5, 2.0, size=(1, cols))
+        # rows at least 1 apart in every column keep the batch variance away from 0
+        x = rng.uniform(-1.0, 1.0, size=(rows, cols)) + 3.0 * np.arange(rows)[:, None]
+        assert self.check(lambda t: dc.batch_norm(t, state, mode), x, seed)

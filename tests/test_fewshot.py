@@ -199,7 +199,7 @@ class TestFinetune:
         ep = small_episode()
         state = finetune(bk, ep, HyperParams(finetune_epochs=0))
         assert snapshot_equal(state.backbone, bk)
-        assert state.epochs_run == 0
+        assert state.loss_history == []
 
     def test_requires_pseudo_query(self):
         bk = small_backbone()

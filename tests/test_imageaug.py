@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from fewtune.errors import ParameterError, ShapeError
 from fewtune.imageaug import (
-    AugmentationConfig,
+    AugmentationPlan,
     Image,
     _draw_erase_box,
     apply_plan,
@@ -32,10 +32,6 @@ images = st.tuples(st.integers(1, 4), st.integers(1, 9)).flatmap(
     lambda cs: arrays(np.float64, (cs[0], cs[1], cs[1]), elements=st.floats(0.0, 1.0))
 ).map(Image)
 streams = st.builds(RngStream, st.integers(0, 2**32), st.lists(st.integers(0, 2**16), max_size=3).map(tuple))
-configs = st.builds(
-    AugmentationConfig,
-    **{name: st.floats(0.0, 1.0) for name in ("p_gamma", "p_shuffle", "p_flip", "p_rotate", "p_erase")},
-)
 
 
 class TestImageType:
@@ -153,7 +149,7 @@ class TestRotate:
 class TestRandomErase:
     def test_constant_image_unchanged(self):
         img = Image(np.full((3, 8, 8), 0.4))
-        box = _draw_erase_box(RngStream(0).generator(), AugmentationConfig(), img.height, img.width)
+        box = _draw_erase_box(RngStream(0).generator(), img.height, img.width)
         np.testing.assert_allclose(erase_block(img, *box).pixels, img.pixels, atol=1e-15)
 
     def test_block_becomes_constant(self):
@@ -179,37 +175,36 @@ class TestRandomErase:
     def test_tiny_image_block_at_least_one_pixel(self):
         img = Image(np.random.default_rng(18).uniform(size=(3, 2, 2)))
         for seed in range(16):
-            top, left, bh, bw = _draw_erase_box(RngStream(seed).generator(), AugmentationConfig(), 2, 2)
+            top, left, bh, bw = _draw_erase_box(RngStream(seed).generator(), 2, 2)
             assert bh >= 1 and bw >= 1 and top + bh <= 2 and left + bw <= 2
             erase_block(img, top, left, bh, bw)  # must not raise
 
 
 class TestAugmentPipeline:
     def test_all_probabilities_zero_is_identity(self):
-        cfg = AugmentationConfig(p_gamma=0, p_shuffle=0, p_flip=0, p_rotate=0, p_erase=0)
+        # the plan drawn when no op fires
         img = random_image(19)
-        out = augment(img, RngStream(2), cfg)
+        out = apply_plan(img, AugmentationPlan())
         np.testing.assert_array_equal(out.pixels, img.pixels)
 
     def test_same_stream_bit_identical(self):
         img = random_image(20)
-        a = augment(img, RngStream(21, (4,)), AugmentationConfig())
-        b = augment(img, RngStream(21, (4,)), AugmentationConfig())
+        a = augment(img, RngStream(21, (4,)))
+        b = augment(img, RngStream(21, (4,)))
         assert np.array_equal(a.pixels, b.pixels)
 
     def test_distinct_streams_differ(self):
         img = random_image(22)
-        outs = [augment(img, RngStream(23, (i,)), AugmentationConfig()) for i in range(8)]
+        outs = [augment(img, RngStream(23, (i,))) for i in range(8)]
         assert any(not np.array_equal(o.pixels, outs[0].pixels) for o in outs[1:])
 
     def test_plan_matches_probabilities(self):
-        # binomial counts within 5 sigma of the configured Bernoulli means
-        cfg = AugmentationConfig()
+        # binomial counts within 5 sigma of the recipe's Bernoulli means
         n = 10_000
         counts = {"gamma": 0, "erase": 0, "shuffle": 0, "flip": 0, "rotate": 0}
         root = RngStream(99)
         for i in range(n):
-            plan = plan_augmentation(root.child(i), cfg, 3, 16, 16)
+            plan = plan_augmentation(root.child(i), 3, 16, 16)
             for op in plan.applied_ops():
                 counts[op] += 1
         for op, p in (("gamma", 0.3), ("shuffle", 0.3), ("flip", 0.5), ("rotate", 0.5), ("erase", 0.5)):
@@ -220,45 +215,27 @@ class TestAugmentPipeline:
         root = RngStream(7)
         for i in range(200):
             img = random_image(1000 + i)
-            out = augment(img, root.child(i), AugmentationConfig())
+            out = augment(img, root.child(i))
             assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
             assert out.pixels.shape == img.pixels.shape
 
     def test_apply_plan_order_is_fixed(self):
-        # a plan with every op set must run gamma before erase: the erased
+        # a plan with gamma and erase set must run gamma first: the erased
         # block's constant value is the mean of gamma-corrected pixels
         img = random_image(24)
-        plan = plan_augmentation(
-            RngStream(0),
-            AugmentationConfig(p_gamma=1, p_shuffle=0, p_flip=0, p_rotate=0, p_erase=1),
-            3, 8, 8,
-        )
-        assert plan.gamma is not None and plan.erase_box is not None
+        plan = AugmentationPlan(gamma=1.3, erase_box=(1, 2, 5, 4))
         manual = erase_block(gamma_correct(img, plan.gamma), *plan.erase_box)
         np.testing.assert_array_equal(apply_plan(img, plan).pixels, manual.pixels)
 
 
 class TestAugmentProperties:
-    @given(images, streams, configs)
-    def test_range_and_shape_preserved(self, img, rng, cfg):
-        out = augment(img, rng, cfg)
+    @given(images, streams)
+    def test_range_and_shape_preserved(self, img, rng):
+        out = augment(img, rng)
         assert out.pixels.shape == img.pixels.shape
         assert 0.0 <= out.pixels.min() and out.pixels.max() <= 1.0
 
-    @given(images, streams, configs)
-    def test_same_stream_same_output(self, img, rng, cfg):
-        assert np.array_equal(augment(img, rng, cfg).pixels, augment(img, rng, cfg).pixels)
+    @given(images, streams)
+    def test_same_stream_same_output(self, img, rng):
+        assert np.array_equal(augment(img, rng).pixels, augment(img, rng).pixels)
 
-
-class TestConfigValidation:
-    def test_probability_bounds(self):
-        with pytest.raises(ParameterError):
-            AugmentationConfig(p_gamma=1.5)
-
-    def test_erase_fraction_bounds(self):
-        with pytest.raises(ParameterError):
-            AugmentationConfig(erase_fraction_range=(0.0, 0.5))
-
-    def test_rotation_choices(self):
-        with pytest.raises(ParameterError):
-            AugmentationConfig(rotation_choices=(45,))
