@@ -5,7 +5,6 @@ from .diffcore import (
     BatchNormState,
     ComputeGraph,
     DiffTensor,
-    SgdConfig,
     backward,
     batch_norm,
     constant,

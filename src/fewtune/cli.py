@@ -37,13 +37,45 @@ from .synthetic import generate_synthetic, source_domain, target_domain
 
 log = logging.getLogger("fewtune")
 
+PRESETS = {"source": source_domain, "target": target_domain}
+EVAL_MODES = (*MODES, "ablate")
+# synth settings no longer in RunConfig; configs written before carry them as null
+RETIRED_KEYS = ("tag", "pattern_offset", "palette_angle", "background", "contrast", "noise_sigma")
+
+# RunConfig field -> the library field or argument it sets
+HP_FIELDS = {
+    "episodes": "episodes_count",
+    "epochs": "finetune_epochs",
+    "margin": "triplet_margin",
+    "s": "lmm_scale",
+    "m": "lmm_margin",
+    "lambda_pt": "ptloss_weight",
+    "lr": "learning_rate",
+    "momentum": "momentum",
+    "transductive": "transductive",
+}
+META_ARGS = {
+    "tasks_per_epoch": "episodes_per_epoch",
+    "epochs": "epochs",
+    "lr": "learning_rate",
+    "momentum": "momentum",
+}
+SPEC_FIELDS = {"hidden": "hidden", "embed_dim": "embed_dim"}
+SHAPE_FIELDS = {"n_way": "n_way", "k_shot": "k_shot", "m_query": "m_query"}
+
+# epochs, lr and momentum set meta_train for `metatrain` and HyperParams for the
+# other commands; left as None, they take that owner's default
+META_DEFAULTS = {"epochs": META_EPOCHS, "lr": META_LEARNING_RATE, "momentum": META_MOMENTUM}
+HP_DEFAULTS = {key: getattr(HyperParams, HP_FIELDS[key]) for key in META_DEFAULTS}
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """Everything needed to reproduce a run; serialized next to outputs.
 
     Defaults come from the dataclasses that own them: EpisodeShape,
-    HyperParams, BackboneSpec and meta_train's constants.
+    HyperParams, BackboneSpec and meta_train's constants. `epochs`, `lr`
+    and `momentum` are resolved per command in __post_init__.
     """
 
     command: str = "eval"
@@ -57,13 +89,13 @@ class RunConfig:
     k_shot: int = EpisodeShape.k_shot
     m_query: int = EpisodeShape.m_query
     episodes: int = HyperParams.episodes_count
-    epochs: int = HyperParams.finetune_epochs
+    epochs: int | None = None
     margin: float = HyperParams.triplet_margin
     s: float = HyperParams.lmm_scale
     m: float = HyperParams.lmm_margin
     lambda_pt: float = HyperParams.ptloss_weight
-    lr: float = HyperParams.learning_rate
-    momentum: float = HyperParams.momentum
+    lr: float | None = None
+    momentum: float | None = None
     transductive: bool = HyperParams.transductive
     timing: bool = False
     # metatrain extras
@@ -72,31 +104,25 @@ class RunConfig:
     embed_dim: int = BackboneSpec.embed_dim
     # synth extras
     preset: str = "source"
-    tag: str | None = None
     classes: int | None = None
     images_per_class: int | None = None
     size: int | None = None
-    pattern_offset: int | None = None
-    palette_angle: float | None = None
-    background: float | None = None
-    contrast: float | None = None
-    noise_sigma: float | None = None
+
+    def __post_init__(self):
+        for key, choices in (("preset", tuple(PRESETS)), ("mode", EVAL_MODES)):
+            value = getattr(self, key)
+            if value not in choices:
+                raise ParameterError(f"run config key {key!r} must be one of {choices}, got {value!r}")
+        defaults = META_DEFAULTS if self.command == "metatrain" else HP_DEFAULTS
+        for key, value in defaults.items():
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, value)
 
     def hyperparams(self) -> HyperParams:
-        return HyperParams(
-            episodes_count=self.episodes,
-            finetune_epochs=self.epochs,
-            triplet_margin=self.margin,
-            lmm_scale=self.s,
-            lmm_margin=self.m,
-            ptloss_weight=self.lambda_pt,
-            learning_rate=self.lr,
-            momentum=self.momentum,
-            transductive=self.transductive,
-        )
+        return _call(HyperParams, self, HP_FIELDS)
 
     def shape(self) -> EpisodeShape:
-        return EpisodeShape(self.n_way, self.k_shot, self.m_query)
+        return _call(EpisodeShape, self, SHAPE_FIELDS)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
@@ -110,6 +136,9 @@ class RunConfig:
             raise ParameterError(f"run config is not JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ParameterError(f"run config must be a JSON object, got {type(data).__name__}")
+        for key in RETIRED_KEYS:
+            if data.pop(key, None) is not None:
+                raise ParameterError(f"run config key {key!r} is retired; only null is accepted")
         fields = {f.name: f for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - set(fields))
         if unknown:
@@ -130,6 +159,19 @@ def _typed(field: dataclasses.Field, hint, value):
     if type(value) is kinds[0]:
         return value
     raise ParameterError(f"run config key {field.name!r} must be {field.type}, got {value!r}")
+
+
+def _call(fn, cfg: RunConfig, names: dict[str, str], *args, **kwargs):
+    """`fn(*args, **kwargs)` with each library name in `names` set from its RunConfig
+    field; a ParameterError about one of them is re-raised naming the field's flag."""
+    try:
+        return fn(*args, **kwargs, **{name: getattr(cfg, key) for key, name in names.items()})
+    except ParameterError as exc:
+        name, _, rest = str(exc).partition(" ")
+        flags = {lib: "--" + key.replace("_", "-") for key, lib in names.items()}
+        if name not in flags:
+            raise
+        raise ParameterError(f"{flags[name]} {rest}") from None
 
 
 def _hidden_widths(text: str) -> tuple[int, ...]:
@@ -164,25 +206,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="render a synthetic dataset as PPM files")
     p_synth.add_argument("--out", required=True)
     p_synth.add_argument("--seed", type=int)
-    p_synth.add_argument("--preset", choices=("source", "target"))
-    p_synth.add_argument("--tag")
+    p_synth.add_argument("--preset", choices=tuple(PRESETS))
     p_synth.add_argument("--classes", type=int)
     p_synth.add_argument("--images-per-class", type=int)
     p_synth.add_argument("--size", type=int)
-    p_synth.add_argument("--pattern-offset", type=int)
-    p_synth.add_argument("--palette-angle", type=float)
-    p_synth.add_argument("--background", type=float)
-    p_synth.add_argument("--contrast", type=float)
-    p_synth.add_argument("--noise-sigma", type=float)
 
     p_meta = sub.add_parser("metatrain", help="episodic training, snapshot the backbone")
     p_meta.add_argument("--data", required=True)
     p_meta.add_argument("--out", required=True)
     p_meta.add_argument("--seed", type=int)
-    p_meta.add_argument("--epochs", type=int, default=META_EPOCHS)
+    p_meta.add_argument("--epochs", type=int)
     p_meta.add_argument("--tasks-per-epoch", type=int)
-    p_meta.add_argument("--lr", type=float, default=META_LEARNING_RATE)
-    p_meta.add_argument("--momentum", type=float, default=META_MOMENTUM)
+    p_meta.add_argument("--lr", type=float)
+    p_meta.add_argument("--momentum", type=float)
     p_meta.add_argument("--hidden", type=_hidden_widths)
     p_meta.add_argument("--embed-dim", type=int)
     _add_episode_flags(p_meta)
@@ -191,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--snapshot", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--mode", choices=(*MODES, "ablate"))
+    p_eval.add_argument("--mode", choices=EVAL_MODES)
     p_eval.add_argument("--seed", type=int)
     p_eval.add_argument("--workers", type=int)
     p_eval.add_argument("--timing", action="store_true", help="include wall time in report.json")
@@ -213,23 +249,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
-    base = source_domain() if cfg.preset == "source" else target_domain()
-    overrides = {
-        key_to: getattr(cfg, key_from)
-        for key_from, key_to in (
-            ("tag", "tag"),
-            ("classes", "n_classes"),
-            ("images_per_class", "images_per_class"),
-            ("size", "image_size"),
-            ("pattern_offset", "pattern_offset"),
-            ("palette_angle", "palette_angle"),
-            ("background", "background"),
-            ("contrast", "contrast"),
-            ("noise_sigma", "noise_sigma"),
-        )
-        if getattr(cfg, key_from) is not None
-    }
-    spec = dataclasses.replace(base, **overrides)
+    sizes = {"n_classes": cfg.classes, "images_per_class": cfg.images_per_class, "image_size": cfg.size}
+    spec = PRESETS[cfg.preset](**{key: value for key, value in sizes.items() if value is not None})
     ds = generate_synthetic(spec, RngStream(cfg.seed))
     out = Path(cfg.out)
     write_dataset(ds, out)
@@ -240,25 +261,10 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 def cmd_metatrain(cfg: RunConfig) -> int:
     shape = cfg.shape()
-    # checked before the dataset is read or --out is created
-    if cfg.tasks_per_epoch < 1:
-        raise ParameterError(f"--tasks-per-epoch must be >= 1, got {cfg.tasks_per_epoch}")
-    if cfg.epochs < 0:
-        raise ParameterError(f"--epochs must be >= 0, got {cfg.epochs}")
-    if cfg.lr <= 0:
-        raise ParameterError(f"--lr must be positive, got {cfg.lr}")
-    if not 0.0 <= cfg.momentum < 1.0:
-        raise ParameterError(f"--momentum must be in [0, 1), got {cfg.momentum}")
     ds = load_dataset(cfg.data)
     sample = ds.images_for(ds.classes[0])[0]
-    spec = BackboneSpec(
-        input_dim=sample.channels * sample.height * sample.width,
-        hidden=cfg.hidden,
-        embed_dim=cfg.embed_dim,
-    )
+    spec = _call(BackboneSpec, cfg, SPEC_FIELDS, input_dim=sample.pixels.size)
     bk = Backbone.create(spec, RngStream(cfg.seed, (0,)))
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     losses: list[float] = []
 
@@ -266,17 +272,12 @@ def cmd_metatrain(cfg: RunConfig) -> int:
         losses.append(mean_loss)
         log.info("epoch %d mean episodic loss %.4f", epoch, mean_loss)
 
-    trained = meta_train(
-        bk,
-        ds,
-        shape,
-        episodes_per_epoch=cfg.tasks_per_epoch,
-        epochs=cfg.epochs,
-        rng=RngStream(cfg.seed, (1,)),
-        learning_rate=cfg.lr,
-        momentum=cfg.momentum,
-        on_epoch=on_epoch,
+    # meta_train checks its counts first; --out is created only after it succeeds
+    trained = _call(
+        meta_train, cfg, META_ARGS, bk, ds, shape, rng=RngStream(cfg.seed, (1,)), on_epoch=on_epoch
     )
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
     trained.save(out / "backbone.snap")
     (out / "metatrain_log.txt").write_text(
         "".join(f"{i} {loss!r}\n" for i, loss in enumerate(losses))
@@ -324,13 +325,10 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def dispatch(cfg: RunConfig) -> int:
-    if cfg.command == "synth":
-        return cmd_synth(cfg)
-    if cfg.command == "metatrain":
-        return cmd_metatrain(cfg)
-    if cfg.command == "eval":
-        return cmd_eval(cfg)
-    raise ParameterError(f"unknown command {cfg.command!r}")
+    commands = {"synth": cmd_synth, "metatrain": cmd_metatrain, "eval": cmd_eval}
+    if cfg.command not in commands:
+        raise ParameterError(f"unknown command {cfg.command!r}")
+    return commands[cfg.command](cfg)
 
 
 def main(argv=None) -> int:

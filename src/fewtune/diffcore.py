@@ -439,25 +439,13 @@ def batch_norm(x: DiffTensor, state: BatchNormState, mode: str) -> DiffTensor:
 # optimizer and verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SgdConfig:
-    learning_rate: float
-    momentum: float = 0.0
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
-
-
-def sgd_step(params: Iterable[DiffTensor], cfg: SgdConfig) -> None:
+def sgd_step(params: Iterable[DiffTensor], learning_rate: float, momentum: float) -> None:
     """Momentum update v <- mu*v + g; theta <- theta - lr*v, in place."""
     for p in params:
         if p._velocity is None:
             p._velocity = np.zeros_like(p.values)
-        p._velocity = cfg.momentum * p._velocity + p.grad
-        p.values = p.values - cfg.learning_rate * p._velocity
+        p._velocity = momentum * p._velocity + p.grad
+        p.values = p.values - learning_rate * p._velocity
 
 
 def gradient_check(f, x: DiffTensor, h: float = 1e-5) -> float:

@@ -30,8 +30,9 @@ class EpisodeShape:
     m_query: int = 15
 
     def __post_init__(self):
-        if min(self.n_way, self.k_shot, self.m_query) < 1:
-            raise ParameterError(f"n_way, k_shot and m_query must each be >= 1, got {self}")
+        for name in ("n_way", "k_shot", "m_query"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,11 @@ class LabeledDataset:
         return self.images[class_name]
 
     def fingerprint(self) -> str:
+        """Hash of the class names and pixels; the domain tag is left out, so a
+        renamed copy of a dataset directory keeps its fingerprint."""
         import hashlib
 
         h = hashlib.sha256()
-        h.update(self.domain.encode())
         for name in self.classes:
             h.update(name.encode())
             for img in self.images[name]:

@@ -89,7 +89,8 @@ def mean_and_ci95(values: list[float]) -> tuple[float, float]:
 
 
 def config_fingerprint(plan: EvalPlan, mode: str, dataset: LabeledDataset) -> str:
-    """Hash of every plan field, the mode and the dataset's pixels."""
+    """Hash of every plan field, the mode and the dataset's class names and
+    pixels (not its directory name)."""
     payload = {
         "hp": asdict(plan.hp),
         "shape": asdict(plan.shape),

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import BatchNormState, DiffTensor, SgdConfig
+from .diffcore import BatchNormState, DiffTensor
 from .episodes import Episode, EpisodeShape, LabeledDataset, sample_episode
 from .errors import ContractError, DataLoadError, ParameterError, ShapeError
 from .imageaug import Image
@@ -45,8 +45,10 @@ class BackboneSpec:
     bn_eps: float = dc.BN_EPS
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.embed_dim < 1 or any(h < 1 for h in self.hidden):
-            raise ParameterError(f"non-positive layer width in {self}")
+        widths = {"input_dim": (self.input_dim,), "hidden": self.hidden, "embed_dim": (self.embed_dim,)}
+        for name, values in widths.items():
+            if any(w < 1 for w in values):
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -232,8 +234,6 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
     if not ep.pseudo_images:
         raise ContractError("episode has no pseudo query set; run build_pseudo_query first")
     work = bk.clone()
-    params = work.parameters()
-    cfg = SgdConfig(hp.learning_rate, hp.momentum)
     state = FinetuneState(backbone=work, head=None)
 
     with ep.query_guard():
@@ -246,6 +246,7 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
         init_protos = compute_prototypes(init_emb, ep.support_labels, ep.n_way)
         head = dc.param(_normalized_rows(init_protos.values))
         state.head = head
+        params = work.parameters() + [head]
 
         for _ in range(hp.finetune_epochs):
             support_emb = work.forward(support_batch, "train")
@@ -254,10 +255,9 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
                 support_emb, ep.support_labels, pseudo_emb, ep.pseudo_labels, head, hp
             )
             dc.backward(loss)
-            sgd_step_params = params + [head]
-            dc.sgd_step(sgd_step_params, cfg)
+            dc.sgd_step(params, hp.learning_rate, hp.momentum)
             head.values = _normalized_rows(head.values)
-            dc.zero_grads(sgd_step_params)
+            dc.zero_grads(params)
             state.loss_history.append(float(loss.values))
 
     return state
@@ -299,11 +299,16 @@ def meta_train(
     Desk-scale stand-in for large-scale meta-training; `on_epoch(epoch,
     mean_loss)` is invoked after each epoch when given.
     """
-    if episodes_per_epoch < 1 or epochs < 0:
-        raise ParameterError("episodes_per_epoch must be >= 1 and epochs >= 0")
+    if episodes_per_epoch < 1:
+        raise ParameterError(f"episodes_per_epoch must be >= 1, got {episodes_per_epoch}")
+    if epochs < 0:
+        raise ParameterError(f"epochs must be >= 0, got {epochs}")
+    if learning_rate <= 0:
+        raise ParameterError(f"learning_rate must be positive, got {learning_rate}")
+    if not 0.0 <= momentum < 1.0:
+        raise ParameterError(f"momentum must be in [0, 1), got {momentum}")
     work = bk.clone()
     params = work.parameters()
-    cfg = SgdConfig(learning_rate, momentum)
     for epoch in range(epochs):
         losses = []
         for task in range(episodes_per_epoch):
@@ -314,7 +319,7 @@ def meta_train(
             protos = compute_prototypes(support_emb, ep.support_labels, ep.n_way)
             loss = proto_xent(query_emb, ep.query_labels, protos)
             dc.backward(loss)
-            dc.sgd_step(params, cfg)
+            dc.sgd_step(params, learning_rate, momentum)
             dc.zero_grads(params)
             losses.append(float(loss.values))
         if on_epoch is not None:

@@ -52,8 +52,10 @@ class HyperParams:
             raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.episodes_count < 1 or self.finetune_epochs < 0:
-            raise ParameterError("episodes_count must be >= 1 and finetune_epochs >= 0")
+        if self.episodes_count < 1:
+            raise ParameterError(f"episodes_count must be >= 1, got {self.episodes_count}")
+        if self.finetune_epochs < 0:
+            raise ParameterError(f"finetune_epochs must be >= 0, got {self.finetune_epochs}")
 
 
 def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:

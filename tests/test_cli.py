@@ -1,7 +1,12 @@
 """Command-line interface: wiring, exit codes, reproducibility."""
 
+import argparse
+import dataclasses
 import hashlib
 import json
+import re
+import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +14,14 @@ import pytest
 
 from fewtune.cli import RunConfig, _config_from_args, build_parser, main
 from fewtune.episodes import load_dataset
-from fewtune.fewshot import Backbone
+from fewtune.fewshot import META_EPOCHS, META_LEARNING_RATE, META_MOMENTUM, Backbone
+from fewtune.losses import HyperParams
 from fewtune.ppm import read_ppm
 from fewtune.synthetic import generate_synthetic, source_domain
 from fewtune.rng import RngStream
 
 SYNTH_SMALL = ["--classes", "5", "--images-per-class", "10", "--size", "4"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def tree_hash(root: Path) -> str:
@@ -63,10 +70,43 @@ class TestRunConfigDefaults:
         assert cfg.episodes == 600 and cfg.epochs == 100
         assert cfg.margin == 1.0 and cfg.s == 30.0 and cfg.m == 0.35
         assert cfg.transductive is True
+        assert cfg.hyperparams() == HyperParams()
+        assert RunConfig.from_json('{"command": "eval"}').hyperparams() == HyperParams()
 
     def test_round_trips_through_json(self):
         cfg = RunConfig(command="eval", data="d", snapshot="s", k_shot=20)
         assert RunConfig.from_json(cfg.to_json()) == cfg
+
+    def test_metatrain_defaults_agree_between_argv_and_replay(self):
+        args = build_parser().parse_args(["metatrain", "--data", "d", "--out", "o"])
+        from_argv = _config_from_args(args)
+        from_json = RunConfig.from_json('{"command": "metatrain", "data": "d", "out": "o"}')
+        assert from_json == from_argv
+        assert (from_argv.epochs, from_argv.lr, from_argv.momentum) == (
+            META_EPOCHS, META_LEARNING_RATE, META_MOMENTUM
+        ) == (5, 0.01, 0.9)
+
+
+def readme_commands() -> list[list[str]]:
+    """Every `fewtune ...` command in the README's shell blocks, continuation lines joined."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("fewtune ")]
+
+
+class TestDocsMatchTheParser:
+    def test_readme_commands_parse(self):
+        commands = readme_commands()
+        assert {argv[0] for argv in commands} == {"synth", "metatrain", "eval", "replay"}
+        for argv in commands:
+            build_parser().parse_args(argv)  # a stale flag exits 2 here
+
+    def test_every_run_config_field_has_a_flag(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for p in sub.choices.values() for a in p._actions if a.option_strings}
+        fields = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
+        assert fields - dests == set()
 
 
 class TestReplayConfigErrors:
@@ -79,14 +119,36 @@ class TestReplayConfigErrors:
         ('["eval"]', "must be a JSON object, got list"),
         ('{"command": "eval",', "not JSON"),
         (b'\xff\xfe{}', "not JSON"),
+        ('{"command": "synth", "noise_sigma": 0.5}', "'noise_sigma' is retired"),
     ], ids=["unknown-key", "str-for-int", "float-for-int", "int-for-bool", "bad-width",
-            "not-object", "not-json", "not-utf8"])
+            "not-object", "not-json", "not-utf8", "retired-key-set"])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, text, fragment):
         path = tmp_path / "run_config.json"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert main(["replay", str(path)]) == 2
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and fragment in err
+
+    @pytest.mark.parametrize("key, value", [("preset", "sourcee"), ("mode", "with-pqs")])
+    def test_bad_choice_is_usage_error_before_writing(self, tmp_path, capsys, key, value):
+        out = tmp_path / "o"
+        command = "synth" if key == "preset" else "eval"
+        path = tmp_path / "run_config.json"
+        path.write_text(json.dumps({"command": command, "out": str(out), key: value}))
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and f"{key!r}" in err and repr(value) in err
+        assert not out.exists()
+
+    def test_retired_synth_keys_replay_when_null(self, tmp_path):
+        assert run_synth(tmp_path / "d") == 0
+        cfg = json.loads((tmp_path / "d" / "run_config.json").read_text())
+        retired = ("tag", "pattern_offset", "palette_angle", "background", "contrast", "noise_sigma")
+        assert not set(retired) & set(cfg)
+        path = tmp_path / "old_config.json"
+        path.write_text(json.dumps(dict(cfg, **dict.fromkeys(retired))))
+        assert main(["replay", str(path), "--out", str(tmp_path / "again")]) == 0
+        assert tree_hash(tmp_path / "again") == tree_hash(tmp_path / "d")
 
     def test_integer_read_as_float_for_float_key(self):
         # an int would serialize as 30, not 30.0, and change the report fingerprint
@@ -194,6 +256,13 @@ class TestEval:
         assert json.loads((tmp_path / "t0" / "report.json").read_text())["wall_seconds"] is None
         assert json.loads((tmp_path / "t1" / "report.json").read_text())["wall_seconds"] > 0.0
 
+    def test_renamed_dataset_copy_gives_identical_report(self, pipeline):
+        tmp_path, snap, data = pipeline
+        shutil.copytree(data, tmp_path / "renamed", ignore=shutil.ignore_patterns("run_config.json"))
+        run_eval(snap, data, tmp_path / "a")
+        run_eval(snap, tmp_path / "renamed", tmp_path / "b")
+        assert (tmp_path / "a" / "report.json").read_bytes() == (tmp_path / "b" / "report.json").read_bytes()
+
     def test_replay_reproduces_report(self, pipeline):
         tmp_path, snap, data = pipeline
         run_eval(snap, data, tmp_path / "orig")
@@ -263,7 +332,7 @@ class TestExitCodes:
             argv += ["--snapshot", str(snap), "--episodes", "1", "--epochs", "0"]
         assert main(argv) == 2
         err = capsys.readouterr().err.strip()
-        assert len(err.splitlines()) == 1 and ">= 1" in err
+        assert len(err.splitlines()) == 1 and err.startswith(f"usage error: {flags[0]} must be >= 1")
 
     @pytest.mark.parametrize(
         "flags",
@@ -319,11 +388,26 @@ class TestExitCodes:
         assert code == 3
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
-    def test_bad_parameter_is_usage_error(self, tmp_path, capsys):
-        run_synth(tmp_path / "d")
-        run_metatrain(tmp_path / "d", tmp_path / "m")
-        code = main([
-            "eval", "--snapshot", str(tmp_path / "m" / "backbone.snap"), "--data", str(tmp_path / "d"),
-            "--out", str(tmp_path / "o"), "--m", "1.5",
-        ])
-        assert code == 2
+    @pytest.mark.parametrize("command, flag, value", [
+        ("eval", "--m", "1.5"),
+        ("eval", "--s", "0"),
+        ("eval", "--lr", "0"),
+        ("eval", "--momentum", "1"),
+        ("eval", "--margin", "-1"),
+        ("eval", "--lambda-pt", "-1"),
+        ("eval", "--episodes", "0"),
+        ("eval", "--epochs", "-1"),
+        ("metatrain", "--hidden", "0"),
+        ("metatrain", "--embed-dim", "0"),
+    ], ids=lambda v: v.lstrip("-") if v.startswith("--") else None)
+    def test_bad_parameter_is_usage_error(self, trained, capsys, command, flag, value):
+        snap, data, root = trained
+        out = root / f"bad-{command}{flag}"
+        argv = [command, "--data", str(data), "--out", str(out), flag, value]
+        if command == "eval":
+            argv += ["--snapshot", str(snap)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"usage error: {flag} ") and "BackboneSpec(" not in err
+        assert not out.exists()

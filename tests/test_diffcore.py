@@ -252,27 +252,20 @@ class TestSgd:
     def test_plain_step(self):
         p = dc.param([5.0])
         p.grad = np.array([2.0])
-        dc.sgd_step([p], dc.SgdConfig(learning_rate=1.0, momentum=0.0))
+        dc.sgd_step([p], 1.0, 0.0)
         np.testing.assert_array_equal(p.values, [3.0])
 
     def test_zero_gradient_is_identity(self):
         p = dc.param([1.5, -2.0])
-        dc.sgd_step([p], dc.SgdConfig(learning_rate=0.1, momentum=0.0))
+        dc.sgd_step([p], 0.1, 0.0)
         np.testing.assert_array_equal(p.values, [1.5, -2.0])
 
     def test_momentum_recurrence(self):
         p = dc.param([0.0])
-        cfg = dc.SgdConfig(learning_rate=0.1, momentum=0.9)
         for _ in range(2):
             p.grad = np.array([1.0])
-            dc.sgd_step([p], cfg)
+            dc.sgd_step([p], 0.1, 0.9)
         np.testing.assert_allclose(p.values, [-0.29], atol=1e-12)
-
-    def test_config_validation(self):
-        with pytest.raises(ParameterError):
-            dc.SgdConfig(learning_rate=0.0)
-        with pytest.raises(ParameterError):
-            dc.SgdConfig(learning_rate=0.1, momentum=1.0)
 
 
 class TestGradientCheck:

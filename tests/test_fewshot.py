@@ -6,10 +6,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fewtune.diffcore as dc
 from fewtune.episodes import build_pseudo_query, sample_episode
-from fewtune.errors import ContractError, DataLoadError, QueryIsolationError, ShapeError
+from fewtune.errors import ContractError, DataLoadError, ParameterError, QueryIsolationError, ShapeError
 from fewtune.fewshot import (
     Backbone,
     BackboneSpec,
@@ -51,6 +53,13 @@ def snapshot_equal(a: Backbone, b: Backbone) -> bool:
 
 
 class TestBackbone:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"input_dim": 0}, "input_dim"), ({"hidden": (4, 0)}, "hidden"), ({"embed_dim": 0}, "embed_dim"),
+    ])
+    def test_bad_width_names_the_field(self, kwargs, name):
+        with pytest.raises(ParameterError, match=f"^{name} "):
+            BackboneSpec(**kwargs)
+
     def test_embedding_shape(self):
         bk = small_backbone()
         imgs = [Image(np.random.default_rng(i).uniform(size=(3, 4, 4))) for i in range(7)]
@@ -158,6 +167,30 @@ class TestSnapshotErrors:
     def test_unchanged_header_still_loads(self):
         blob = tiny_snapshot()
         assert Backbone.from_bytes(with_header(blob, header_of(blob))).spec.hidden == (2,)
+
+
+class TestSnapshotRoundTrip:
+    @given(
+        input_dim=st.integers(1, 6),
+        hidden=st.lists(st.integers(1, 5), max_size=3).map(tuple),
+        embed_dim=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        cut=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_bytes_and_forward_survive(self, input_dim, hidden, embed_dim, seed, cut):
+        bk = Backbone.create(BackboneSpec(input_dim, hidden, embed_dim), RngStream(seed))
+        gen = np.random.default_rng(seed)
+        for norm in bk.norms:  # non-default running statistics, so eval mode reads them
+            norm.running_mean = gen.normal(size=norm.running_mean.shape)
+            norm.running_var = gen.uniform(0.5, 2.0, size=norm.running_var.shape)
+        blob = bk.to_bytes()
+        back = Backbone.from_bytes(blob)
+        assert back.to_bytes() == blob
+        batch = dc.constant(gen.normal(size=(3, input_dim)))
+        for mode in ("eval", "transductive"):
+            np.testing.assert_array_equal(back.forward(batch, mode).values, bk.forward(batch, mode).values)
+        with pytest.raises(DataLoadError):
+            Backbone.from_bytes(blob[: int(cut * len(blob))])
 
 
 class TestClassifyCosine:
@@ -399,6 +432,15 @@ class TestMetaTrain:
         a = meta_train(small_backbone(), small_dataset(), episodes_per_epoch=8, epochs=1, rng=RngStream(2))
         b = meta_train(small_backbone(), small_dataset(), episodes_per_epoch=8, epochs=1, rng=RngStream(2))
         assert snapshot_equal(a, b)
+
+    @pytest.mark.parametrize("name, value", [
+        ("episodes_per_epoch", 0), ("epochs", -1), ("learning_rate", 0.0), ("momentum", 1.0),
+    ])
+    def test_bad_argument_rejected_before_training(self, name, value):
+        # the message starts with the argument's name, which the CLI swaps for its flag
+        kwargs = dict(episodes_per_epoch=5, epochs=1, rng=RngStream(4), on_epoch=pytest.fail)
+        with pytest.raises(ParameterError, match=f"^{name} "):
+            meta_train(small_backbone(), small_dataset(), **dict(kwargs, **{name: value}))
 
     def test_input_backbone_untouched(self):
         bk = small_backbone()

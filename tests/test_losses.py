@@ -68,10 +68,13 @@ class TestHyperParams:
             {"ptloss_weight": -0.5},
             {"learning_rate": 0.0},
             {"momentum": 1.0},
+            {"episodes_count": 0},
+            {"finetune_epochs": -1},
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ParameterError):
+        # the message starts with the field's name, which the CLI swaps for its flag
+        with pytest.raises(ParameterError, match=f"^{next(iter(kwargs))} "):
             HyperParams(**kwargs)
 
 
