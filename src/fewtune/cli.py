@@ -61,6 +61,7 @@ META_ARGS = {
     "momentum": "momentum",
 }
 SPEC_FIELDS = {"hidden": "hidden", "embed_dim": "embed_dim"}
+SYNTH_FIELDS = {"classes": "n_classes", "images_per_class": "images_per_class", "size": "image_size"}
 SHAPE_FIELDS = {"n_way": "n_way", "k_shot": "k_shot", "m_query": "m_query"}
 
 # epochs, lr and momentum set meta_train for `metatrain` and HyperParams for the
@@ -249,8 +250,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
-    sizes = {"n_classes": cfg.classes, "images_per_class": cfg.images_per_class, "image_size": cfg.size}
-    spec = PRESETS[cfg.preset](**{key: value for key, value in sizes.items() if value is not None})
+    given = {key: name for key, name in SYNTH_FIELDS.items() if getattr(cfg, key) is not None}
+    spec = _call(PRESETS[cfg.preset], cfg, given)
     ds = generate_synthetic(spec, RngStream(cfg.seed))
     out = Path(cfg.out)
     write_dataset(ds, out)

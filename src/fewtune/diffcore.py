@@ -8,9 +8,12 @@ node is visited exactly once and repeated backward calls accumulate into
 `.grad` until the grads are zeroed.
 
 Gradients cost only what is needed: `.grad` is allocated when the first
-adjoint arrives (a tensor no gradient reached reads as zeros), and the
+adjoint arrives (a tensor no gradient reached reads as zeros), the
 binary ops compute no gradient for an operand that does not require one,
-such as the constant image batch entering the first dense layer.
+such as the constant image batch entering the first dense layer, and
+`relu` passes on no adjoint when every unit it gates is off, so a hinge
+with no active term costs no backward pass through the branch that feeds
+it. `sgd_step` updates each momentum buffer in place.
 
 The op set is intentionally small: just enough to express dense layers,
 batch normalization, cosine / Euclidean metrics, and the losses built on
@@ -318,8 +321,14 @@ def tensor_mean(a: DiffTensor, axis=None, keepdims: bool = False) -> DiffTensor:
 
 
 def relu(a: DiffTensor) -> DiffTensor:
-    # gradient at exactly 0 is defined as 0
-    return _node(np.maximum(a.values, 0.0), (a,), lambda g: (g * (a.values > 0.0),))
+    # gradient at exactly 0 is defined as 0. An all-zero adjoint is dropped,
+    # which can only flip the sign of a zero in an upstream .grad; the momentum
+    # buffer starts at +0, so no update differs. NaN and inf still pass (any()).
+    def backward_fn(g: Array):
+        grad = g * (a.values > 0.0)
+        return (grad if grad.any() else None,)
+
+    return _node(np.maximum(a.values, 0.0), (a,), backward_fn)
 
 
 def clamp_min(a: DiffTensor, floor: float) -> DiffTensor:
@@ -440,12 +449,22 @@ def batch_norm(x: DiffTensor, state: BatchNormState, mode: str) -> DiffTensor:
 # ---------------------------------------------------------------------------
 
 def sgd_step(params: Iterable[DiffTensor], learning_rate: float, momentum: float) -> None:
-    """Momentum update v <- mu*v + g; theta <- theta - lr*v, in place."""
+    """Momentum update v <- mu*v + g; theta <- theta - lr*v.
+
+    The velocity is updated in place, and the new values are computed in
+    the one fresh buffer that then replaces `values`: the old array is
+    never written to, because `param(arr)` shares memory with the caller's
+    `arr`.
+    """
     for p in params:
-        if p._velocity is None:
-            p._velocity = np.zeros_like(p.values)
-        p._velocity = momentum * p._velocity + p.grad
-        p.values = p.values - learning_rate * p._velocity
+        v = p._velocity
+        if v is None:
+            v = p._velocity = np.zeros_like(p.values)
+        v *= momentum
+        v += p.grad
+        updated = learning_rate * v
+        np.subtract(p.values, updated, out=updated)
+        p.values = updated
 
 
 def gradient_check(f, x: DiffTensor, h: float = 1e-5) -> float:

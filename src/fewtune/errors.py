@@ -2,9 +2,10 @@
 
 Exit-code mapping in the CLI relies on these base classes: ParameterError
 maps to 2, like argparse's own usage errors, DataError to 3 and
-ContractError to 4. The checks of HyperParams, EpisodeShape, BackboneSpec
-and meta_train start each ParameterError message with the name of the
-offending field or argument, which the CLI swaps for the flag that sets it.
+ContractError to 4. The checks of HyperParams, EpisodeShape, BackboneSpec,
+DomainSpec and meta_train start each ParameterError message with the name
+of the offending field or argument, which the CLI swaps for the flag that
+sets it.
 """
 
 
@@ -30,6 +31,10 @@ class DegenerateBatchError(ContractError):
 
 class QueryIsolationError(ContractError):
     """The real query set was read while fine-tuning had it locked."""
+
+
+class DivergenceError(ContractError):
+    """A training loss stopped being finite."""
 
 
 class DataError(FewtuneError):

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .episodes import EpisodeShape, LabeledDataset, build_pseudo_query, sample_episode
-from .errors import ParameterError
+from .errors import DivergenceError, ParameterError
 from .fewshot import Backbone, finetune, infer, pristine_state
 from .losses import HyperParams
 from .rng import RngStream
@@ -114,7 +114,10 @@ def run_episode(
     for mode in modes:
         if mode == "with_pqs":
             build_pseudo_query(ep, stream.child(1))
-            state = finetune(bk, ep, plan.hp)
+            try:
+                state = finetune(bk, ep, plan.hp)
+            except DivergenceError as exc:
+                raise DivergenceError(f"episode {index}, {exc}") from None
         else:
             state = pristine_state(bk)
         accuracies.append(infer(state, ep, plan.hp))

@@ -21,7 +21,7 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import BatchNormState, DiffTensor
 from .episodes import Episode, EpisodeShape, LabeledDataset, sample_episode
-from .errors import ContractError, DataLoadError, ParameterError, ShapeError
+from .errors import ContractError, DataLoadError, DivergenceError, ParameterError, ShapeError
 from .imageaug import Image
 from .losses import HyperParams, compute_prototypes, finetune_objective, proto_xent
 from .rng import RngStream
@@ -228,6 +228,11 @@ def _normalized_rows(values: np.ndarray) -> np.ndarray:
     return values / np.maximum(norms, dc.NORM_FLOOR)
 
 
+def _check_finite(loss: DiffTensor, where: str, learning_rate: float) -> None:
+    if not np.isfinite(loss.values):
+        raise DivergenceError(f"{where}: loss diverged to {float(loss.values)} at learning rate {learning_rate}")
+
+
 def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
     """Adapt a private clone of `bk` on the episode's support and pseudo
     queries; the real query set is locked for the duration."""
@@ -236,7 +241,8 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
     work = bk.clone()
     state = FinetuneState(backbone=work, head=None)
 
-    with ep.query_guard():
+    # a diverging run ends in DivergenceError, not in numpy warnings on the way
+    with ep.query_guard(), np.errstate(all="ignore"):
         # the images are fixed for the whole episode: stack them once
         support_batch = images_to_batch(ep.support_images, work.spec.input_dim)
         pseudo_batch = images_to_batch(ep.pseudo_images, work.spec.input_dim)
@@ -248,12 +254,13 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
         state.head = head
         params = work.parameters() + [head]
 
-        for _ in range(hp.finetune_epochs):
+        for epoch in range(hp.finetune_epochs):
             support_emb = work.forward(support_batch, "train")
             pseudo_emb = work.forward(pseudo_batch, "train")
             loss = finetune_objective(
                 support_emb, ep.support_labels, pseudo_emb, ep.pseudo_labels, head, hp
             )
+            _check_finite(loss, f"fine-tuning epoch {epoch}", hp.learning_rate)
             dc.backward(loss)
             dc.sgd_step(params, hp.learning_rate, hp.momentum)
             head.values = _normalized_rows(head.values)
@@ -309,19 +316,22 @@ def meta_train(
         raise ParameterError(f"momentum must be in [0, 1), got {momentum}")
     work = bk.clone()
     params = work.parameters()
-    for epoch in range(epochs):
-        losses = []
-        for task in range(episodes_per_epoch):
-            stream = rng.child(epoch * episodes_per_epoch + task)
-            ep = sample_episode(ds, shape.n_way, shape.k_shot, shape.m_query, stream)
-            support_emb = embed(work, ep.support_images, "train")
-            query_emb = embed(work, ep.query_images, "train")
-            protos = compute_prototypes(support_emb, ep.support_labels, ep.n_way)
-            loss = proto_xent(query_emb, ep.query_labels, protos)
-            dc.backward(loss)
-            dc.sgd_step(params, learning_rate, momentum)
-            dc.zero_grads(params)
-            losses.append(float(loss.values))
-        if on_epoch is not None:
-            on_epoch(epoch, float(np.mean(losses)))
+    # a diverging run ends in DivergenceError, not in numpy warnings on the way
+    with np.errstate(all="ignore"):
+        for epoch in range(epochs):
+            losses = []
+            for task in range(episodes_per_epoch):
+                stream = rng.child(epoch * episodes_per_epoch + task)
+                ep = sample_episode(ds, shape.n_way, shape.k_shot, shape.m_query, stream)
+                support_emb = embed(work, ep.support_images, "train")
+                query_emb = embed(work, ep.query_images, "train")
+                protos = compute_prototypes(support_emb, ep.support_labels, ep.n_way)
+                loss = proto_xent(query_emb, ep.query_labels, protos)
+                _check_finite(loss, f"meta-training epoch {epoch} task {task}", learning_rate)
+                dc.backward(loss)
+                dc.sgd_step(params, learning_rate, momentum)
+                dc.zero_grads(params)
+                losses.append(float(loss.values))
+            if on_epoch is not None:
+                on_epoch(epoch, float(np.mean(losses)))
     return work

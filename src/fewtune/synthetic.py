@@ -36,16 +36,17 @@ class DomainSpec:
     noise_sigma: float = 0.02
 
     def __post_init__(self):
+        # each message starts with the field name, which the CLI swaps for its flag
         if self.n_classes < 2:
-            raise ParameterError(f"need at least 2 classes, got {self.n_classes}")
+            raise ParameterError(f"n_classes must be >= 2, got {self.n_classes}")
         if self.images_per_class < 1:
-            raise ParameterError("images_per_class must be positive")
+            raise ParameterError(f"images_per_class must be >= 1, got {self.images_per_class}")
         if self.image_size < 2:
-            raise ParameterError("image_size must be at least 2")
+            raise ParameterError(f"image_size must be >= 2, got {self.image_size}")
         if not 0.0 <= self.background <= 1.0:
-            raise ParameterError("background must be in [0, 1]")
+            raise ParameterError(f"background must be in [0, 1], got {self.background}")
         if self.noise_sigma < 0:
-            raise ParameterError("noise_sigma must be non-negative")
+            raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
 def source_domain(**overrides) -> DomainSpec:

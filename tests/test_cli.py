@@ -7,6 +7,7 @@ import json
 import re
 import shlex
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,16 @@ class TestSynth:
         ds = load_dataset(tmp_path / "d")
         assert ds.class_count() == 5
 
+    @pytest.mark.parametrize("flag, value, bound", [
+        ("--classes", "1", ">= 2"), ("--images-per-class", "0", ">= 1"), ("--size", "1", ">= 2"),
+    ], ids=["classes", "images-per-class", "size"])
+    def test_bad_size_names_the_flag(self, tmp_path, capsys, flag, value, bound):
+        out = tmp_path / "d"
+        assert main(["synth", "--out", str(out), flag, value]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"usage error: {flag} must be {bound}, got {value}"
+        assert not out.exists()
+
 
 class TestMetatrain:
     def test_snapshot_round_trip(self, tmp_path):
@@ -317,6 +328,28 @@ class TestExitCodes:
         assert code == 4
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_divergence_is_contract_error(self, tmp_path, capsys, workers):
+        # a random-init backbone at the paper's widths fine-tuned at --lr 10
+        # reaches a NaN loss in episode 0 before epoch 60
+        main(["synth", "--out", str(tmp_path / "d"), "--seed", "3", "--preset", "target",
+              "--classes", "5", "--images-per-class", "20"])
+        main(["metatrain", "--data", str(tmp_path / "d"), "--out", str(tmp_path / "m"), "--epochs", "0"])
+        capsys.readouterr()
+        out = tmp_path / "o"
+        argv = ["eval", "--snapshot", str(tmp_path / "m" / "backbone.snap"), "--data", str(tmp_path / "d"),
+                "--out", str(out), "--seed", "5", "--episodes", "1", "--epochs", "60", "--m-query", "3",
+                "--lr", "10", "--workers", workers]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            assert main(argv) == 4
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert re.fullmatch(
+            r"contract violation: episode 0, fine-tuning epoch \d+: loss diverged to nan at learning rate 10.0", err
+        )
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("command, flags", [
         ("eval", ["--m-query", "0"]),

@@ -70,6 +70,32 @@ class TestRelu:
         dc.backward(dc.relu(x).sum())
         np.testing.assert_array_equal(x.grad, [0.0])
 
+    def test_all_zero_adjoint_is_dropped(self):
+        off = dc.relu(dc.param([-1.0, 0.0, -2.0]))
+        assert off._backward(np.array([1.0, -3.0, 2.0])) == (None,)
+        on = dc.relu(dc.param([1.0, 2.0]))
+        assert on._backward(np.zeros(2)) == (None,)
+        for g in ([0.0, 4.0], [2.0, -2.0]):  # nonzero, even where it sums to 0
+            (grad,) = on._backward(np.array(g))
+            np.testing.assert_array_equal(grad, g)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_adjoint_is_kept(self, bad):
+        # nan * 0 and inf * 0 are nan, which any() counts as nonzero
+        off = dc.relu(dc.param([-1.0, -2.0]))
+        with np.errstate(invalid="ignore"):
+            (grad,) = off._backward(np.array([bad, 1.0]))
+        assert np.isnan(grad[0]) and grad[1] == 0.0
+
+    def test_dead_branch_leaves_upstream_without_gradient(self):
+        x = dc.param([1.0, 2.0])
+        w = dc.param([3.0])
+        hidden = x * w
+        dead = (hidden - 10.0).relu()  # every unit off
+        dc.backward(dead.sum() + (w * w).sum())
+        assert x._grad is None and hidden._grad is None
+        np.testing.assert_array_equal(w.grad, [6.0])
+
 
 class TestL2Normalize:
     def test_closed_form(self):
@@ -266,6 +292,33 @@ class TestSgd:
             p.grad = np.array([1.0])
             dc.sgd_step([p], 0.1, 0.9)
         np.testing.assert_allclose(p.values, [-0.29], atol=1e-12)
+
+    def test_bits_match_the_formula(self):
+        # v <- momentum * v + g; p <- p - lr * v, written out fresh each step
+        rng = np.random.default_rng(8)
+        start = rng.normal(size=(6, 5))
+        p = dc.param(start.copy())
+        values, velocity = start.copy(), np.zeros_like(start)
+        for step in range(6):
+            grad = None if step == 3 else rng.normal(size=start.shape)  # step 3: no gradient arrived
+            if grad is not None:
+                p.grad = grad
+            dc.sgd_step([p], 0.03, 0.9)
+            dc.zero_grads([p])
+            velocity = 0.9 * velocity + (np.zeros_like(start) if grad is None else grad)
+            values = values - 0.03 * velocity
+            assert np.array_equal(p.values, values)
+            assert np.array_equal(p._velocity, velocity)
+
+    def test_caller_array_untouched(self):
+        arr = np.array([1.0, -2.0, 0.5])
+        p = dc.param(arr)
+        assert np.shares_memory(p.values, arr)
+        for _ in range(3):
+            p.grad = np.array([0.5, 0.25, -1.0])
+            dc.sgd_step([p], 0.1, 0.9)
+        np.testing.assert_array_equal(arr, [1.0, -2.0, 0.5])
+        assert not np.array_equal(p.values, arr)
 
 
 class TestGradientCheck:

@@ -228,8 +228,16 @@ class TestSynthetic:
         assert a.fingerprint() != b.fingerprint()
 
     def test_requires_two_classes(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^n_classes must be >= 2, got 1$"):
             DomainSpec(n_classes=1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("images_per_class", 0), ("image_size", 1), ("background", 1.5), ("noise_sigma", -0.1),
+    ])
+    def test_bad_field_named_first(self, name, value):
+        # the CLI swaps the leading field name for the flag that sets it
+        with pytest.raises(ParameterError, match=f"^{name} must be .*, got {value}$"):
+            DomainSpec(**{name: value})
 
     def test_pixels_in_range_and_square(self):
         ds = generate_synthetic(target_domain(), RngStream(22))

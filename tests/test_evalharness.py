@@ -8,7 +8,7 @@ import pytest
 
 import fewtune.evalharness as evalharness
 from fewtune.episodes import EpisodeShape, sample_episode
-from fewtune.errors import ParameterError
+from fewtune.errors import DivergenceError, ParameterError
 from fewtune.evalharness import (
     EvalPlan,
     EvalReport,
@@ -18,7 +18,7 @@ from fewtune.evalharness import (
     mean_and_ci95,
     run_eval,
 )
-from fewtune.fewshot import Backbone, BackboneSpec
+from fewtune.fewshot import Backbone, BackboneSpec, finetune
 from fewtune.losses import HyperParams
 from fewtune.rng import RngStream
 from fewtune.synthetic import generate_synthetic, target_domain
@@ -115,6 +115,20 @@ class TestRunEval:
         for name, value in variants.items():
             changed = dataclasses.replace(base, **{name: value})
             assert config_fingerprint(changed, "with_pqs", ds) != fingerprint, name
+
+    def test_divergence_names_the_episode(self, monkeypatch):
+        bk, ds = tiny_setup()
+        calls = []
+
+        def diverging(bk, ep, hp):
+            calls.append(ep)
+            if len(calls) == 3:
+                raise DivergenceError("fine-tuning epoch 1: loss diverged to nan at learning rate 9.0")
+            return finetune(bk, ep, hp)
+
+        monkeypatch.setattr(evalharness, "finetune", diverging)
+        with pytest.raises(DivergenceError, match=r"^episode 2, fine-tuning epoch 1: "):
+            run_eval(bk, ds, plan(7, 5, 1), "with_pqs")
 
 
 class TestAblate:

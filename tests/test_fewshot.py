@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -11,19 +12,27 @@ from hypothesis import strategies as st
 
 import fewtune.diffcore as dc
 from fewtune.episodes import build_pseudo_query, sample_episode
-from fewtune.errors import ContractError, DataLoadError, ParameterError, QueryIsolationError, ShapeError
+from fewtune.errors import (
+    ContractError,
+    DataLoadError,
+    DivergenceError,
+    ParameterError,
+    QueryIsolationError,
+    ShapeError,
+)
 from fewtune.fewshot import (
     Backbone,
     BackboneSpec,
     classify_cosine,
     embed,
     finetune,
+    images_to_batch,
     infer,
     meta_train,
     pristine_state,
 )
 from fewtune.imageaug import Image
-from fewtune.losses import HyperParams, compute_prototypes
+from fewtune.losses import HyperParams, compute_prototypes, finetune_objective
 from fewtune.rng import RngStream
 from fewtune.synthetic import generate_synthetic, source_domain
 
@@ -327,6 +336,79 @@ class TestFinetune:
             state = finetune(bk, ep, HyperParams(finetune_epochs=15))
             wins += state.loss_history[-1] <= state.loss_history[0]
         assert wins >= 0.9 * total
+
+
+def cut_free_relu(a):
+    """relu whose backward always passes its adjoint on, zeros included."""
+    return dc._node(np.maximum(a.values, 0.0), (a,), lambda g: (g * (a.values > 0.0),))
+
+
+def objective_grads(state, ep, hp):
+    """Every parameter's gradient after one backward of the fine-tune
+    objective at `state`, and whether the support embeddings got any."""
+    work = state.backbone.clone()
+    head = dc.param(state.head.values.copy())
+    support = work.forward(images_to_batch(ep.support_images, work.spec.input_dim), "train")
+    pseudo = work.forward(images_to_batch(ep.pseudo_images, work.spec.input_dim), "train")
+    dc.backward(finetune_objective(support, ep.support_labels, pseudo, ep.pseudo_labels, head, hp))
+    return [p.grad for p in work.parameters() + [head]], support._grad is not None
+
+
+class TestDeadBranchCut:
+    """Dropping relu's all-zero adjoints changes no parameter gradient and no tape."""
+
+    # first step from a random init: the triplet hinge has active terms;
+    # after 50 epochs on this episode every hinge term is off
+    @pytest.mark.parametrize("epochs, hinge_live", [(0, True), (50, False)], ids=["live", "dead"])
+    def test_grads_equal_cut_free(self, monkeypatch, epochs, hinge_live):
+        hp = HyperParams()
+        ep = small_episode(seed=2)
+        state = finetune(small_backbone(), ep, HyperParams(finetune_epochs=epochs))
+        cut, support_reached = objective_grads(state, ep, hp)
+        assert support_reached is hinge_live
+        monkeypatch.setattr(dc, "relu", cut_free_relu)
+        full, support_reached = objective_grads(state, ep, hp)
+        assert support_reached
+        assert len(cut) == len(full)
+        for a, b in zip(cut, full):
+            assert np.array_equal(a, b)
+
+    def test_paper_shape_step_has_117_tape_nodes(self, monkeypatch):
+        ds = generate_synthetic(source_domain(n_classes=5, images_per_class=8), RngStream(6))
+        ep = sample_episode(ds, 5, 5, 3, RngStream(6, (1,)))
+        build_pseudo_query(ep, rng=RngStream(6, (2,)))
+        nodes = []
+        from_root = dc.ComputeGraph.from_root
+
+        def counting(root):
+            graph = from_root(root)
+            nodes.append(len(graph.nodes))
+            return graph
+
+        monkeypatch.setattr(dc.ComputeGraph, "from_root", counting)
+        finetune(Backbone.create(BackboneSpec(), RngStream(6)), ep, HyperParams(finetune_epochs=1))
+        assert len(ep.pseudo_images) == 100
+        assert nodes == [117]
+
+
+class TestDivergence:
+    """A non-finite loss raises, naming the epoch and the learning rate,
+    and no numpy RuntimeWarning is issued on the way."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_finetune(self):
+        with pytest.raises(DivergenceError, match=r"^fine-tuning epoch \d+: loss diverged to nan at learning rate 1e\+100$"):
+            finetune(small_backbone(), small_episode(), HyperParams(finetune_epochs=5, learning_rate=1e100))
+
+    def test_meta_train(self):
+        with pytest.raises(DivergenceError, match=r"^meta-training epoch 0 task \d+: .* at learning rate 1000.0$"):
+            meta_train(small_backbone(), small_dataset(), episodes_per_epoch=10, epochs=1,
+                       rng=RngStream(1), learning_rate=1e3)
 
 
 class TestInfer:
