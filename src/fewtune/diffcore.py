@@ -15,6 +15,9 @@ such as the constant image batch entering the first dense layer, and
 with no active term costs no backward pass through the branch that feeds
 it. `sgd_step` updates each momentum buffer in place.
 
+Batch normalization reads `BN_MOMENTUM` and `BN_EPS` directly; a
+`BatchNormState` holds only the affine parameters and running statistics.
+
 The op set is intentionally small: just enough to express dense layers,
 batch normalization, cosine / Euclidean metrics, and the losses built on
 them. No convolutions, no mixed precision.
@@ -390,28 +393,14 @@ class BatchNormState:
     beta: DiffTensor
     running_mean: Array
     running_var: Array
-    momentum: float
-    eps: float
 
     @classmethod
-    def create(cls, dim: int, momentum: float = BN_MOMENTUM, eps: float = BN_EPS) -> "BatchNormState":
+    def create(cls, dim: int) -> "BatchNormState":
         return cls(
             gamma=param(np.ones((1, dim))),
             beta=param(np.zeros((1, dim))),
             running_mean=np.zeros((1, dim)),
             running_var=np.ones((1, dim)),
-            momentum=momentum,
-            eps=eps,
-        )
-
-    def clone(self) -> "BatchNormState":
-        return BatchNormState(
-            gamma=param(self.gamma.values.copy()),
-            beta=param(self.beta.values.copy()),
-            running_mean=self.running_mean.copy(),
-            running_var=self.running_var.copy(),
-            momentum=self.momentum,
-            eps=self.eps,
         )
 
 
@@ -433,14 +422,14 @@ def batch_norm(x: DiffTensor, state: BatchNormState, mode: str) -> DiffTensor:
         mu = tensor_mean(x, axis=0, keepdims=True)
         centered = sub(x, mu)
         var = tensor_mean(mul(centered, centered), axis=0, keepdims=True)
-        x_hat = div(centered, add(var, constant(state.eps)).sqrt())
+        x_hat = div(centered, add(var, constant(BN_EPS)).sqrt())
         if mode == "train":
-            m = state.momentum
+            m = BN_MOMENTUM
             state.running_mean = (1.0 - m) * state.running_mean + m * mu.values
             state.running_var = (1.0 - m) * state.running_var + m * var.values
     else:
         centered = sub(x, constant(state.running_mean))
-        x_hat = div(centered, constant(np.sqrt(state.running_var + state.eps)))
+        x_hat = div(centered, constant(np.sqrt(state.running_var + BN_EPS)))
     return add(mul(state.gamma, x_hat), state.beta)
 
 

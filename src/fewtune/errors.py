@@ -34,7 +34,7 @@ class QueryIsolationError(ContractError):
 
 
 class DivergenceError(ContractError):
-    """A training loss stopped being finite."""
+    """A training loss or parameter stopped being finite."""
 
 
 class DataError(FewtuneError):

@@ -2,10 +2,13 @@
 toy episodic meta-training.
 
 The backbone is a dense stack (flatten -> dense -> norm -> relu, twice,
-then a final dense projection). Fine-tuning always works on a private
-clone, so the pristine meta-trained backbone is never mutated and every
-episode starts from the same snapshot. During fine-tuning the real
-query set is locked; only support and pseudo-query images are read.
+then a final dense projection). Its state is the snapshot's arrays in
+`_layout` order, from which `clone` and `from_bytes` both build it; a
+snapshot with a NaN, an infinity or other batch-norm constants does not
+load. Fine-tuning always works on a private clone, so the pristine
+meta-trained backbone is never mutated and every episode starts from the
+same snapshot. During fine-tuning the real query set is locked; only
+support and pseudo-query images are read.
 """
 
 from __future__ import annotations
@@ -41,8 +44,6 @@ class BackboneSpec:
     input_dim: int = 768  # 16x16x3 flattened
     hidden: tuple[int, ...] = (128, 64)
     embed_dim: int = 32
-    bn_momentum: float = dc.BN_MOMENTUM
-    bn_eps: float = dc.BN_EPS
 
     def __post_init__(self):
         widths = {"input_dim": (self.input_dim,), "hidden": self.hidden, "embed_dim": (self.embed_dim,)}
@@ -55,9 +56,6 @@ class BackboneSpec:
 class DenseLayer:
     weight: DiffTensor  # in x out
     bias: DiffTensor  # 1 x out
-
-    def clone(self) -> "DenseLayer":
-        return DenseLayer(dc.param(self.weight.values.copy()), dc.param(self.bias.values.copy()))
 
 
 class Backbone:
@@ -80,7 +78,7 @@ class Backbone:
             bias = dc.param(np.zeros((1, fan_out)))
             dense.append(DenseLayer(weight, bias))
             if i < len(spec.hidden):
-                norms.append(BatchNormState.create(fan_out, spec.bn_momentum, spec.bn_eps))
+                norms.append(BatchNormState.create(fan_out))
         return cls(spec, dense, norms)
 
     def parameters(self) -> list[DiffTensor]:
@@ -92,7 +90,7 @@ class Backbone:
         return params
 
     def clone(self) -> "Backbone":
-        return Backbone(self.spec, [d.clone() for d in self.dense], [n.clone() for n in self.norms])
+        return Backbone._from_arrays(self.spec, [a.copy() for _, a in self._arrays()])
 
     def forward(self, batch: DiffTensor, mode: str) -> DiffTensor:
         x = batch
@@ -111,10 +109,18 @@ class Backbone:
             arrays += [norm.gamma.values, norm.beta.values, norm.running_mean, norm.running_var]
         return [(name, a) for (name, _), a in zip(_layout(self.spec), arrays)]
 
+    @classmethod
+    def _from_arrays(cls, spec: BackboneSpec, arrays: list[np.ndarray]) -> "Backbone":
+        """Inverse of `_arrays`: wraps `arrays`, given in `_layout` order, without copying."""
+        it = iter(arrays)
+        dense = [DenseLayer(dc.param(next(it)), dc.param(next(it))) for _ in range(len(spec.hidden) + 1)]
+        norms = [BatchNormState(dc.param(next(it)), dc.param(next(it)), next(it), next(it)) for _ in spec.hidden]
+        return cls(spec, dense, norms)
+
     def to_bytes(self) -> bytes:
         arrays = self._arrays()
         header = {
-            "spec": asdict(self.spec),
+            "spec": dict(asdict(self.spec), bn_momentum=dc.BN_MOMENTUM, bn_eps=dc.BN_EPS),
             "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
         }
         head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -140,38 +146,28 @@ class Backbone:
             raise DataLoadError("snapshot truncated")
         try:
             header = json.loads(blob[12:pos].decode("utf-8"))
-            spec = BackboneSpec(**dict(header["spec"], hidden=tuple(header["spec"]["hidden"])))
+            fields = dict(header["spec"])
+            for key, constant in (("bn_momentum", dc.BN_MOMENTUM), ("bn_eps", dc.BN_EPS)):
+                if fields.pop(key, constant) != constant:  # recorded in the header, not settable
+                    raise DataLoadError(f"snapshot {key} is not {constant}")
+            spec = BackboneSpec(**dict(fields, hidden=tuple(fields["hidden"])))
             layout = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
             if layout != _layout(spec):
                 raise DataLoadError("snapshot arrays do not match its spec")
-            values: dict[str, np.ndarray] = {}
+            arrays: list[np.ndarray] = []
             for name, shape in layout:
                 end = pos + 8 * shape[0] * shape[1]
                 if end > len(blob):
                     raise DataLoadError("snapshot truncated")
-                values[name] = np.frombuffer(blob[pos:end], dtype="<f8").reshape(shape).copy()
+                arrays.append(np.frombuffer(blob[pos:end], dtype="<f8").reshape(shape).copy())
+                if not np.isfinite(arrays[-1]).all():
+                    raise DataLoadError(f"snapshot array {name} holds a NaN or infinite value")
                 pos = end
         except (ValueError, KeyError, TypeError, ParameterError) as exc:
             raise DataLoadError(f"bad snapshot header: {type(exc).__name__}: {exc}") from exc
         if pos != len(blob):
             raise DataLoadError(f"{len(blob) - pos} stray bytes after the last snapshot array")
-
-        dense = [
-            DenseLayer(dc.param(values[f"dense{i}.weight"]), dc.param(values[f"dense{i}.bias"]))
-            for i in range(len(spec.hidden) + 1)
-        ]
-        norms = [
-            BatchNormState(
-                gamma=dc.param(values[f"norm{i}.gamma"]),
-                beta=dc.param(values[f"norm{i}.beta"]),
-                running_mean=values[f"norm{i}.running_mean"],
-                running_var=values[f"norm{i}.running_var"],
-                momentum=spec.bn_momentum,
-                eps=spec.bn_eps,
-            )
-            for i in range(len(spec.hidden))
-        ]
-        return cls(spec, dense, norms)
+        return cls._from_arrays(spec, arrays)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_bytes(self.to_bytes())
@@ -233,6 +229,13 @@ def _check_finite(loss: DiffTensor, where: str, learning_rate: float) -> None:
         raise DivergenceError(f"{where}: loss diverged to {float(loss.values)} at learning rate {learning_rate}")
 
 
+def _check_state_finite(named: list[tuple[str, np.ndarray]], where: str, learning_rate: float) -> None:
+    # the loss check catches every update but the last
+    bad = next((name for name, a in named if not np.isfinite(a).all()), None)
+    if bad is not None:
+        raise DivergenceError(f"{where}: {bad} diverged to a non-finite value at learning rate {learning_rate}")
+
+
 def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
     """Adapt a private clone of `bk` on the episode's support and pseudo
     queries; the real query set is locked for the duration."""
@@ -266,6 +269,9 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
             head.values = _normalized_rows(head.values)
             dc.zero_grads(params)
             state.loss_history.append(float(loss.values))
+        if hp.finetune_epochs:
+            named = [*work._arrays(), ("head", head.values)]
+            _check_state_finite(named, f"fine-tuning epoch {epoch}", hp.learning_rate)
 
     return state
 
@@ -334,4 +340,6 @@ def meta_train(
                 losses.append(float(loss.values))
             if on_epoch is not None:
                 on_epoch(epoch, float(np.mean(losses)))
+        if epochs:
+            _check_state_finite(work._arrays(), f"meta-training epoch {epoch} task {task}", learning_rate)
     return work

@@ -7,6 +7,7 @@ import json
 import re
 import shlex
 import shutil
+import struct
 import warnings
 from pathlib import Path
 
@@ -420,6 +421,38 @@ class TestExitCodes:
         code = main(["eval", "--snapshot", str(short), "--data", str(data), "--out", str(out / "o")])
         assert code == 3
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_non_finite_snapshot_is_data_error(self, trained, capsys):
+        snap, data, root = trained
+        blob = bytearray(snap.read_bytes())
+        blob[-8:] = struct.pack("<d", float("nan"))  # the last running variance
+        bad, out = root / "nan.snap", root / "nan-eval"
+        bad.write_bytes(bytes(blob))
+        argv = ["eval", "--snapshot", str(bad), "--data", str(data), "--out", str(out), "--mode", "no_finetune"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            assert main(argv) == 3
+        err = capsys.readouterr().err.strip()
+        assert err == "data error: snapshot array norm1.running_var holds a NaN or infinite value"
+        assert not out.exists()
+
+    def test_last_step_divergence_is_contract_error(self, trained, capsys):
+        # the one task's loss is finite, but the update at this rate overflows
+        _, data, root = trained
+        out = root / "diverged"
+        argv = ["metatrain", "--data", str(data), "--out", str(out), "--epochs", "1", "--tasks-per-epoch", "1",
+                "--lr", "1.7e308", "--hidden", "12,10", "--embed-dim", "8",
+                "--n-way", "3", "--k-shot", "2", "--m-query", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [line for line in err if not line.startswith("INFO ")] == err[-1:]
+        assert re.fullmatch(
+            r"contract violation: meta-training epoch 0 task 0: [\w.]+ diverged to a non-finite value"
+            r" at learning rate 1.7e\+308", err[-1]
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, value", [
         ("eval", "--m", "1.5"),

@@ -183,7 +183,7 @@ class TestBatchNorm:
         state = dc.BatchNormState.create(2)
         x = np.array([[1.0, -2.0], [0.5, 3.0]])
         out = dc.batch_norm(dc.constant(x), state, "eval").values
-        np.testing.assert_allclose(out, x / np.sqrt(1.0 + state.eps), atol=1e-12)
+        np.testing.assert_allclose(out, x / np.sqrt(1.0 + dc.BN_EPS), atol=1e-12)
 
     def test_transductive_removes_shift(self):
         rng = np.random.default_rng(4)

@@ -102,11 +102,15 @@ class TestBackbone:
 
     def test_clone_is_deep(self):
         bk = small_backbone()
+        for p in bk.parameters():  # give the original gradients and momentum buffers
+            p.grad = np.ones_like(p.values)
+        dc.sgd_step(bk.parameters(), 0.1, 0.9)
         other = bk.clone()
-        other.dense[0].weight.values[0, 0] += 1.0
-        other.norms[0].running_mean[0, 0] += 1.0
-        assert bk.dense[0].weight.values[0, 0] != other.dense[0].weight.values[0, 0]
-        assert bk.norms[0].running_mean[0, 0] != other.norms[0].running_mean[0, 0]
+        for (name, a), (other_name, b) in zip(bk._arrays(), other._arrays(), strict=True):
+            assert other_name == name
+            assert np.array_equal(a, b), name
+            assert not np.shares_memory(a, b), name
+        assert all(p._velocity is None and p._grad is None for p in other.parameters())
 
     def test_snapshot_round_trip_bit_exact(self, tmp_path):
         bk = small_backbone(3)
@@ -166,8 +170,12 @@ class TestSnapshotErrors:
         lambda h: dict(h, arrays=h["arrays"][1:]),
         lambda h: dict(h, arrays=[dict(h["arrays"][0], name="dense9.weight"), *h["arrays"][1:]]),
         lambda h: dict(h, arrays=[dict(h["arrays"][0], shape=[2, 3]), *h["arrays"][1:]]),
+        lambda h: dict(h, spec=dict(h["spec"], bn_eps=1e-3)),
+        lambda h: dict(h, spec=dict(h["spec"], bn_momentum=0.2)),
+        lambda h: dict(h, spec=dict(h["spec"], bn_eps="1e-05")),
     ], ids=["not-utf8", "not-json", "not-object", "no-spec", "no-arrays", "hidden-not-list",
-            "zero-width", "array-missing", "array-renamed", "array-reshaped"])
+            "zero-width", "array-missing", "array-renamed", "array-reshaped",
+            "other-bn-eps", "other-bn-momentum", "bn-eps-as-text"])
     def test_bad_header_is_a_data_error(self, edit):
         blob = tiny_snapshot()
         with pytest.raises(DataLoadError):
@@ -177,8 +185,29 @@ class TestSnapshotErrors:
         blob = tiny_snapshot()
         assert Backbone.from_bytes(with_header(blob, header_of(blob))).spec.hidden == (2,)
 
+    def test_header_without_batch_norm_constants_loads(self):
+        blob = tiny_snapshot()
+        header = header_of(blob)
+        del header["spec"]["bn_eps"], header["spec"]["bn_momentum"]
+        assert Backbone.from_bytes(with_header(blob, header)).to_bytes() == blob
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where, name", [("first", "dense0.weight"), ("last", "norm0.running_var")])
+    def test_non_finite_value_is_a_data_error(self, value, where, name):
+        blob = bytearray(tiny_snapshot())
+        at = 12 + struct.unpack("<I", blob[8:12])[0] if where == "first" else len(blob) - 8
+        blob[at : at + 8] = struct.pack("<d", value)
+        with pytest.raises(DataLoadError, match=f"^snapshot array {name} holds a NaN or infinite value$"):
+            Backbone.from_bytes(bytes(blob))
+
 
 class TestSnapshotRoundTrip:
+    def test_bytes_pinned(self):
+        # the snapshot format, header included, is fixed: a change that
+        # moves these bytes must bump SNAPSHOT_VERSION and still read 1
+        digest = hashlib.sha256(tiny_snapshot()).hexdigest()
+        assert digest == "fc408e94bbf92cb541ff61c03edf2a42aba23b7c8a5b4e0f9e3c8b2dad0f4750"
+
     @given(
         input_dim=st.integers(1, 6),
         hidden=st.lists(st.integers(1, 5), max_size=3).map(tuple),
@@ -309,8 +338,8 @@ class TestFinetune:
             mean, var = bk.norms[i].running_mean, bk.norms[i].running_var
             for layer, x, _ in seen:
                 if layer == i:
-                    mean = (1.0 - norm.momentum) * mean + norm.momentum * x.mean(axis=0, keepdims=True)
-                    var = (1.0 - norm.momentum) * var + norm.momentum * x.var(axis=0, keepdims=True)
+                    mean = (1.0 - dc.BN_MOMENTUM) * mean + dc.BN_MOMENTUM * x.mean(axis=0, keepdims=True)
+                    var = (1.0 - dc.BN_MOMENTUM) * var + dc.BN_MOMENTUM * x.var(axis=0, keepdims=True)
             np.testing.assert_allclose(norm.running_mean, mean, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(norm.running_var, var, rtol=1e-12, atol=1e-12)
 
@@ -391,6 +420,9 @@ class TestDeadBranchCut:
         assert nodes == [117]
 
 
+LAST_STEP = r"^{where}: [\w.]+ diverged to a non-finite value at learning rate 1.7e\+308$"
+
+
 class TestDivergence:
     """A non-finite loss raises, naming the epoch and the learning rate,
     and no numpy RuntimeWarning is issued on the way."""
@@ -409,6 +441,16 @@ class TestDivergence:
         with pytest.raises(DivergenceError, match=r"^meta-training epoch 0 task \d+: .* at learning rate 1000.0$"):
             meta_train(small_backbone(), small_dataset(), episodes_per_epoch=10, epochs=1,
                        rng=RngStream(1), learning_rate=1e3)
+
+    # at this learning rate the one step's loss is finite but its update overflows
+    def test_finetune_last_step(self):
+        with pytest.raises(DivergenceError, match=LAST_STEP.format(where="fine-tuning epoch 0")):
+            finetune(small_backbone(), small_episode(), HyperParams(finetune_epochs=1, learning_rate=1.7e308))
+
+    def test_meta_train_last_step(self):
+        with pytest.raises(DivergenceError, match=LAST_STEP.format(where="meta-training epoch 0 task 0")):
+            meta_train(small_backbone(), small_dataset(), episodes_per_epoch=1, epochs=1,
+                       rng=RngStream(1), learning_rate=1.7e308)
 
 
 class TestInfer:
