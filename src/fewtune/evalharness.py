@@ -5,6 +5,8 @@ Episode i is a pure function of (plan, i): its stream seeds the sampler
 and the augmenter, so reports do not depend on worker count or
 scheduling. The ablation samples each episode once and scores both arms
 on it. Aggregation is a single-threaded reduction in episode-index order.
+The first episode to fail, in index order, ends the pass: with a worker
+pool, the queued episodes are cancelled and the running ones ended.
 """
 
 from __future__ import annotations
@@ -111,16 +113,16 @@ def run_episode(
     shape = plan.shape
     ep = sample_episode(dataset, shape.n_way, shape.k_shot, shape.m_query, stream.child(0))
     accuracies = []
-    for mode in modes:
-        if mode == "with_pqs":
-            build_pseudo_query(ep, stream.child(1))
-            try:
+    try:
+        for mode in modes:
+            if mode == "with_pqs":
+                build_pseudo_query(ep, stream.child(1))
                 state = finetune(bk, ep, plan.hp)
-            except DivergenceError as exc:
-                raise DivergenceError(f"episode {index}, {exc}") from None
-        else:
-            state = pristine_state(bk)
-        accuracies.append(infer(state, ep, plan.hp))
+            else:
+                state = pristine_state(bk)
+            accuracies.append(infer(state, ep, plan.hp))
+    except DivergenceError as exc:
+        raise DivergenceError(f"episode {index}, {exc}") from None
     return tuple(accuracies)
 
 
@@ -157,7 +159,17 @@ def score_episodes(
     else:
         init_args = (bk.to_bytes(), target, plan, modes)
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=init_args) as pool:
-            rows = list(pool.map(_worker_episode, indices))
+            try:
+                rows = list(pool.map(_worker_episode, indices))
+            except BaseException:
+                # the first failure ends the pass. Leaving the block would wait
+                # for the running episodes and those already handed to a
+                # worker, which cancelling cannot reach, and the executor has
+                # no public call that ends its workers (before Python 3.14)
+                for process in pool._processes.values():
+                    process.terminate()
+                pool.shutdown(cancel_futures=True)
+                raise
     wall = time.monotonic() - start
     return ScoredPass({mode: [float(row[j]) for row in rows] for j, mode in enumerate(modes)}, wall)
 

@@ -9,6 +9,14 @@ load. Fine-tuning always works on a private clone, so the pristine
 meta-trained backbone is never mutated and every episode starts from the
 same snapshot. During fine-tuning the real query set is locked; only
 support and pseudo-query images are read.
+
+The first dense layer is fine-tuned in the row space of the episode's
+images. Its gradient X^T G lies in the span of the B stacked support and
+pseudo-query rows, so `finetune` trains the coordinates Q^T W on the
+images X Q, for an orthonormal basis Q (D x min(B, D)) of that span, and
+adds Q (C_T - C_0) to W once at the end. Momentum SGD is linear, so this
+is the full-space fine-tune up to rounding, on the same tape with a
+first-layer matmul of min(B, D) instead of D rows.
 """
 
 from __future__ import annotations
@@ -238,7 +246,13 @@ def _check_state_finite(named: list[tuple[str, np.ndarray]], where: str, learnin
 
 def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
     """Adapt a private clone of `bk` on the episode's support and pseudo
-    queries; the real query set is locked for the duration."""
+    queries; the real query set is locked for the duration.
+
+    The first layer trains in the row space of the stacked images, on
+    coordinates in a thin-QR basis of it, and its change is mapped back
+    once after the last step; with zero epochs the clone is returned
+    unchanged.
+    """
     if not ep.pseudo_images:
         raise ContractError("episode has no pseudo query set; run build_pseudo_query first")
     work = bk.clone()
@@ -246,9 +260,15 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
 
     # a diverging run ends in DivergenceError, not in numpy warnings on the way
     with ep.query_guard(), np.errstate(all="ignore"):
-        # the images are fixed for the whole episode: stack them once
-        support_batch = images_to_batch(ep.support_images, work.spec.input_dim)
-        pseudo_batch = images_to_batch(ep.pseudo_images, work.spec.input_dim)
+        # the images are fixed for the whole episode: stack them once, and
+        # train the first layer on coordinates in their row space
+        support = images_to_batch(ep.support_images, work.spec.input_dim).values
+        pseudo = images_to_batch(ep.pseudo_images, work.spec.input_dim).values
+        basis, _ = np.linalg.qr(np.concatenate([support, pseudo]).T)  # D x min(B, D), orthonormal
+        full = work.dense[0].weight
+        coords_0 = basis.T @ full.values
+        work.dense[0].weight = dc.param(coords_0)
+        support_batch, pseudo_batch = dc.constant(support @ basis), dc.constant(pseudo @ basis)
         # head starts at the normalized support prototypes; transductive
         # mode keeps the init free of running-stat side effects
         init_emb = work.forward(support_batch, "transductive")
@@ -269,7 +289,11 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
             head.values = _normalized_rows(head.values)
             dc.zero_grads(params)
             state.loss_history.append(float(loss.values))
+        coords_t = work.dense[0].weight.values
+        work.dense[0].weight = full
         if hp.finetune_epochs:
+            # the first layer's whole change, mapped back once
+            full.values = full.values + basis @ (coords_t - coords_0)
             named = [*work._arrays(), ("head", head.values)]
             _check_state_finite(named, f"fine-tuning epoch {epoch}", hp.learning_rate)
 
@@ -281,12 +305,17 @@ def infer(state: FinetuneState, ep: Episode, hp: HyperParams) -> float:
 
     Prototypes are recomputed from the support set in eval mode; queries
     are embedded transductively when hp.transductive, else in eval mode.
+    Weights large enough to overflow the forward pass raise
+    DivergenceError instead of scoring NaN rows as class 0.
     """
-    support_emb = embed(state.backbone, ep.support_images, "eval")
-    protos = compute_prototypes(support_emb, ep.support_labels, ep.n_way)
-    query_mode = "transductive" if hp.transductive else "eval"
-    query_emb = embed(state.backbone, ep.query_images, query_mode)
-    preds, _ = classify_cosine(query_emb, protos)
+    with np.errstate(all="ignore"):
+        support_emb = embed(state.backbone, ep.support_images, "eval")
+        protos = compute_prototypes(support_emb, ep.support_labels, ep.n_way)
+        query_mode = "transductive" if hp.transductive else "eval"
+        query_emb = embed(state.backbone, ep.query_images, query_mode)
+        preds, scores = classify_cosine(query_emb, protos)
+    if not np.isfinite(scores).all():
+        raise DivergenceError("inference: a query score is not finite")
     return float(np.mean(preds == ep.query_labels))
 
 

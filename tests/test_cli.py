@@ -436,6 +436,25 @@ class TestExitCodes:
         assert err == "data error: snapshot array norm1.running_var holds a NaN or infinite value"
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_inference_overflow_is_contract_error(self, trained, capsys, workers):
+        # finite weights whose forward pass overflows: every query score is NaN
+        snap, data, root = trained
+        bk = Backbone.load(snap)
+        for layer in bk.dense:
+            layer.weight.values = layer.weight.values * 1e150
+        big, out = root / f"big-{workers}.snap", root / f"big-eval-{workers}"
+        bk.save(big)
+        argv = ["eval", "--snapshot", str(big), "--data", str(data), "--out", str(out),
+                "--mode", "no_finetune", "--episodes", "3", "--n-way", "3", "--k-shot", "2", "--m-query", "3",
+                "--workers", workers]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            assert main(argv) == 4
+        err = capsys.readouterr().err.strip()
+        assert err == "contract violation: episode 0, inference: a query score is not finite"
+        assert not (out / "report.json").exists()
+
     def test_last_step_divergence_is_contract_error(self, trained, capsys):
         # the one task's loss is finite, but the update at this rate overflows
         _, data, root = trained

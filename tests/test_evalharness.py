@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -129,6 +131,29 @@ class TestRunEval:
         monkeypatch.setattr(evalharness, "finetune", diverging)
         with pytest.raises(DivergenceError, match=r"^episode 2, fine-tuning epoch 1: "):
             run_eval(bk, ds, plan(7, 5, 1), "with_pqs")
+
+
+class TestPool:
+    def test_first_failure_stops_the_pool(self, monkeypatch, tmp_path):
+        # episode 0 fails at once and every other episode runs for a minute,
+        # so an episode that is waited for instead of stopped leaves a mark
+        def episode(bk, dataset, plan, index, modes):
+            (tmp_path / f"started-{index}").touch()
+            if index == 0:
+                raise DivergenceError("episode 0, fine-tuning epoch 0: loss diverged to nan at learning rate 9.0")
+            time.sleep(60)
+            (tmp_path / f"finished-{index}").touch()
+            return (1.0,)
+
+        monkeypatch.setattr(evalharness, "run_episode", episode)
+        bk, ds = tiny_setup()
+        with pytest.raises(DivergenceError, match=r"^episode 0, "):
+            evalharness.score_episodes(bk, ds, plan(1, 20, 0), ("with_pqs",), workers=2)
+        assert multiprocessing.active_children() == []
+        assert list(tmp_path.glob("finished-*")) == []
+        # each worker blocks in the first episode it takes after episode 0
+        started = {int(p.name.split("-")[1]) for p in tmp_path.glob("started-*")}
+        assert 0 in started and started <= {0, 1, 2}
 
 
 class TestAblate:

@@ -23,6 +23,8 @@ from fewtune.errors import (
 from fewtune.fewshot import (
     Backbone,
     BackboneSpec,
+    FinetuneState,
+    _normalized_rows,
     classify_cosine,
     embed,
     finetune,
@@ -348,12 +350,10 @@ class TestFinetune:
         # head; a change to the fine-tune step that moves any bit fails here.
         # The digest was taken with numpy 2.4 on x86-64 OpenBLAS; another
         # BLAS may round the matmuls differently.
+        # The digest it held before the row-space fine-tune is kept by the
+        # full-space reference loop (TestRowSpaceFinetune).
         state = finetune(small_backbone(), small_episode(seed=3), HyperParams(finetune_epochs=5))
-        digest = hashlib.sha256()
-        digest.update(np.asarray(state.loss_history, dtype="<f8").tobytes())
-        digest.update(state.backbone.to_bytes())
-        digest.update(state.head.values.astype("<f8").tobytes())
-        assert digest.hexdigest() == "78a3a98d94a368640542423913e495225247ad557b773d67993b34a8829d64f1"
+        assert finetune_digest(state) == "e7a52508e4865ffdf96f9c79ad2e9f1585067431c121f7c151b6a3c09f266f81"
 
     def test_loss_mostly_decreases(self):
         # net decrease first -> last epoch in >= 90% of 100 episodes
@@ -403,9 +403,7 @@ class TestDeadBranchCut:
             assert np.array_equal(a, b)
 
     def test_paper_shape_step_has_117_tape_nodes(self, monkeypatch):
-        ds = generate_synthetic(source_domain(n_classes=5, images_per_class=8), RngStream(6))
-        ep = sample_episode(ds, 5, 5, 3, RngStream(6, (1,)))
-        build_pseudo_query(ep, rng=RngStream(6, (2,)))
+        ep = paper_shape_episode(6)
         nodes = []
         from_root = dc.ComputeGraph.from_root
 
@@ -418,6 +416,83 @@ class TestDeadBranchCut:
         finetune(Backbone.create(BackboneSpec(), RngStream(6)), ep, HyperParams(finetune_epochs=1))
         assert len(ep.pseudo_images) == 100
         assert nodes == [117]
+
+
+def full_space_finetune(bk, ep, hp):
+    """`finetune` with the first layer trained on all of its input
+    dimensions, as before the row-space fine-tune: the reference that the
+    row-space loop must match up to rounding."""
+    work = bk.clone()
+    with np.errstate(all="ignore"):
+        support_batch = images_to_batch(ep.support_images, work.spec.input_dim)
+        pseudo_batch = images_to_batch(ep.pseudo_images, work.spec.input_dim)
+        init_emb = work.forward(support_batch, "transductive")
+        head = dc.param(_normalized_rows(compute_prototypes(init_emb, ep.support_labels, ep.n_way).values))
+        params = work.parameters() + [head]
+        losses = []
+        for _ in range(hp.finetune_epochs):
+            support_emb = work.forward(support_batch, "train")
+            pseudo_emb = work.forward(pseudo_batch, "train")
+            loss = finetune_objective(support_emb, ep.support_labels, pseudo_emb, ep.pseudo_labels, head, hp)
+            dc.backward(loss)
+            dc.sgd_step(params, hp.learning_rate, hp.momentum)
+            head.values = _normalized_rows(head.values)
+            dc.zero_grads(params)
+            losses.append(float(loss.values))
+    return FinetuneState(work, head, losses)
+
+
+def finetune_digest(state):
+    digest = hashlib.sha256()
+    digest.update(np.asarray(state.loss_history, dtype="<f8").tobytes())
+    digest.update(state.backbone.to_bytes())
+    digest.update(state.head.values.astype("<f8").tobytes())
+    return digest.hexdigest()
+
+
+def paper_shape_episode(seed):
+    ds = generate_synthetic(source_domain(n_classes=5, images_per_class=8), RngStream(seed))
+    ep = sample_episode(ds, 5, 5, 3, RngStream(seed, (1,)))
+    build_pseudo_query(ep, rng=RngStream(seed, (2,)))
+    return ep
+
+
+class TestRowSpaceFinetune:
+    """The first layer trained on coordinates in the row space of the
+    episode's images is the full-space fine-tune, up to rounding."""
+
+    # 48 input dimensions against 125 images: the basis is a rotation;
+    # 768 against 125: the first layer trains on 125 coordinates
+    @pytest.mark.parametrize("paper_widths", [False, True], ids=["rotation", "row-space"])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_matches_full_space(self, paper_widths, seed):
+        if paper_widths:
+            bk, ep = Backbone.create(BackboneSpec(), RngStream(seed)), paper_shape_episode(seed)
+        else:
+            bk, ep = small_backbone(seed), small_episode(seed=seed)
+        hp = HyperParams(finetune_epochs=30)
+        state, ref = finetune(bk, ep, hp), full_space_finetune(bk, ep, hp)
+        np.testing.assert_allclose(state.loss_history, ref.loss_history, rtol=1e-12, atol=0)
+        arrays = [*state.backbone._arrays(), ("head", state.head.values)]
+        for (name, a), (_, b) in zip(arrays, [*ref.backbone._arrays(), ("head", ref.head.values)]):
+            # the pre-batch-norm biases have a zero train-mode gradient and hold only roundoff
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12, err_msg=name)
+
+    def test_first_layer_moves_in_the_row_space(self):
+        bk, ep = Backbone.create(BackboneSpec(), RngStream(5)), paper_shape_episode(5)
+        state = finetune(bk, ep, HyperParams(finetune_epochs=10))
+        images = images_to_batch(ep.support_images + ep.pseudo_images, bk.spec.input_dim).values
+        delta = state.backbone.dense[0].weight.values - bk.dense[0].weight.values
+        coeffs, *_ = np.linalg.lstsq(images.T, delta, rcond=None)
+        assert images.shape[0] < images.shape[1]
+        assert np.abs(delta).max() > 1e-3
+        assert np.abs(delta - images.T @ coeffs).max() <= 1e-12 * np.abs(delta).max()
+
+    def test_reference_is_the_full_space_loop(self):
+        # the digest test_bits_pinned held for `finetune` before the
+        # row-space fine-tune
+        state = full_space_finetune(small_backbone(), small_episode(seed=3), HyperParams(finetune_epochs=5))
+        assert finetune_digest(state) == "78a3a98d94a368640542423913e495225247ad557b773d67993b34a8829d64f1"
 
 
 LAST_STEP = r"^{where}: [\w.]+ diverged to a non-finite value at learning rate 1.7e\+308$"
@@ -451,6 +526,16 @@ class TestDivergence:
         with pytest.raises(DivergenceError, match=LAST_STEP.format(where="meta-training epoch 0 task 0")):
             meta_train(small_backbone(), small_dataset(), episodes_per_epoch=1, epochs=1,
                        rng=RngStream(1), learning_rate=1.7e308)
+
+    # finite weights too large for the forward pass: the query scores are
+    # NaN, which argmax used to read as class 0
+    @pytest.mark.parametrize("transductive", [True, False])
+    def test_infer_overflow(self, transductive):
+        state = pristine_state(small_backbone())
+        for layer in state.backbone.dense:
+            layer.weight.values = layer.weight.values * 1e150
+        with pytest.raises(DivergenceError, match=r"^inference: a query score is not finite$"):
+            infer(state, small_episode(with_pqs=False), HyperParams(transductive=transductive))
 
 
 class TestInfer:
