@@ -14,6 +14,7 @@ import dataclasses
 import json
 import logging
 import sys
+import time
 import types
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,8 +40,11 @@ log = logging.getLogger("fewtune")
 
 PRESETS = {"source": source_domain, "target": target_domain}
 EVAL_MODES = (*MODES, "ablate")
-# synth settings no longer in RunConfig; configs written before carry them as null
-RETIRED_KEYS = ("tag", "pattern_offset", "palette_angle", "background", "contrast", "noise_sigma")
+# settings no longer in RunConfig -> the values that configs written before them carry
+RETIRED_KEYS = {
+    **dict.fromkeys(("tag", "pattern_offset", "palette_angle", "background", "contrast", "noise_sigma"), (None,)),
+    "timing": (None, False),
+}
 
 # RunConfig field -> the library field or argument it sets
 HP_FIELDS = {
@@ -98,7 +102,6 @@ class RunConfig:
     lr: float | None = None
     momentum: float | None = None
     transductive: bool = HyperParams.transductive
-    timing: bool = False
     # metatrain extras
     tasks_per_epoch: int = META_TASKS_PER_EPOCH
     hidden: tuple[int, ...] = BackboneSpec.hidden
@@ -137,9 +140,12 @@ class RunConfig:
             raise ParameterError(f"run config is not JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ParameterError(f"run config must be a JSON object, got {type(data).__name__}")
-        for key in RETIRED_KEYS:
-            if data.pop(key, None) is not None:
-                raise ParameterError(f"run config key {key!r} is retired; only null is accepted")
+        for key, accepted in RETIRED_KEYS.items():
+            value = data.pop(key, None)
+            # by identity, since 0 == False: only the JSON literals were ever written
+            if not any(value is ok for ok in accepted):
+                allowed = " or ".join(map(json.dumps, accepted))
+                raise ParameterError(f"run config key {key!r} is retired; only {allowed} is accepted")
         fields = {f.name: f for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - set(fields))
         if unknown:
@@ -231,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--mode", choices=EVAL_MODES)
     p_eval.add_argument("--seed", type=int)
     p_eval.add_argument("--workers", type=int)
-    p_eval.add_argument("--timing", action="store_true", help="include wall time in report.json")
     _add_episode_flags(p_eval)
     _add_hp_flags(p_eval)
 
@@ -300,7 +305,7 @@ def cmd_eval(cfg: RunConfig) -> int:
             f"snapshot {cfg.snapshot} takes {bk.spec.input_dim} values per image, "
             f"but the images in {cfg.data} are {'x'.join(map(str, sample.pixels.shape))}"
         )
-    if cfg.k_shot not in PQS_RULES:
+    if cfg.mode != "no_finetune" and cfg.k_shot not in PQS_RULES:
         log.warning(
             "no sizing rule for k=%d; falling back to %d pseudo images per support sample",
             cfg.k_shot,
@@ -309,18 +314,21 @@ def cmd_eval(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    start = time.perf_counter()
     if cfg.mode == "ablate":
         result = ablate(bk, ds, plan, cfg.workers)
-        emit_report(result.with_pqs, "json", out / "report_with_pqs.json", include_timing=cfg.timing)
-        emit_report(result.no_finetune, "json", out / "report_no_finetune.json", include_timing=cfg.timing)
+        emit_report(result.with_pqs, "json", out / "report_with_pqs.json")
+        emit_report(result.no_finetune, "json", out / "report_no_finetune.json")
         emit_report(result, "json", out / "ablation.json")
         emit_report(result, "table", out / "ablation.txt")
         log.info("paired delta %.4f (ci95 %.4f)", result.delta_mean, result.delta_ci95)
     else:
         report = run_eval(bk, ds, plan, cfg.mode, cfg.workers)
-        emit_report(report, "json", out / "report.json", include_timing=cfg.timing)
+        emit_report(report, "json", out / "report.json")
         emit_report(report, "table", out / "report.txt")
         log.info("accuracy %.4f (ci95 %.4f) over %d episodes", report.mean, report.ci95, report.episodes)
+    wall = time.perf_counter() - start
+    log.info("%d episodes in %.2f s, %.2f episodes/s", cfg.episodes, wall, cfg.episodes / wall)
     (out / "run_config.json").write_text(cfg.to_json())
     return 0
 

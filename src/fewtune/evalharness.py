@@ -2,9 +2,10 @@
 with/without-pseudo-query ablation.
 
 Episode i is a pure function of (plan, i): its stream seeds the sampler
-and the augmenter, so reports do not depend on worker count or
-scheduling. The ablation samples each episode once and scores both arms
-on it. Aggregation is a single-threaded reduction in episode-index order.
+and the augmenter. Reports hold no wall time, so their bytes depend on
+neither worker count nor scheduling. The ablation samples each episode
+once and scores both arms on it. Aggregation is a single-threaded
+reduction in episode-index order.
 The first episode to fail, in index order, ends the pass: with a worker
 pool, the queued episodes are cancelled and the running ones ended.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
@@ -50,11 +50,11 @@ class EvalReport:
     accuracies: list[float]
     mean: float
     ci95: float
-    wall_seconds: float
 
-    def to_json(self, include_timing: bool = False) -> str:
-        """Canonical machine-readable form; timing is opt-in because wall
-        time would break byte-for-byte report determinism."""
+    def to_json(self) -> str:
+        """Canonical machine-readable form. `wall_seconds` is always null: the
+        key stays for readers of the format, and wall time would make the
+        bytes depend on the run."""
         payload = {
             "fingerprint": self.fingerprint,
             "mode": self.mode,
@@ -64,7 +64,7 @@ class EvalReport:
             "mean": self.mean,
             "ci95": self.ci95,
             "accuracies": self.accuracies,
-            "wall_seconds": self.wall_seconds if include_timing else None,
+            "wall_seconds": None,
         }
         return json.dumps(payload, indent=2) + "\n"
 
@@ -74,7 +74,6 @@ class EvalReport:
             f"episode shape: {self.n_way}-way {self.k_shot}-shot, {self.m_query} queries/class",
             f"episodes: {self.episodes}",
             f"accuracy: {100.0 * self.mean:.2f}" + "±" + f"{100.0 * self.ci95:.2f}",
-            f"wall_seconds: {self.wall_seconds:.2f}",
             f"fingerprint: {self.fingerprint}",
         ]
         return "\n".join(lines) + "\n"
@@ -138,22 +137,13 @@ def _worker_episode(index: int) -> tuple[float, ...]:
     return run_episode(w["backbone"], w["dataset"], w["plan"], index, w["modes"])
 
 
-@dataclass(frozen=True)
-class ScoredPass:
-    """Per-mode accuracies of one pass over a plan's episodes, and its wall time."""
-
-    accuracies: dict[str, list[float]]
-    wall_seconds: float
-
-
 def score_episodes(
     bk: Backbone, target: LabeledDataset, plan: EvalPlan, modes: tuple[str, ...], workers: int = 1
-) -> ScoredPass:
-    """One pass over the plan's episodes, scoring each in every mode."""
+) -> dict[str, list[float]]:
+    """One pass over the plan's episodes: each mode's accuracies in episode order."""
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     indices = range(plan.hp.episodes_count)
-    start = time.monotonic()
     if workers == 1:
         rows = [run_episode(bk, target, plan, i, modes) for i in indices]
     else:
@@ -170,8 +160,7 @@ def score_episodes(
                     process.terminate()
                 pool.shutdown(cancel_futures=True)
                 raise
-    wall = time.monotonic() - start
-    return ScoredPass({mode: [float(row[j]) for row in rows] for j, mode in enumerate(modes)}, wall)
+    return {mode: [float(row[j]) for row in rows] for j, mode in enumerate(modes)}
 
 
 def run_eval(
@@ -180,15 +169,15 @@ def run_eval(
     plan: EvalPlan,
     mode: str,
     workers: int = 1,
-    scored: ScoredPass | None = None,
+    scored: dict[str, list[float]] | None = None,
 ) -> EvalReport:
-    """Report of `mode` over the plan's episodes. `scored`, a pass that
-    already scored `mode` on them, stands in for a new pass."""
+    """Report of `mode` over the plan's episodes. `scored`, the result of a
+    `score_episodes` pass that scored `mode` on them, stands in for a new pass."""
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
     if scored is None:
         scored = score_episodes(bk, target, plan, (mode,), workers)
-    accuracies = scored.accuracies[mode]
+    accuracies = scored[mode]
     mean, ci95 = mean_and_ci95(accuracies)
     return EvalReport(
         fingerprint=config_fingerprint(plan, mode, target),
@@ -200,7 +189,6 @@ def run_eval(
         accuracies=accuracies,
         mean=mean,
         ci95=ci95,
-        wall_seconds=scored.wall_seconds,
     )
 
 
@@ -241,20 +229,12 @@ def ablate(bk: Backbone, target: LabeledDataset, plan: EvalPlan, workers: int = 
     return AblationResult(with_r, without_r, delta_mean, delta_ci)
 
 
-def emit_report(
-    report: EvalReport | AblationResult,
-    fmt: str,
-    path: str | Path,
-    include_timing: bool = False,
-) -> Path:
+def emit_report(report: EvalReport | AblationResult, fmt: str, path: str | Path) -> Path:
     path = Path(path)
     if fmt == "table":
         text = report.to_table()
     elif fmt == "json":
-        if isinstance(report, EvalReport):
-            text = report.to_json(include_timing=include_timing)
-        else:
-            text = report.to_json()
+        text = report.to_json()
     else:
         raise ParameterError(f"format must be 'table' or 'json', got {fmt!r}")
     path.write_text(text)

@@ -49,7 +49,7 @@ def read_ppm(path: str | Path) -> Image:
     except OSError as exc:
         raise DataLoadError(f"cannot read {path}: {exc}") from exc
 
-    if data[:2] != b"P6":
+    if data[:2] != b"P6" or not data[2:3].isspace():
         raise DataLoadError(f"{path}: not a binary P6 PPM")
     pos = 2
     try:

@@ -121,9 +121,12 @@ class TestReplayConfigErrors:
         ('["eval"]', "must be a JSON object, got list"),
         ('{"command": "eval",', "not JSON"),
         (b'\xff\xfe{}', "not JSON"),
-        ('{"command": "synth", "noise_sigma": 0.5}', "'noise_sigma' is retired"),
+        ('{"command": "synth", "noise_sigma": 0.5}', "'noise_sigma' is retired; only null is"),
+        ('{"command": "eval", "timing": true}', "'timing' is retired; only null or false is"),
+        ('{"command": "eval", "timing": 0}', "'timing' is retired"),
     ], ids=["unknown-key", "str-for-int", "float-for-int", "int-for-bool", "bad-width",
-            "not-object", "not-json", "not-utf8", "retired-key-set"])
+            "not-object", "not-json", "not-utf8", "retired-key-set", "retired-timing-set",
+            "retired-timing-zero"])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, text, fragment):
         path = tmp_path / "run_config.json"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -148,7 +151,7 @@ class TestReplayConfigErrors:
         retired = ("tag", "pattern_offset", "palette_angle", "background", "contrast", "noise_sigma")
         assert not set(retired) & set(cfg)
         path = tmp_path / "old_config.json"
-        path.write_text(json.dumps(dict(cfg, **dict.fromkeys(retired))))
+        path.write_text(json.dumps(dict(cfg, **dict.fromkeys(retired), timing=False)))
         assert main(["replay", str(path), "--out", str(tmp_path / "again")]) == 0
         assert tree_hash(tmp_path / "again") == tree_hash(tmp_path / "d")
 
@@ -236,12 +239,19 @@ class TestEval:
         assert (tmp_path / "e" / "run_config.json").exists()
 
     def test_seed_determinism_across_workers(self, pipeline):
+        # every file eval writes but run_config.json, which records --workers
         tmp_path, snap, data = pipeline
-        run_eval(snap, data, tmp_path / "w1", extra=["--workers", "1"])
-        run_eval(snap, data, tmp_path / "w2", extra=["--workers", "2"])
-        assert (tmp_path / "w1" / "report.json").read_bytes() == (
-            tmp_path / "w2" / "report.json"
-        ).read_bytes()
+        files = {
+            "with_pqs": ("report.json", "report.txt"),
+            "ablate": ("report_with_pqs.json", "report_no_finetune.json", "ablation.json", "ablation.txt"),
+        }
+        for mode, names in files.items():
+            w1, w2 = tmp_path / f"{mode}-w1", tmp_path / f"{mode}-w2"
+            assert run_eval(snap, data, w1, mode, ["--workers", "1"]) == 0
+            assert run_eval(snap, data, w2, mode, ["--workers", "2"]) == 0
+            assert sorted(p.name for p in w1.iterdir()) == sorted((*names, "run_config.json"))
+            for name in names:
+                assert (w1 / name).read_bytes() == (w2 / name).read_bytes()
 
     def test_ablate_outputs(self, pipeline):
         tmp_path, snap, data = pipeline
@@ -252,21 +262,17 @@ class TestEval:
         assert (tmp_path / "ab" / "report_no_finetune.json").exists()
 
     def test_unusual_k_uses_fallback_with_notice(self, pipeline, caplog):
+        # only a mode that builds pseudo queries warns
         tmp_path, snap, data = pipeline
-        code = main([
-            "eval", "--snapshot", str(snap), "--data", str(data), "--out", str(tmp_path / "k7"),
-            "--mode", "no_finetune", "--seed", "5", "--episodes", "1", "--epochs", "0",
-            "--n-way", "3", "--k-shot", "3", "--m-query", "3",
-        ])
-        assert code == 0
-        assert any("falling back" in r.message for r in caplog.records)
-
-    def test_timing_flag_includes_wall_time(self, pipeline):
-        tmp_path, snap, data = pipeline
-        run_eval(snap, data, tmp_path / "t0")
-        run_eval(snap, data, tmp_path / "t1", extra=["--timing"])
-        assert json.loads((tmp_path / "t0" / "report.json").read_text())["wall_seconds"] is None
-        assert json.loads((tmp_path / "t1" / "report.json").read_text())["wall_seconds"] > 0.0
+        for mode, warns in (("with_pqs", True), ("no_finetune", False)):
+            caplog.clear()
+            code = main([
+                "eval", "--snapshot", str(snap), "--data", str(data), "--out", str(tmp_path / mode),
+                "--mode", mode, "--seed", "5", "--episodes", "1", "--epochs", "0",
+                "--n-way", "3", "--k-shot", "3", "--m-query", "3",
+            ])
+            assert code == 0
+            assert any("falling back" in r.message for r in caplog.records) == warns
 
     def test_renamed_dataset_copy_gives_identical_report(self, pipeline):
         tmp_path, snap, data = pipeline

@@ -144,9 +144,11 @@ class TestPpm:
 
     def test_rejects_non_p6(self, tmp_path):
         path = tmp_path / "bad.ppm"
-        path.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
-        with pytest.raises(DataLoadError):
-            read_ppm(path)
+        # an ASCII P3, and a P6 magic number run into the width
+        for data in (b"P3\n1 1\n255\n0 0 0\n", b"P61 1\n255\n" + bytes(3)):
+            path.write_bytes(data)
+            with pytest.raises(DataLoadError):
+                read_ppm(path)
 
     @given(st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
         lambda hw: arrays(np.float64, (3, *hw), elements=st.floats(0.0, 1.0))

@@ -203,7 +203,6 @@ class TestEmitReport:
             accuracies=[0.8, 0.9],
             mean=0.85,
             ci95=0.098,
-            wall_seconds=12.5,
         )
 
     def test_json_keys_and_order(self, tmp_path):
@@ -215,15 +214,10 @@ class TestEmitReport:
         ]
         assert data["wall_seconds"] is None  # canonical form excludes timing
 
-    def test_json_with_timing(self, tmp_path):
-        path = emit_report(self._report(), "json", tmp_path / "t.json", include_timing=True)
-        assert json.loads(path.read_text())["wall_seconds"] == 12.5
-
     def test_table_mirrors_cell_format(self, tmp_path):
         path = emit_report(self._report(), "table", tmp_path / "r.txt")
         text = path.read_text()
         assert "85.00±9.80" in text
-        assert "wall_seconds" in text
 
     def test_bad_format(self, tmp_path):
         with pytest.raises(ParameterError):
