@@ -22,7 +22,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .episodes import PQS_RULES, EpisodeShape, load_dataset, pqs_rule, write_dataset
 from .errors import ContractError, DataError, ParameterError
-from .evalharness import MODES, EvalPlan, ablate, emit_report, run_eval
+from .evalharness import MODES, EvalPlan, ablate, emit_report, pass_blas_threads, run_eval
 from .fewshot import (
     META_EPOCHS,
     META_LEARNING_RATE,
@@ -311,24 +311,32 @@ def cmd_eval(cfg: RunConfig) -> int:
             cfg.k_shot,
             pqs_rule(cfg.n_way, cfg.k_shot)[0],
         )
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
     if cfg.mode == "ablate":
         result = ablate(bk, ds, plan, cfg.workers)
-        emit_report(result.with_pqs, "json", out / "report_with_pqs.json")
-        emit_report(result.no_finetune, "json", out / "report_no_finetune.json")
-        emit_report(result, "json", out / "ablation.json")
-        emit_report(result, "table", out / "ablation.txt")
+        files = {
+            "report_with_pqs.json": (result.with_pqs, "json"),
+            "report_no_finetune.json": (result.no_finetune, "json"),
+            "ablation.json": (result, "json"),
+            "ablation.txt": (result, "table"),
+        }
         log.info("paired delta %.4f (ci95 %.4f)", result.delta_mean, result.delta_ci95)
     else:
         report = run_eval(bk, ds, plan, cfg.mode, cfg.workers)
-        emit_report(report, "json", out / "report.json")
-        emit_report(report, "table", out / "report.txt")
+        files = {"report.json": (report, "json"), "report.txt": (report, "table")}
         log.info("accuracy %.4f (ci95 %.4f) over %d episodes", report.mean, report.ci95, report.episodes)
     wall = time.perf_counter() - start
-    log.info("%d episodes in %.2f s, %.2f episodes/s", cfg.episodes, wall, cfg.episodes / wall)
+    threads = pass_blas_threads()
+    log.info(
+        "%d episodes in %.2f s, %.2f episodes/s, BLAS threads per process: %s",
+        cfg.episodes, wall, cfg.episodes / wall, "default" if threads is None else threads,
+    )
+    # --out is created only after the pass succeeds, as in cmd_metatrain
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (content, fmt) in files.items():
+        emit_report(content, fmt, out / name)
     (out / "run_config.json").write_text(cfg.to_json())
     return 0
 

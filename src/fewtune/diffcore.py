@@ -15,6 +15,13 @@ such as the constant image batch entering the first dense layer, and
 with no active term costs no backward pass through the branch that feeds
 it. `sgd_step` updates each momentum buffer in place.
 
+The Python cost per node is kept small without changing the tape: an op
+output that is already a C-contiguous float64 array is stored as it is,
+`tensor_sum` and `tensor_mean` pass back a read-only broadcast view of
+their adjoint instead of a copy (adjoints are never written to), and
+`tensor_mean` is numpy's own sum and divide without `np.mean`'s wrapper,
+which gives the same bits.
+
 Batch normalization reads `BN_MOMENTUM` and `BN_EPS` directly; a
 `BatchNormState` holds only the affine parameters and running statistics.
 
@@ -41,7 +48,13 @@ BN_EPS = 1e-5  # added to the variance before the square root
 NORM_FLOOR = 1e-12  # smallest row norm a normalization divides by
 
 
+_F64 = np.dtype(np.float64)
+
+
 def _as_f64(values) -> Array:
+    # most values are fresh op outputs, already in the form asked for
+    if type(values) is np.ndarray and values.dtype is _F64 and values.flags.c_contiguous:
+        return values
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim and not arr.flags.c_contiguous:
         # contiguity matters: gradient_check perturbs through a flat view
@@ -164,10 +177,13 @@ def _wrap(x) -> DiffTensor:
 
 
 def _node(values: Array, parents: tuple[DiffTensor, ...], backward_fn) -> DiffTensor:
-    out = DiffTensor(values, requires_grad=any(p.requires_grad for p in parents))
-    if out.requires_grad:
-        out._parents = parents
-        out._backward = backward_fn
+    out = DiffTensor(values)
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = backward_fn
+            break
     return out
 
 
@@ -181,37 +197,46 @@ class ComputeGraph:
     def from_root(cls, root: DiffTensor) -> "ComputeGraph":
         nodes: list[DiffTensor] = []
         visited: set[int] = set()
-        # iterative post-order DFS; parents land before their consumers
-        stack: list[tuple[DiffTensor, bool]] = [(root, False)]
+        # iterative post-order DFS; parents land before their consumers. The
+        # stack holds (tensor, expanded) pairs flat, the flag on top.
+        stack: list = [root, False]
+        push, pop, visit = stack.append, stack.pop, visited.add
         while stack:
-            tensor, expanded = stack.pop()
+            expanded = pop()
+            tensor = pop()
             if expanded:
                 nodes.append(tensor)
                 continue
-            if id(tensor) in visited:
+            key = id(tensor)
+            if key in visited:
                 continue
-            visited.add(id(tensor))
-            stack.append((tensor, True))
+            visit(key)
+            push(tensor)
+            push(True)
             for parent in tensor._parents:
-                stack.append((parent, False))
+                push(parent)
+                push(False)
         return cls(nodes)
 
     def run_backward(self, root: DiffTensor) -> None:
         adjoint: dict[int, Array] = {id(root): np.ones_like(root.values)}
+        adjoint_of = adjoint.get
         for tensor in reversed(self.nodes):
-            grad_out = adjoint.get(id(tensor))
+            grad_out = adjoint_of(id(tensor))
             if grad_out is None:
                 continue
             if tensor.requires_grad:
                 held = tensor._grad
                 tensor._grad = grad_out if held is None else held + grad_out
-            if tensor._backward is None:
+            backward_fn = tensor._backward
+            if backward_fn is None:
                 continue
-            for parent, grad_in in zip(tensor._parents, tensor._backward(grad_out)):
+            for parent, grad_in in zip(tensor._parents, backward_fn(grad_out)):
                 if grad_in is None or not parent.requires_grad:
                     continue
-                held = adjoint.get(id(parent))
-                adjoint[id(parent)] = grad_in if held is None else held + grad_in
+                key = id(parent)
+                held = adjoint_of(key)
+                adjoint[key] = grad_in if held is None else held + grad_in
 
 
 def backward(loss: DiffTensor) -> None:
@@ -301,12 +326,15 @@ def reshape(a: DiffTensor, shape) -> DiffTensor:
     return _node(a.values.reshape(shape), (a,), lambda g: (g.reshape(original),))
 
 
+# The reductions pass back a read-only broadcast view of their adjoint; an
+# adjoint is never written to, so it need not be copied.
+
 def tensor_sum(a: DiffTensor, axis=None, keepdims: bool = False) -> DiffTensor:
     def backward_fn(g: Array):
         if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
+            return (np.broadcast_to(g, a.shape),)
         expanded = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(expanded, a.shape).copy(),)
+        return (np.broadcast_to(expanded, a.shape),)
 
     return _node(np.sum(a.values, axis=axis, keepdims=keepdims), (a,), backward_fn)
 
@@ -316,11 +344,12 @@ def tensor_mean(a: DiffTensor, axis=None, keepdims: bool = False) -> DiffTensor:
 
     def backward_fn(g: Array):
         if axis is None:
-            return (np.broadcast_to(g / count, a.shape).copy(),)
+            return (np.broadcast_to(g / count, a.shape),)
         expanded = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(expanded / count, a.shape).copy(),)
+        return (np.broadcast_to(expanded / count, a.shape),)
 
-    return _node(np.mean(a.values, axis=axis, keepdims=keepdims), (a,), backward_fn)
+    # np.mean's own sum and divide, without its Python wrapper: the same bits
+    return _node(np.add.reduce(a.values, axis, keepdims=keepdims) / count, (a,), backward_fn)
 
 
 def relu(a: DiffTensor) -> DiffTensor:

@@ -8,13 +8,22 @@ once and scores both arms on it. Aggregation is a single-threaded
 reduction in episode-index order.
 The first episode to fail, in index order, ends the pass: with a worker
 pool, the queued episodes are cancelled and the running ones ended.
+
+Every scoring pass runs numpy's bundled OpenBLAS on one thread: each pool
+worker sets it when it starts, and a pass in the calling process sets it
+for the pass only and then restores the caller's count. An episode's
+matrices are small, so a second BLAS thread buys little in one process
+and oversubscribes the cores in a pool; one thread also makes the bits of
+a fine-tune independent of the machine's core count. Without that library
+the thread count is left as it is.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
 
@@ -125,10 +134,52 @@ def run_episode(
     return tuple(accuracies)
 
 
+PASS_BLAS_THREADS = 1
+
+
+@functools.cache
+def _openblas():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, found
+    next to numpy, or None when there is no such library or it lacks them."""
+    package = Path(np.__file__).parent
+    # numpy.libs/ beside the package in Linux and Windows wheels, .dylibs/ inside it on macOS
+    pattern = "libscipy_openblas*"
+    candidates = [*package.parent.glob(f"numpy.libs/{pattern}"), *package.glob(f".dylibs/{pattern}")]
+    for path in sorted(candidates):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get_threads, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
+
+
+def _set_blas_threads(count: int) -> int | None:
+    """Set OpenBLAS to `count` threads in this process; the count it had, or
+    None when the library is not found and nothing was set."""
+    blas = _openblas()
+    if blas is None:
+        return None
+    get_threads, set_threads = blas
+    before = get_threads()
+    set_threads(count)
+    return before
+
+
+def pass_blas_threads() -> int | None:
+    """The OpenBLAS thread count each process of a scoring pass runs with;
+    None when the library is not found and the count is left alone."""
+    return None if _openblas() is None else PASS_BLAS_THREADS
+
+
 _WORKER: dict = {}
 
 
 def _init_worker(snapshot: bytes, dataset: LabeledDataset, plan: EvalPlan, modes: tuple[str, ...]):
+    _set_blas_threads(PASS_BLAS_THREADS)
     _WORKER.update(backbone=Backbone.from_bytes(snapshot), dataset=dataset, plan=plan, modes=modes)
 
 
@@ -145,8 +196,17 @@ def score_episodes(
         raise ParameterError(f"workers must be >= 1, got {workers}")
     indices = range(plan.hp.episodes_count)
     if workers == 1:
-        rows = [run_episode(bk, target, plan, i, modes) for i in indices]
+        # library callers share this process, so its count is given back
+        before = _set_blas_threads(PASS_BLAS_THREADS)
+        try:
+            rows = [run_episode(bk, target, plan, i, modes) for i in indices]
+        finally:
+            if before is not None:
+                _set_blas_threads(before)
     else:
+        # only this path pays for the import, which costs tens of ms
+        from concurrent.futures import ProcessPoolExecutor
+
         init_args = (bk.to_bytes(), target, plan, modes)
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=init_args) as pool:
             try:

@@ -4,10 +4,13 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import shlex
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -16,6 +19,7 @@ import pytest
 
 from fewtune.cli import RunConfig, _config_from_args, build_parser, main
 from fewtune.episodes import load_dataset
+from fewtune.evalharness import pass_blas_threads
 from fewtune.fewshot import META_EPOCHS, META_LEARNING_RATE, META_MOMENTUM, Backbone
 from fewtune.losses import HyperParams
 from fewtune.ppm import read_ppm
@@ -24,6 +28,7 @@ from fewtune.rng import RngStream
 
 SYNTH_SMALL = ["--classes", "5", "--images-per-class", "10", "--size", "4"]
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def tree_hash(root: Path) -> str:
@@ -54,6 +59,14 @@ def run_eval(snapshot, data, out, mode="with_pqs", extra=()):
         "--mode", mode, "--seed", "5", "--episodes", "3", "--epochs", "2",
         "--n-way", "3", "--k-shot", "2", "--m-query", "3", *extra,
     ])
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only --workers > 1 uses the pool, so no other command pays for its import
+    code = "import sys, fewtune.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestRunConfigDefaults:
@@ -253,6 +266,17 @@ class TestEval:
             for name in names:
                 assert (w1 / name).read_bytes() == (w2 / name).read_bytes()
 
+    def test_throughput_line_names_the_blas_threads(self, pipeline, caplog):
+        tmp_path, snap, data = pipeline
+        with caplog.at_level("INFO", logger="fewtune"):
+            assert run_eval(snap, data, tmp_path / "e") == 0
+        threads = pass_blas_threads()
+        assert re.fullmatch(
+            r"3 episodes in [\d.]+ s, [\d.]+ episodes/s, BLAS threads per process: "
+            + ("default" if threads is None else str(threads)),
+            caplog.messages[-1],
+        )
+
     def test_ablate_outputs(self, pipeline):
         tmp_path, snap, data = pipeline
         assert run_eval(snap, data, tmp_path / "ab", mode="ablate") == 0
@@ -356,7 +380,7 @@ class TestExitCodes:
         assert re.fullmatch(
             r"contract violation: episode 0, fine-tuning epoch \d+: loss diverged to nan at learning rate 10.0", err
         )
-        assert not (out / "report.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flags", [
         ("eval", ["--m-query", "0"]),
@@ -459,7 +483,7 @@ class TestExitCodes:
             assert main(argv) == 4
         err = capsys.readouterr().err.strip()
         assert err == "contract violation: episode 0, inference: a query score is not finite"
-        assert not (out / "report.json").exists()
+        assert not out.exists()
 
     def test_last_step_divergence_is_contract_error(self, trained, capsys):
         # the one task's loss is finite, but the update at this rate overflows

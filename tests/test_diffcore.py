@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fewtune.diffcore as dc
 from fewtune.errors import ContractError, DegenerateBatchError, ParameterError, ShapeError
@@ -264,6 +265,17 @@ class TestBackward:
         dc.zero_grads([x])
         np.testing.assert_array_equal(x.grad, [0.0, 0.0])
 
+    def test_reduction_grads_accumulate_without_writes(self):
+        # a reduction passes back a read-only view of its adjoint; a second
+        # backward must replace the stored gradient, never write into it
+        x = dc.param(np.ones((2, 4)))
+        loss = x.mean()
+        dc.backward(loss)
+        first = x.grad
+        dc.backward(loss)
+        np.testing.assert_array_equal(first, np.full((2, 4), 0.125))
+        np.testing.assert_array_equal(x.grad, np.full((2, 4), 0.25))
+
     def test_graph_visits_each_node_once(self):
         x = dc.param([2.0])
         y = x * x
@@ -479,3 +491,18 @@ class TestGradientProperties:
         # rows at least 1 apart in every column keep the batch variance away from 0
         x = rng.uniform(-1.0, 1.0, size=(rows, cols)) + 3.0 * np.arange(rows)[:, None]
         assert self.check(lambda t: dc.batch_norm(t, state, mode), x, seed)
+
+
+class TestTensorMeanBits:
+    """tensor_mean's forward is np.mean's sum and divide, bit for bit."""
+
+    @pytest.mark.parametrize("axis", [None, 0, 1])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    @given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9),
+                        elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_equals_np_mean(self, axis, keepdims, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.asarray(np.mean(x, axis=axis, keepdims=keepdims))
+            out = dc.tensor_mean(dc.constant(x), axis=axis, keepdims=keepdims).values
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()

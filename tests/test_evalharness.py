@@ -156,6 +156,54 @@ class TestPool:
         assert 0 in started and started <= {0, 1, 2}
 
 
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS at 2 threads for the test, so a pass at 1 thread
+    shows; yields the count getter and restores the count after."""
+    found = evalharness._openblas()
+    if found is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    get_threads, set_threads = found
+    before = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(before)
+
+
+class TestBlasThreads:
+    """Every scoring pass runs OpenBLAS on one thread and gives the caller its count back."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_episodes_run_at_one_thread(self, monkeypatch, blas_threads, workers):
+        # a pool worker is forked, so it runs this run_episode too
+        monkeypatch.setattr(evalharness, "run_episode", lambda *args: (float(blas_threads()),))
+        bk, ds = tiny_setup()
+        scored = evalharness.score_episodes(bk, ds, plan(1, 4, 0), ("with_pqs",), workers)
+        assert scored == {"with_pqs": [1.0] * 4}
+        assert blas_threads() == 2
+        assert evalharness.pass_blas_threads() == 1
+
+    def test_caller_count_restored_after_a_failure(self, monkeypatch, blas_threads):
+        def episode(bk, dataset, plan, index, modes):
+            if index == 1:
+                raise DivergenceError("episode 1, fine-tuning epoch 0: loss diverged to nan at learning rate 9.0")
+            return (1.0,)
+
+        monkeypatch.setattr(evalharness, "run_episode", episode)
+        bk, ds = tiny_setup()
+        with pytest.raises(DivergenceError):
+            evalharness.score_episodes(bk, ds, plan(1, 3, 0), ("with_pqs",))
+        assert blas_threads() == 2
+
+    def test_library_not_found(self, monkeypatch):
+        bk, ds = tiny_setup()
+        expected = run_eval(bk, ds, plan(11, 4, 2), "with_pqs")
+        monkeypatch.setattr(evalharness, "_openblas", lambda: None)
+        assert evalharness.pass_blas_threads() is None
+        for workers in (1, 2):
+            assert run_eval(bk, ds, plan(11, 4, 2), "with_pqs", workers).to_json() == expected.to_json()
+
+
 class TestAblate:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_arm_reports_equal_run_eval(self, workers):

@@ -349,7 +349,10 @@ class TestFinetune:
         # sha256 of the loss history, the adapted backbone snapshot and the
         # head; a change to the fine-tune step that moves any bit fails here.
         # The digest was taken with numpy 2.4 on x86-64 OpenBLAS; another
-        # BLAS may round the matmuls differently.
+        # BLAS may round the matmuls differently. At these widths it is the
+        # same at 1, 2 and 4 OpenBLAS threads, but at the paper's widths the
+        # thread count moves bits too (the `X @ basis` gemm by about 1e-15),
+        # which is why every scoring pass runs OpenBLAS on one thread.
         # The digest it held before the row-space fine-tune is kept by the
         # full-space reference loop (TestRowSpaceFinetune).
         state = finetune(small_backbone(), small_episode(seed=3), HyperParams(finetune_epochs=5))
