@@ -117,6 +117,8 @@ class RunConfig:
             value = getattr(self, key)
             if value not in choices:
                 raise ParameterError(f"run config key {key!r} must be one of {choices}, got {value!r}")
+        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ParameterError(f"--seed must be >= 0, got {self.seed}")
         defaults = META_DEFAULTS if self.command == "metatrain" else HP_DEFAULTS
         for key, value in defaults.items():
             if getattr(self, key) is None:

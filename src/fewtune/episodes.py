@@ -1,15 +1,17 @@
 """Dataset model, N-way K-shot episode sampling, and pseudo-query sizing.
 
-An episode relabels its sampled classes to 0..N-1 in draw order. The
-real query set exists for evaluation only; `Episode.query_guard` lets
-the fine-tuning stage lock it so any read raises, and a read counter
-backs the isolation tests.
+An `Episode` holds its class names, K, the support and real query images
+with their labels, and the pseudo query images with their sources. An
+episode relabels its sampled classes to 0..N-1 in draw order. The real
+query set exists for evaluation only; `Episode.query_guard` lets the
+fine-tuning stage lock it so any read raises, and a read counter backs
+the isolation tests.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil
 from pathlib import Path
 
@@ -69,38 +71,33 @@ class LabeledDataset:
         return h.hexdigest()
 
 
+@dataclass(eq=False)
 class Episode:
-    """One N-way K-shot task: support, guarded real query, pseudo query."""
+    """One N-way K-shot task: support, guarded real query, pseudo query.
 
-    def __init__(
-        self,
-        n_way: int,
-        k_shot: int,
-        m_query: int,
-        class_names: tuple[str, ...],
-        support_images: list[Image],
-        support_labels: np.ndarray,
-        query_images: list[Image],
-        query_labels: np.ndarray,
-        support_sources: list[tuple[str, int]],
-        query_sources: list[tuple[str, int]],
-    ):
-        self.n_way = n_way
-        self.k_shot = k_shot
-        self.m_query = m_query
-        self.class_names = class_names
-        self.support_images = support_images
-        self.support_labels = support_labels
-        self.support_sources = support_sources
-        self.query_sources = query_sources
-        self._query_images = query_images
-        self._query_labels = query_labels
-        self._query_locked = False
-        self.query_reads = 0
-        # pseudo-query fields filled by build_pseudo_query
-        self.pseudo_images: list[Image] = []
-        self.pseudo_labels: np.ndarray = np.zeros(0, dtype=np.int64)
-        self.pseudo_sources: list[int] = []
+    `build_pseudo_query` fills the pseudo query set: `pseudo_sources[i]` is
+    the index into `support_images` of the image that pseudo image i
+    augments, and its label is that image's.
+    """
+
+    class_names: tuple[str, ...]
+    k_shot: int
+    support_images: list[Image] = field(repr=False)
+    support_labels: np.ndarray = field(repr=False)
+    _query_images: list[Image] = field(repr=False)
+    _query_labels: np.ndarray = field(repr=False)
+    pseudo_images: list[Image] = field(default_factory=list, repr=False)
+    pseudo_sources: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64), repr=False)
+    query_reads: int = field(default=0, init=False)
+    _query_locked: bool = field(default=False, init=False, repr=False)
+
+    @property
+    def n_way(self) -> int:
+        return len(self.class_names)
+
+    @property
+    def pseudo_labels(self) -> np.ndarray:
+        return self.support_labels[self.pseudo_sources]
 
     def _query_access(self):
         if self._query_locked:
@@ -142,87 +139,53 @@ def pqs_rule(n_way: int, k_shot: int) -> tuple[int, int | None]:
 def sample_episode(
     ds: LabeledDataset, n: int, k: int, m: int, rng: RngStream
 ) -> Episode:
-    """Draw n classes, then k+m images per class, all without replacement."""
+    """Draw n classes, then k+m images per class, all without replacement;
+    the first k of each class's draw are support, the rest query."""
     if ds.class_count() < n:
         raise CapacityError(
             f"dataset '{ds.domain}' has {ds.class_count()} classes, episode needs {n}"
         )
     gen = rng.generator()
     class_ids = gen.choice(ds.class_count(), size=n, replace=False)
+    names = tuple(ds.classes[int(class_id)] for class_id in class_ids)
 
     support_images: list[Image] = []
     query_images: list[Image] = []
-    support_labels: list[int] = []
-    query_labels: list[int] = []
-    support_sources: list[tuple[str, int]] = []
-    query_sources: list[tuple[str, int]] = []
-    names: list[str] = []
-
-    for label, class_id in enumerate(class_ids):
-        name = ds.classes[int(class_id)]
-        names.append(name)
+    for name in names:
         pool = ds.images_for(name)
         if len(pool) < k + m:
             raise CapacityError(
                 f"class '{name}' has {len(pool)} images, episode needs {k + m}"
             )
         picks = gen.choice(len(pool), size=k + m, replace=False)
-        for j in picks[:k]:
-            support_images.append(pool[int(j)])
-            support_labels.append(label)
-            support_sources.append((name, int(j)))
-        for j in picks[k:]:
-            query_images.append(pool[int(j)])
-            query_labels.append(label)
-            query_sources.append((name, int(j)))
+        support_images += [pool[int(j)] for j in picks[:k]]
+        query_images += [pool[int(j)] for j in picks[k:]]
 
-    return Episode(
-        n_way=n,
-        k_shot=k,
-        m_query=m,
-        class_names=tuple(names),
-        support_images=support_images,
-        support_labels=np.asarray(support_labels, dtype=np.int64),
-        query_images=query_images,
-        query_labels=np.asarray(query_labels, dtype=np.int64),
-        support_sources=support_sources,
-        query_sources=query_sources,
-    )
+    labels = np.arange(n, dtype=np.int64)
+    return Episode(names, k, support_images, np.repeat(labels, k), query_images, np.repeat(labels, m))
 
 
 def build_pseudo_query(ep: Episode, rng: RngStream) -> Episode:
-    """Populate ep.pseudo_* by augmenting support images per `pqs_rule`.
+    """Fill ep.pseudo_images and ep.pseudo_sources by augmenting support
+    images per `pqs_rule`. Mutates and returns ep.
 
-    Each pseudo image keeps its source support image's label; sources are
-    recorded as indices into ep.support_images. Mutates and returns ep.
+    With a subsample rule, each class's sources are drawn from `rng.child(0)`;
+    pseudo image i is drawn from `rng.child(1).child(i)`.
     """
     if not ep.support_images:
         raise ContractError("episode has no support set")
     per_support, subsample = pqs_rule(ep.n_way, ep.k_shot)
 
-    source_indices = list(range(len(ep.support_images)))
+    sources = np.arange(len(ep.support_images))
     if subsample is not None:
         gen = rng.child(0).generator()
-        source_indices = []
-        for label in range(ep.n_way):
-            members = [i for i, y in enumerate(ep.support_labels) if y == label]
-            picks = gen.choice(len(members), size=subsample, replace=False)
-            source_indices.extend(members[int(p)] for p in picks)
+        members = [np.flatnonzero(ep.support_labels == label) for label in range(ep.n_way)]
+        sources = np.concatenate([m[gen.choice(len(m), size=subsample, replace=False)] for m in members])
 
-    pseudo_images: list[Image] = []
-    pseudo_labels: list[int] = []
-    pseudo_sources: list[int] = []
-    draw = 0
-    for src in source_indices:
-        for _ in range(per_support):
-            pseudo_images.append(augment(ep.support_images[src], rng.child(1).child(draw)))
-            pseudo_labels.append(int(ep.support_labels[src]))
-            pseudo_sources.append(src)
-            draw += 1
-
-    ep.pseudo_images = pseudo_images
-    ep.pseudo_labels = np.asarray(pseudo_labels, dtype=np.int64)
-    ep.pseudo_sources = pseudo_sources
+    ep.pseudo_sources = np.repeat(sources, per_support)
+    ep.pseudo_images = [
+        augment(ep.support_images[src], rng.child(1).child(draw)) for draw, src in enumerate(ep.pseudo_sources)
+    ]
     return ep
 
 
@@ -242,8 +205,8 @@ def write_dataset(ds: LabeledDataset, root: str | Path) -> Path:
 def load_dataset(path: str | Path) -> LabeledDataset:
     """Load `root/<class_name>/<image>.ppm` with lexicographic ordering.
 
-    Non-square images are rejected up front, since the augmentation
-    pipeline may rotate by 90/270 degrees. The domain tag is the directory name.
+    Non-square images are rejected up front, since the pseudo-query recipe
+    rotates by 90 and 270 degrees. The domain tag is the directory name.
     """
     root = Path(path)
     if not root.is_dir():
@@ -263,7 +226,8 @@ def load_dataset(path: str | Path) -> LabeledDataset:
             img = read_ppm(f)
             if not img.is_square:
                 raise DataLoadError(
-                    f"{f}: non-square image ({img.height}x{img.width}) with rotation enabled"
+                    f"{f}: non-square image ({img.height}x{img.width}); the pseudo-query recipe "
+                    "rotates by 90 and 270 degrees"
                 )
             if shape_seen is None:
                 shape_seen = img.pixels.shape

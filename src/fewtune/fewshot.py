@@ -25,6 +25,7 @@ import io
 import json
 import struct
 from dataclasses import asdict, dataclass, field
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,7 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
         coords_0 = basis.T @ full.values
         work.dense[0].weight = dc.param(coords_0)
         support_batch, pseudo_batch = dc.constant(support @ basis), dc.constant(pseudo @ basis)
+        pseudo_labels = ep.pseudo_labels
         # head starts at the normalized support prototypes; transductive
         # mode keeps the init free of running-stat side effects
         init_emb = work.forward(support_batch, "transductive")
@@ -281,7 +283,7 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
             support_emb = work.forward(support_batch, "train")
             pseudo_emb = work.forward(pseudo_batch, "train")
             loss = finetune_objective(
-                support_emb, ep.support_labels, pseudo_emb, ep.pseudo_labels, head, hp
+                support_emb, ep.support_labels, pseudo_emb, pseudo_labels, head, hp
             )
             _check_finite(loss, f"fine-tuning epoch {epoch}", hp.learning_rate)
             dc.backward(loss)
@@ -345,8 +347,8 @@ def meta_train(
         raise ParameterError(f"episodes_per_epoch must be >= 1, got {episodes_per_epoch}")
     if epochs < 0:
         raise ParameterError(f"epochs must be >= 0, got {epochs}")
-    if learning_rate <= 0:
-        raise ParameterError(f"learning_rate must be positive, got {learning_rate}")
+    if not 0 < learning_rate < inf:
+        raise ParameterError(f"learning_rate must be positive and finite, got {learning_rate}")
     if not 0.0 <= momentum < 1.0:
         raise ParameterError(f"momentum must be in [0, 1), got {momentum}")
     work = bk.clone()

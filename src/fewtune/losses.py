@@ -11,6 +11,7 @@ before a scaled softmax.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -40,16 +41,16 @@ class HyperParams:
     transductive: bool = True
 
     def __post_init__(self):
-        if self.lmm_scale <= 0:
-            raise ParameterError(f"lmm_scale must be positive, got {self.lmm_scale}")
+        if not 0 < self.lmm_scale < inf:
+            raise ParameterError(f"lmm_scale must be positive and finite, got {self.lmm_scale}")
         if not 0.0 <= self.lmm_margin < 1.0:
             raise ParameterError(f"lmm_margin must be in [0, 1), got {self.lmm_margin}")
-        if self.triplet_margin < 0:
-            raise ParameterError(f"triplet_margin must be >= 0, got {self.triplet_margin}")
-        if self.ptloss_weight < 0:
-            raise ParameterError(f"ptloss_weight must be >= 0, got {self.ptloss_weight}")
-        if self.learning_rate <= 0:
-            raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 <= self.triplet_margin < inf:
+            raise ParameterError(f"triplet_margin must be >= 0 and finite, got {self.triplet_margin}")
+        if not 0 <= self.ptloss_weight < inf:
+            raise ParameterError(f"ptloss_weight must be >= 0 and finite, got {self.ptloss_weight}")
+        if not 0 < self.learning_rate < inf:
+            raise ParameterError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.episodes_count < 1:

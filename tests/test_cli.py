@@ -137,9 +137,10 @@ class TestReplayConfigErrors:
         ('{"command": "synth", "noise_sigma": 0.5}', "'noise_sigma' is retired; only null is"),
         ('{"command": "eval", "timing": true}', "'timing' is retired; only null or false is"),
         ('{"command": "eval", "timing": 0}', "'timing' is retired"),
+        ('{"command": "eval", "lr": NaN}', "usage error: --lr must be positive and finite, got nan"),
     ], ids=["unknown-key", "str-for-int", "float-for-int", "int-for-bool", "bad-width",
             "not-object", "not-json", "not-utf8", "retired-key-set", "retired-timing-set",
-            "retired-timing-zero"])
+            "retired-timing-zero", "nan-lr"])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, text, fragment):
         path = tmp_path / "run_config.json"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -413,6 +414,25 @@ class TestExitCodes:
         assert flags[0] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["synth", "eval", "metatrain", "replay"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        # numpy's seeding refuses a negative seed; the run config refuses it first
+        out = tmp_path / "o"
+        seed = {"synth": -1, "eval": -1, "metatrain": -3, "replay": -2}[command]
+        argv = [command, "--out", str(out), "--seed", str(seed)]
+        if command in ("eval", "metatrain"):
+            argv += ["--data", str(tmp_path / "none")]
+        if command == "eval":
+            argv += ["--snapshot", str(tmp_path / "none.snap")]
+        if command == "replay":
+            config = tmp_path / "run_config.json"
+            config.write_text(json.dumps({"command": "eval", "out": str(out), "seed": seed}))
+            argv = ["replay", str(config)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"usage error: --seed must be >= 0, got {seed}"
+        assert not out.exists()
+
     def test_zero_workers_is_usage_error(self, trained, capsys):
         snap, data, root = trained
         out = root / "no-workers"
@@ -512,8 +532,15 @@ class TestExitCodes:
         ("eval", "--lambda-pt", "-1"),
         ("eval", "--episodes", "0"),
         ("eval", "--epochs", "-1"),
+        ("eval", "--lr", "nan"),
+        ("eval", "--lr", "inf"),
+        ("eval", "--s", "nan"),
+        ("eval", "--s", "inf"),
+        ("eval", "--margin", "nan"),
+        ("eval", "--lambda-pt", "nan"),
         ("metatrain", "--hidden", "0"),
         ("metatrain", "--embed-dim", "0"),
+        ("metatrain", "--lr", "nan"),
     ], ids=lambda v: v.lstrip("-") if v.startswith("--") else None)
     def test_bad_parameter_is_usage_error(self, trained, capsys, command, flag, value):
         snap, data, root = trained

@@ -44,20 +44,25 @@ class TestSampleEpisode:
     def test_partition_when_class_exhausted(self):
         ds = toy_dataset(n_classes=3, per_class=10)
         ep = sample_episode(ds, 2, 4, 6, RngStream(1))
-        for name in ep.class_names:
-            used = [src for src in ep.support_sources + ep.query_sources if src[0] == name]
-            assert sorted(idx for _, idx in used) == list(range(10))
+        for label, name in enumerate(ep.class_names):
+            used = [img for img, y in zip(ep.support_images, ep.support_labels) if y == label]
+            used += [img for img, y in zip(ep.query_images, ep.query_labels) if y == label]
+            assert sorted(map(id, used)) == sorted(map(id, ds.images_for(name)))
 
     def test_support_query_disjoint(self):
-        ep = sample_episode(toy_dataset(), 5, 5, 15, RngStream(2))
-        assert not set(ep.support_sources) & set(ep.query_sources)
+        ds = toy_dataset()
+        ep = sample_episode(ds, 5, 5, 15, RngStream(2))
+        for images, labels in ((ep.support_images, ep.support_labels), (ep.query_images, ep.query_labels)):
+            for img, y in zip(images, labels):
+                assert any(img is x for x in ds.images_for(ep.class_names[y]))
+        assert not set(map(id, ep.support_images)) & set(map(id, ep.query_images))
 
     def test_same_stream_same_episode(self):
         ds = toy_dataset()
         a = sample_episode(ds, 5, 5, 15, RngStream(3, (9,)))
         b = sample_episode(ds, 5, 5, 15, RngStream(3, (9,)))
-        assert a.support_sources == b.support_sources
-        assert a.query_sources == b.query_sources
+        assert list(map(id, a.support_images)) == list(map(id, b.support_images))
+        assert list(map(id, a.query_images)) == list(map(id, b.query_images))
 
     def test_insufficient_classes(self):
         with pytest.raises(CapacityError, match="3 classes"):
@@ -119,6 +124,28 @@ class TestPqsPolicy:
             eps.append(ep)
         for a, b in zip(eps[0].pseudo_images, eps[1].pseudo_images):
             assert np.array_equal(a.pixels, b.pixels)
+
+    @pytest.mark.parametrize("k, digest", [
+        (5, "49f530320c082bb0725e7fa849d8c64abebf7091c92efc196d8dcabc57040fb2"),
+        (20, "2f835fd0f37ab2756f1f9c36bcc710ddccf712b9ce2f6a41d6aacc44c71ebd12"),
+        (50, "a7d63ac68be90f0013a2c92258e53637bc835cabf457776b93f97b2538fbceca"),
+    ], ids=["5-shot", "20-shot", "50-shot"])
+    def test_bytes_pinned(self, k, digest):
+        # every draw of sampling and of the pseudo-query recipe, at each
+        # published shot count (50-shot takes the subsample path)
+        ds = toy_dataset(n_classes=7, per_class=k + 4, size=4, seed=k)
+        ep = build_pseudo_query(sample_episode(ds, 5, k, 3, RngStream(31, (k,))), RngStream(32, (k,)))
+        h = hashlib.sha256("\0".join(ep.class_names).encode())
+        for images, labels in (
+            (ep.support_images, ep.support_labels),
+            (ep.query_images, ep.query_labels),
+            (ep.pseudo_images, ep.pseudo_labels),
+        ):
+            for img in images:
+                h.update(np.ascontiguousarray(img.pixels, dtype="<f8").tobytes())
+            h.update(np.asarray(labels, dtype="<i8").tobytes())
+        h.update(np.asarray(ep.pseudo_sources, dtype="<i8").tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestPpm:

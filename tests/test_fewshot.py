@@ -647,6 +647,7 @@ class TestMetaTrain:
 
     @pytest.mark.parametrize("name, value", [
         ("episodes_per_epoch", 0), ("epochs", -1), ("learning_rate", 0.0), ("momentum", 1.0),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
     ])
     def test_bad_argument_rejected_before_training(self, name, value):
         # the message starts with the argument's name, which the CLI swaps for its flag

@@ -70,6 +70,14 @@ class TestHyperParams:
             {"momentum": 1.0},
             {"episodes_count": 0},
             {"finetune_epochs": -1},
+            {"lmm_scale": float("nan")},
+            {"lmm_scale": float("inf")},
+            {"triplet_margin": float("nan")},
+            {"triplet_margin": float("inf")},
+            {"ptloss_weight": float("nan")},
+            {"ptloss_weight": float("inf")},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
