@@ -256,6 +256,28 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**data)
 
 
+def _check_paths(cfg: RunConfig, *keys: str) -> None:
+    """argparse requires these input paths, but a replayed config may lack them."""
+    missing = [f"--{key}" for key in keys if getattr(cfg, key) is None]
+    if missing:
+        raise ParameterError(f"{cfg.command} needs {' and '.join(missing)}")
+
+
+def _check_batch_rows(cfg: RunConfig, shape: EpisodeShape) -> None:
+    """Refuse a shape that leaves a batch-statistics pass fewer than two rows:
+    the support set when the command trains on it, the query set when it is
+    embedded in train or transductive mode."""
+    meta = cfg.command == "metatrain"
+    batches = (
+        ("--k-shot", shape.k_shot, "support", meta or cfg.mode != "no_finetune"),
+        ("--m-query", shape.m_query, "query", meta or cfg.transductive),
+    )
+    for flag, per_class, name, normalized in batches:
+        rows = shape.n_way * per_class
+        if normalized and rows < 2:
+            raise ParameterError(f"--n-way x {flag} must be >= 2 for {name} batch statistics, got {rows}")
+
+
 def cmd_synth(cfg: RunConfig) -> int:
     given = {key: name for key, name in SYNTH_FIELDS.items() if getattr(cfg, key) is not None}
     spec = _call(PRESETS[cfg.preset], cfg, given)
@@ -269,6 +291,8 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 def cmd_metatrain(cfg: RunConfig) -> int:
     shape = cfg.shape()
+    _check_batch_rows(cfg, shape)
+    _check_paths(cfg, "data")
     ds = load_dataset(cfg.data)
     sample = ds.images_for(ds.classes[0])[0]
     spec = _call(BackboneSpec, cfg, SPEC_FIELDS, input_dim=sample.pixels.size)
@@ -299,6 +323,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     plan = EvalPlan(cfg.hyperparams(), cfg.shape(), cfg.seed)
     if cfg.workers < 1:
         raise ParameterError(f"--workers must be >= 1, got {cfg.workers}")
+    _check_batch_rows(cfg, plan.shape)
+    _check_paths(cfg, "snapshot", "data")
     bk = Backbone.load(cfg.snapshot)
     ds = load_dataset(cfg.data)
     sample = ds.images_for(ds.classes[0])[0]

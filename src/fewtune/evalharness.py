@@ -5,7 +5,9 @@ Episode i is a pure function of (plan, i): its stream seeds the sampler
 and the augmenter. Reports hold no wall time, so their bytes depend on
 neither worker count nor scheduling. The ablation samples each episode
 once and scores both arms on it. Aggregation is a single-threaded
-reduction in episode-index order.
+reduction in episode-index order. A report stores its accuracies and
+derives its mean and 95% half-width from them, so the two cannot
+disagree; an ablation derives its paired difference from its two arms.
 The first episode to fail, in index order, ends the pass: with a worker
 pool, the queued episodes are cancelled and the running ones ended.
 
@@ -52,13 +54,17 @@ class EvalPlan:
 class EvalReport:
     fingerprint: str
     mode: str
-    n_way: int
-    k_shot: int
-    m_query: int
-    episodes: int
+    shape: EpisodeShape
     accuracies: list[float]
-    mean: float
-    ci95: float
+    mean: float = field(init=False)
+    ci95: float = field(init=False)
+
+    def __post_init__(self):
+        self.mean, self.ci95 = mean_and_ci95(self.accuracies)
+
+    @property
+    def episodes(self) -> int:
+        return len(self.accuracies)
 
     def to_json(self) -> str:
         """Canonical machine-readable form. `wall_seconds` is always null: the
@@ -67,8 +73,8 @@ class EvalReport:
         payload = {
             "fingerprint": self.fingerprint,
             "mode": self.mode,
-            "n_way": self.n_way,
-            "k_shot": self.k_shot,
+            "n_way": self.shape.n_way,
+            "k_shot": self.shape.k_shot,
             "episodes": self.episodes,
             "mean": self.mean,
             "ci95": self.ci95,
@@ -80,7 +86,7 @@ class EvalReport:
     def to_table(self) -> str:
         lines = [
             f"mode: {self.mode}",
-            f"episode shape: {self.n_way}-way {self.k_shot}-shot, {self.m_query} queries/class",
+            f"episode shape: {self.shape.n_way}-way {self.shape.k_shot}-shot, {self.shape.m_query} queries/class",
             f"episodes: {self.episodes}",
             f"accuracy: {100.0 * self.mean:.2f}" + "±" + f"{100.0 * self.ci95:.2f}",
             f"fingerprint: {self.fingerprint}",
@@ -237,27 +243,19 @@ def run_eval(
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
     if scored is None:
         scored = score_episodes(bk, target, plan, (mode,), workers)
-    accuracies = scored[mode]
-    mean, ci95 = mean_and_ci95(accuracies)
-    return EvalReport(
-        fingerprint=config_fingerprint(plan, mode, target),
-        mode=mode,
-        n_way=plan.shape.n_way,
-        k_shot=plan.shape.k_shot,
-        m_query=plan.shape.m_query,
-        episodes=len(accuracies),
-        accuracies=accuracies,
-        mean=mean,
-        ci95=ci95,
-    )
+    return EvalReport(config_fingerprint(plan, mode, target), mode, plan.shape, scored[mode])
 
 
 @dataclass
 class AblationResult:
     with_pqs: EvalReport
     no_finetune: EvalReport
-    delta_mean: float
-    delta_ci95: float
+    delta_mean: float = field(init=False)
+    delta_ci95: float = field(init=False)
+
+    def __post_init__(self):
+        deltas = [a - b for a, b in zip(self.with_pqs.accuracies, self.no_finetune.accuracies)]
+        self.delta_mean, self.delta_ci95 = mean_and_ci95(deltas)
 
     def to_json(self) -> str:
         payload = {
@@ -283,10 +281,7 @@ def ablate(bk: Backbone, target: LabeledDataset, plan: EvalPlan, workers: int = 
     """Both modes scored on each episode of one pass; paired difference CI."""
     scored = score_episodes(bk, target, plan, MODES, workers)
     # each arm's report comes from run_eval, whose `mode` argument names the arm's trace span
-    with_r, without_r = (run_eval(bk, target, plan, mode, workers, scored) for mode in MODES)
-    deltas = [a - b for a, b in zip(with_r.accuracies, without_r.accuracies)]
-    delta_mean, delta_ci = mean_and_ci95(deltas)
-    return AblationResult(with_r, without_r, delta_mean, delta_ci)
+    return AblationResult(*(run_eval(bk, target, plan, mode, workers, scored) for mode in MODES))
 
 
 def emit_report(report: EvalReport | AblationResult, fmt: str, path: str | Path) -> Path:

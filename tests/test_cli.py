@@ -61,9 +61,16 @@ def run_eval(snapshot, data, out, mode="with_pqs", extra=()):
     ])
 
 
-def test_cli_import_leaves_the_process_pool_out():
-    # only --workers > 1 uses the pool, so no other command pays for its import
-    code = "import sys, fewtune.cli; print('concurrent.futures.process' in sys.modules)"
+MODULES = sorted(
+    "fewtune" if path.stem == "__init__" else f"fewtune.{path.stem}" for path in (SRC / "fewtune").glob("*.py")
+)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_cli_import_leaves_the_process_pool_out(module):
+    # only --workers > 1 uses the pool, so no other command pays for its import;
+    # each module imports alone, so none relies on another having been imported first
+    code = f"import sys, {module}; print('concurrent.futures.process' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
@@ -138,9 +145,12 @@ class TestReplayConfigErrors:
         ('{"command": "eval", "timing": true}', "'timing' is retired; only null or false is"),
         ('{"command": "eval", "timing": 0}', "'timing' is retired"),
         ('{"command": "eval", "lr": NaN}', "usage error: --lr must be positive and finite, got nan"),
+        ('{"command": "eval"}', "usage error: eval needs --snapshot and --data"),
+        ('{"command": "eval", "snapshot": "backbone.snap"}', "usage error: eval needs --data"),
+        ('{"command": "metatrain"}', "usage error: metatrain needs --data"),
     ], ids=["unknown-key", "str-for-int", "float-for-int", "int-for-bool", "bad-width",
             "not-object", "not-json", "not-utf8", "retired-key-set", "retired-timing-set",
-            "retired-timing-zero", "nan-lr"])
+            "retired-timing-zero", "nan-lr", "eval-no-paths", "eval-no-data", "metatrain-no-data"])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, text, fragment):
         path = tmp_path / "run_config.json"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -462,6 +472,43 @@ class TestExitCodes:
             argv += ["--snapshot", str(snap), "--mode", "no_finetune", "--episodes", "2"]
         else:
             argv += ["--tasks-per-epoch", "2", "--hidden", "12,10", "--embed-dim", "8"]
+        assert main(argv) == 0
+
+    SUPPORT_ROW = "usage error: --n-way x --k-shot must be >= 2 for support batch statistics, got 1"
+    QUERY_ROW = "usage error: --n-way x --m-query must be >= 2 for query batch statistics, got 1"
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("eval", ["--n-way", "1", "--k-shot", "1", "--m-query", "2"], SUPPORT_ROW),
+        ("eval", ["--mode", "ablate", "--n-way", "1", "--k-shot", "1", "--m-query", "2"], SUPPORT_ROW),
+        ("eval", ["--n-way", "1", "--k-shot", "2", "--m-query", "1"], QUERY_ROW),
+        ("eval", ["--mode", "no_finetune", "--n-way", "1", "--k-shot", "1", "--m-query", "1"], QUERY_ROW),
+        ("metatrain", ["--n-way", "1", "--k-shot", "1", "--m-query", "2"], SUPPORT_ROW),
+        ("metatrain", ["--n-way", "1", "--k-shot", "2", "--m-query", "1"], QUERY_ROW),
+        ("replay", ["--n-way", "1", "--k-shot", "1", "--m-query", "1"], SUPPORT_ROW),
+    ], ids=["with_pqs-support", "ablate-support", "with_pqs-query", "no_finetune-query",
+            "metatrain-support", "metatrain-query", "replay-support"])
+    def test_single_row_batch_is_usage_error(self, tmp_path, capsys, command, flags, message):
+        # refused before any file is read: neither input path exists
+        out = tmp_path / "o"
+        argv = [command, "--data", str(tmp_path / "none"), "--out", str(out), *flags]
+        if command != "metatrain":
+            argv = ["eval", "--snapshot", str(tmp_path / "none.snap"), *argv[1:]]
+        if command == "replay":
+            config = tmp_path / "run_config.json"
+            config.write_text(_config_from_args(build_parser().parse_args(argv)).to_json())
+            argv = ["replay", str(config)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip() == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--k-shot", "2", "--m-query", "2", "--lambda-pt", "0"],
+        ["--mode", "no_finetune", "--no-transductive", "--k-shot", "1", "--m-query", "1"],
+    ], ids=["no-triplet-term", "no-batch-statistics"])
+    def test_one_way_shapes_without_a_single_row_batch_run(self, trained, tmp_path, flags):
+        snap, data, _ = trained
+        argv = ["eval", "--snapshot", str(snap), "--data", str(data), "--out", str(tmp_path / "o"),
+                "--n-way", "1", "--episodes", "2", "--epochs", "1", *flags]
         assert main(argv) == 0
 
     def test_truncated_snapshot_is_data_error(self, trained, capsys):

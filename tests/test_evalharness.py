@@ -241,17 +241,7 @@ class TestAblate:
 
 class TestEmitReport:
     def _report(self):
-        return EvalReport(
-            fingerprint="abc123",
-            mode="with_pqs",
-            n_way=5,
-            k_shot=5,
-            m_query=15,
-            episodes=2,
-            accuracies=[0.8, 0.9],
-            mean=0.85,
-            ci95=0.098,
-        )
+        return EvalReport("abc123", "with_pqs", EpisodeShape(5, 5, 15), [0.8, 0.9])
 
     def test_json_keys_and_order(self, tmp_path):
         path = emit_report(self._report(), "json", tmp_path / "r.json")
