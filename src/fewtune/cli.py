@@ -266,16 +266,20 @@ def _check_paths(cfg: RunConfig, *keys: str) -> None:
 def _check_batch_rows(cfg: RunConfig, shape: EpisodeShape) -> None:
     """Refuse a shape that leaves a batch-statistics pass fewer than two rows:
     the support set when the command trains on it, the query set when it is
-    embedded in train or transductive mode."""
+    embedded in train or transductive mode. Then refuse a fine-tune whose
+    triplet term has no other class to compare against."""
     meta = cfg.command == "metatrain"
+    finetunes = not meta and cfg.mode != "no_finetune"
     batches = (
-        ("--k-shot", shape.k_shot, "support", meta or cfg.mode != "no_finetune"),
+        ("--k-shot", shape.k_shot, "support", meta or finetunes),
         ("--m-query", shape.m_query, "query", meta or cfg.transductive),
     )
     for flag, per_class, name, normalized in batches:
         rows = shape.n_way * per_class
         if normalized and rows < 2:
             raise ParameterError(f"--n-way x {flag} must be >= 2 for {name} batch statistics, got {rows}")
+    if finetunes and cfg.lambda_pt > 0 and shape.n_way < 2:
+        raise ParameterError(f"--n-way must be >= 2 when --lambda-pt is above 0, got {shape.n_way}")
 
 
 def cmd_synth(cfg: RunConfig) -> int:

@@ -7,6 +7,11 @@ topological order and pushes adjoints through it in reverse, so each
 node is visited exactly once and repeated backward calls accumulate into
 `.grad` until the grads are zeroed.
 
+Each op is one module function. `DiffTensor` is a plain record of values,
+gradient, flags and tape links: it has no operators and no op methods, so
+every node a loss adds to the tape is spelled as a call, and a scalar or
+an array enters only through `constant`.
+
 Gradients cost only what is needed: `.grad` is allocated when the first
 adjoint arrives (a tensor no gradient reached reads as zeros), the
 binary ops compute no gradient for an operand that does not require one,
@@ -105,63 +110,8 @@ class DiffTensor:
     def grad(self, value: Array) -> None:
         self._grad = value
 
-    def zero_grad(self) -> None:
-        self._grad = None
-
     def __repr__(self):
         return f"DiffTensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar; scalars and ndarrays are wrapped as constants
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, constant(-1.0))
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def sqrt(self):
-        return sqrt(self)
-
-    def relu(self):
-        return relu(self)
-
-    def clamp_min(self, floor: float):
-        return clamp_min(self, floor)
 
 
 def constant(values) -> DiffTensor:
@@ -170,10 +120,6 @@ def constant(values) -> DiffTensor:
 
 def param(values) -> DiffTensor:
     return DiffTensor(values, requires_grad=True)
-
-
-def _wrap(x) -> DiffTensor:
-    return x if isinstance(x, DiffTensor) else constant(x)
 
 
 def _node(values: Array, parents: tuple[DiffTensor, ...], backward_fn) -> DiffTensor:
@@ -248,7 +194,7 @@ def backward(loss: DiffTensor) -> None:
 
 def zero_grads(tensors: Iterable[DiffTensor]) -> None:
     for t in tensors:
-        t.zero_grad()
+        t._grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +341,8 @@ def sqrt(a: DiffTensor) -> DiffTensor:
 
 def l2_normalize(x: DiffTensor) -> DiffTensor:
     """Divide each row by max(its L2 norm, NORM_FLOOR)."""
-    norms = tensor_sum(mul(x, x), axis=1, keepdims=True).sqrt()
-    return div(x, norms.clamp_min(NORM_FLOOR))
+    norms = sqrt(tensor_sum(mul(x, x), axis=1, keepdims=True))
+    return div(x, clamp_min(norms, NORM_FLOOR))
 
 
 def cosine_matrix(q: DiffTensor, p: DiffTensor) -> DiffTensor:
@@ -451,7 +397,7 @@ def batch_norm(x: DiffTensor, state: BatchNormState, mode: str) -> DiffTensor:
         mu = tensor_mean(x, axis=0, keepdims=True)
         centered = sub(x, mu)
         var = tensor_mean(mul(centered, centered), axis=0, keepdims=True)
-        x_hat = div(centered, add(var, constant(BN_EPS)).sqrt())
+        x_hat = div(centered, sqrt(add(var, constant(BN_EPS))))
         if mode == "train":
             m = BN_MOMENTUM
             state.running_mean = (1.0 - m) * state.running_mean + m * mu.values
@@ -493,11 +439,11 @@ def gradient_check(f, x: DiffTensor, h: float = 1e-5) -> float:
     """
     if h <= 0:
         raise ParameterError(f"step h must be positive, got {h}")
-    x.zero_grad()
+    x._grad = None
     out = f(x)
     backward(out)
     analytic = x.grad.copy()
-    x.zero_grad()
+    x._grad = None
 
     numeric = np.zeros_like(x.values)
     flat = x.values.reshape(-1)

@@ -10,6 +10,7 @@ the isolation tests.
 
 from __future__ import annotations
 
+import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import ceil
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import CapacityError, ContractError, DataLoadError, ParameterError, QueryIsolationError
 from .imageaug import Image, augment
-from .ppm import read_ppm
+from .ppm import read_ppm, write_ppm
 from .rng import RngStream
 
 
@@ -61,8 +62,6 @@ class LabeledDataset:
     def fingerprint(self) -> str:
         """Hash of the class names and pixels; the domain tag is left out, so a
         renamed copy of a dataset directory keeps its fingerprint."""
-        import hashlib
-
         h = hashlib.sha256()
         for name in self.classes:
             h.update(name.encode())
@@ -191,8 +190,6 @@ def build_pseudo_query(ep: Episode, rng: RngStream) -> Episode:
 
 def write_dataset(ds: LabeledDataset, root: str | Path) -> Path:
     """Emit `root/<class_name>/img_<i>.ppm` for every image in the dataset."""
-    from .ppm import write_ppm
-
     root = Path(root)
     for name in ds.classes:
         class_dir = root / name

@@ -197,10 +197,12 @@ def _worker_episode(index: int) -> tuple[float, ...]:
 def score_episodes(
     bk: Backbone, target: LabeledDataset, plan: EvalPlan, modes: tuple[str, ...], workers: int = 1
 ) -> dict[str, list[float]]:
-    """One pass over the plan's episodes: each mode's accuracies in episode order."""
+    """One pass over the plan's episodes: each mode's accuracies in episode order.
+    A pool starts no more processes than there are episodes."""
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     indices = range(plan.hp.episodes_count)
+    workers = min(workers, len(indices))
     if workers == 1:
         # library callers share this process, so its count is given back
         before = _set_blas_threads(PASS_BLAS_THREADS)

@@ -96,18 +96,18 @@ def ptloss(support_emb: DiffTensor, labels, protos: DiffTensor, margin: float) -
         raise ParameterError(f"margin must be >= 0, got {margin}")
 
     hot = _one_hot(labels, n)
-    dist = dc.squared_euclidean_matrix(support_emb, protos).sqrt()  # B x N
+    dist = dc.sqrt(dc.squared_euclidean_matrix(support_emb, protos))  # B x N
     own = dc.tensor_sum(dc.mul(dist, dc.constant(hot)), axis=1, keepdims=True)  # B x 1
-    hinge = (own - dist + margin).relu()
+    hinge = dc.relu(dc.add(dc.sub(own, dist), dc.constant(margin)))
     return dc.tensor_sum(dc.mul(hinge, dc.constant(1.0 - hot)))
 
 
 def _stable_cross_entropy(logits: DiffTensor, hot: np.ndarray) -> DiffTensor:
     """Mean of logsumexp(row) - row[label]; max subtracted as a constant."""
     row_max = dc.constant(logits.values.max(axis=1, keepdims=True))
-    lse = dc.tensor_sum((logits - row_max).exp(), axis=1, keepdims=True).log() + row_max
+    lse = dc.add(dc.log(dc.tensor_sum(dc.exp(dc.sub(logits, row_max)), axis=1, keepdims=True)), row_max)
     true_logit = dc.tensor_sum(dc.mul(logits, dc.constant(hot)), axis=1, keepdims=True)
-    return (lse - true_logit).mean()
+    return dc.tensor_mean(dc.sub(lse, true_logit))
 
 
 def cosface_loss(
@@ -125,7 +125,7 @@ def cosface_loss(
     labels = np.asarray(labels, dtype=np.int64)
     hot = _one_hot(labels, class_weights.shape[0])
     cos = dc.cosine_matrix(embeddings, class_weights)
-    logits = dc.mul(cos - dc.constant(m * hot), dc.constant(s))
+    logits = dc.mul(dc.sub(cos, dc.constant(m * hot)), dc.constant(s))
     return _stable_cross_entropy(logits, hot)
 
 
@@ -133,7 +133,7 @@ def proto_xent(query_emb: DiffTensor, labels, protos: DiffTensor) -> DiffTensor:
     """Softmax cross-entropy over negative squared distances to prototypes."""
     labels = np.asarray(labels, dtype=np.int64)
     hot = _one_hot(labels, protos.shape[0])
-    logits = -dc.squared_euclidean_matrix(query_emb, protos)
+    logits = dc.mul(dc.squared_euclidean_matrix(query_emb, protos), dc.constant(-1.0))
     return _stable_cross_entropy(logits, hot)
 
 
@@ -152,5 +152,5 @@ def finetune_objective(
     if hp.ptloss_weight != 0.0:
         protos = compute_prototypes(support_emb, support_labels)
         pt = ptloss(support_emb, support_labels, protos, hp.triplet_margin)
-        loss = loss + hp.ptloss_weight * pt
+        loss = dc.add(loss, dc.mul(dc.constant(hp.ptloss_weight), pt))
     return loss

@@ -357,20 +357,6 @@ class TestExitCodes:
         ])
         assert code == 3
 
-    def test_contract_error(self, tmp_path, capsys):
-        run_synth(tmp_path / "d")
-        run_metatrain(tmp_path / "d", tmp_path / "m")
-        # 2-way episode with lambda-pt active but n_way=1 violates the
-        # ptloss contract (needs >= 2 classes)
-        code = main([
-            "eval", "--snapshot", str(tmp_path / "m" / "backbone.snap"), "--data", str(tmp_path / "d"),
-            "--out", str(tmp_path / "o"), "--episodes", "1", "--epochs", "1",
-            "--n-way", "1", "--k-shot", "2", "--m-query", "2",
-        ])
-        assert code == 4
-        err = capsys.readouterr().err.strip()
-        assert len(err.splitlines()) == 1
-
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_divergence_is_contract_error(self, tmp_path, capsys, workers):
         # a random-init backbone at the paper's widths fine-tuned at --lr 10
@@ -476,6 +462,9 @@ class TestExitCodes:
 
     SUPPORT_ROW = "usage error: --n-way x --k-shot must be >= 2 for support batch statistics, got 1"
     QUERY_ROW = "usage error: --n-way x --m-query must be >= 2 for query batch statistics, got 1"
+    # the triplet term needs a second class
+    ONE_WAY_TRIPLET = "usage error: --n-way must be >= 2 when --lambda-pt is above 0, got 1"
+    ONE_WAY_FINETUNE = ["--episodes", "1", "--epochs", "1", "--n-way", "1", "--k-shot", "2", "--m-query", "2"]
 
     @pytest.mark.parametrize("command, flags, message", [
         ("eval", ["--n-way", "1", "--k-shot", "1", "--m-query", "2"], SUPPORT_ROW),
@@ -485,8 +474,12 @@ class TestExitCodes:
         ("metatrain", ["--n-way", "1", "--k-shot", "1", "--m-query", "2"], SUPPORT_ROW),
         ("metatrain", ["--n-way", "1", "--k-shot", "2", "--m-query", "1"], QUERY_ROW),
         ("replay", ["--n-way", "1", "--k-shot", "1", "--m-query", "1"], SUPPORT_ROW),
+        ("eval", ONE_WAY_FINETUNE, ONE_WAY_TRIPLET),
+        ("eval", ["--mode", "ablate", *ONE_WAY_FINETUNE], ONE_WAY_TRIPLET),
+        ("replay", ONE_WAY_FINETUNE, ONE_WAY_TRIPLET),
     ], ids=["with_pqs-support", "ablate-support", "with_pqs-query", "no_finetune-query",
-            "metatrain-support", "metatrain-query", "replay-support"])
+            "metatrain-support", "metatrain-query", "replay-support",
+            "with_pqs-triplet", "ablate-triplet", "replay-triplet"])
     def test_single_row_batch_is_usage_error(self, tmp_path, capsys, command, flags, message):
         # refused before any file is read: neither input path exists
         out = tmp_path / "o"

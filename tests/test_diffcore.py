@@ -22,9 +22,9 @@ class TestMatmul:
     def test_gradient_matches_finite_differences(self):
         b = dc.constant([[3.0], [4.0]])
         a = dc.param([[1.0, 2.0]])
-        dc.backward(dc.matmul(a, b).sum())
+        dc.backward(dc.tensor_sum(dc.matmul(a, b)))
         np.testing.assert_allclose(a.grad, [[3.0, 4.0]], atol=1e-9)
-        err = dc.gradient_check(lambda t: dc.matmul(t, b).sum(), dc.param([[1.0, 2.0]]), 1e-6)
+        err = dc.gradient_check(lambda t: dc.tensor_sum(dc.matmul(t, b)), dc.param([[1.0, 2.0]]), 1e-6)
         assert err < 1e-6
 
     def test_constant_operand_gets_no_gradient(self):
@@ -44,12 +44,25 @@ class TestMatmul:
         rng = np.random.default_rng(4)
         const = dc.constant(rng.normal(size=(3, 3)))
         chain = (lambda t: dc.matmul(const, t)) if constant_side == "left" else (lambda t: dc.matmul(t, const))
-        err = dc.gradient_check(lambda t: (chain(t) * chain(t)).sum(), dc.param(rng.normal(size=(3, 3))))
+        err = dc.gradient_check(lambda t: dc.tensor_sum(dc.mul(chain(t), chain(t))), dc.param(rng.normal(size=(3, 3))))
         assert err < 1e-6
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             dc.matmul(dc.constant(np.zeros((2, 3))), dc.constant(np.zeros((2, 2))))
+
+
+class TestNoOperators:
+    def test_arithmetic_is_a_type_error(self):
+        # each op has one spelling, its module function; with an array on the
+        # left, an operator would otherwise build an object array of tensors
+        for expr in (
+            lambda: np.ones((1, 2)) * dc.param([[1.0, 2.0]]),
+            lambda: dc.param([1.0]) + 1.0,
+            lambda: -dc.param([1.0]),
+        ):
+            with pytest.raises(TypeError):
+                expr()
 
 
 class TestRelu:
@@ -63,12 +76,12 @@ class TestRelu:
 
     def test_gradient(self):
         x = dc.param([-1.0, 2.0])
-        dc.backward(dc.relu(x).sum())
+        dc.backward(dc.tensor_sum(dc.relu(x)))
         np.testing.assert_array_equal(x.grad, [0.0, 1.0])
 
     def test_gradient_at_zero_is_zero(self):
         x = dc.param([0.0])
-        dc.backward(dc.relu(x).sum())
+        dc.backward(dc.tensor_sum(dc.relu(x)))
         np.testing.assert_array_equal(x.grad, [0.0])
 
     def test_all_zero_adjoint_is_dropped(self):
@@ -91,9 +104,9 @@ class TestRelu:
     def test_dead_branch_leaves_upstream_without_gradient(self):
         x = dc.param([1.0, 2.0])
         w = dc.param([3.0])
-        hidden = x * w
-        dead = (hidden - 10.0).relu()  # every unit off
-        dc.backward(dead.sum() + (w * w).sum())
+        hidden = dc.mul(x, w)
+        dead = dc.relu(dc.sub(hidden, dc.constant(10.0)))  # every unit off
+        dc.backward(dc.add(dc.tensor_sum(dead), dc.tensor_sum(dc.mul(w, w))))
         assert x._grad is None and hidden._grad is None
         np.testing.assert_array_equal(w.grad, [6.0])
 
@@ -214,17 +227,17 @@ class TestBatchNorm:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = dc.param(np.zeros((2, 3)))
-        dc.backward(x.sum())
+        dc.backward(dc.tensor_sum(x))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_sum_of_squares(self):
         x = dc.param([1.0, 2.0])
-        dc.backward((x * x).sum())
+        dc.backward(dc.tensor_sum(dc.mul(x, x)))
         np.testing.assert_allclose(x.grad, [2.0, 4.0], atol=1e-12)
 
     def test_accumulation_across_calls(self):
         x = dc.param([1.0, 2.0])
-        loss = (x * x).sum()
+        loss = dc.tensor_sum(dc.mul(x, x))
         dc.backward(loss)
         dc.backward(loss)
         np.testing.assert_allclose(x.grad, [4.0, 8.0], atol=1e-12)
@@ -235,7 +248,7 @@ class TestBackward:
 
     def test_root_grad_is_one(self):
         x = dc.param([3.0])
-        loss = (x * x).sum()
+        loss = dc.tensor_sum(dc.mul(x, x))
         dc.backward(loss)
         np.testing.assert_array_equal(loss.grad, np.asarray(1.0))
 
@@ -250,7 +263,7 @@ class TestBackward:
         for _ in range(2):
             x = dc.param(vals.copy())
             y = dc.relu(dc.matmul(x, x))
-            dc.backward((y * y).mean())
+            dc.backward(dc.tensor_mean(dc.mul(y, y)))
             grads.append(x.grad.copy())
         assert np.array_equal(grads[0], grads[1])
 
@@ -261,7 +274,7 @@ class TestBackward:
 
     def test_zero_grads_resets(self):
         x = dc.param([1.0, 2.0])
-        dc.backward((x * x).sum())
+        dc.backward(dc.tensor_sum(dc.mul(x, x)))
         dc.zero_grads([x])
         np.testing.assert_array_equal(x.grad, [0.0, 0.0])
 
@@ -269,7 +282,7 @@ class TestBackward:
         # a reduction passes back a read-only view of its adjoint; a second
         # backward must replace the stored gradient, never write into it
         x = dc.param(np.ones((2, 4)))
-        loss = x.mean()
+        loss = dc.tensor_mean(x)
         dc.backward(loss)
         first = x.grad
         dc.backward(loss)
@@ -278,8 +291,8 @@ class TestBackward:
 
     def test_graph_visits_each_node_once(self):
         x = dc.param([2.0])
-        y = x * x
-        loss = (y + y).sum()  # diamond: y consumed twice
+        y = dc.mul(x, x)
+        loss = dc.tensor_sum(dc.add(y, y))  # diamond: y consumed twice
         graph = dc.ComputeGraph.from_root(loss)
         assert len({id(n) for n in graph.nodes}) == len(graph.nodes)
         graph.run_backward(loss)
@@ -336,12 +349,12 @@ class TestSgd:
 class TestGradientCheck:
     def test_quadratic(self):
         x = dc.param([1.0, -2.0, 0.5])
-        assert dc.gradient_check(lambda t: (t * t).sum(), x, 1e-5) < 1e-6
+        assert dc.gradient_check(lambda t: dc.tensor_sum(dc.mul(t, t)), x, 1e-5) < 1e-6
 
     def test_linear_is_nearly_exact(self):
         c = dc.constant([2.0, -3.0, 0.25])
         x = dc.param([1.0, 1.0, 1.0])
-        assert dc.gradient_check(lambda t: (t * c).sum(), x, 1e-5) < 1e-9
+        assert dc.gradient_check(lambda t: dc.tensor_sum(dc.mul(t, c)), x, 1e-5) < 1e-9
 
 
 def _away_from_zero(rng, shape, floor=0.05):
@@ -361,20 +374,20 @@ class TestRandomPointGradients:
             b = dc.constant(rng.normal(size=(3, 2)))
             w = dc.constant(rng.normal(size=(4, 2)))
             x = dc.param(rng.normal(size=(4, 3)))
-            assert dc.gradient_check(lambda t: (dc.matmul(t, b) * w).sum(), x) < self.TOL
+            assert dc.gradient_check(lambda t: dc.tensor_sum(dc.mul(dc.matmul(t, b), w)), x) < self.TOL
 
     def test_relu(self):
         rng = np.random.default_rng(11)
         for _ in range(self.N_POINTS):
             x = dc.param(_away_from_zero(rng, (3, 4)))  # keep off the kink
-            assert dc.gradient_check(lambda t: (dc.relu(t) * dc.relu(t)).sum(), x) < self.TOL
+            assert dc.gradient_check(lambda t: dc.tensor_sum(dc.mul(dc.relu(t), dc.relu(t))), x) < self.TOL
 
     def test_l2_normalize(self):
         rng = np.random.default_rng(12)
         for _ in range(self.N_POINTS):
             c = dc.constant(rng.normal(size=(3, 5)))
             x = dc.param(rng.normal(size=(3, 5)) + 0.5)
-            assert dc.gradient_check(lambda t: (dc.l2_normalize(t) * c).sum(), x) < self.TOL
+            assert dc.gradient_check(lambda t: dc.tensor_sum(dc.mul(dc.l2_normalize(t), c)), x) < self.TOL
 
     def test_cosine_matrix(self):
         rng = np.random.default_rng(13)
@@ -382,10 +395,10 @@ class TestRandomPointGradients:
             p = dc.constant(rng.normal(size=(4, 5)))
             c = dc.constant(rng.normal(size=(3, 4)))
             x = dc.param(rng.normal(size=(3, 5)))
-            assert dc.gradient_check(lambda t: (dc.cosine_matrix(t, p) * c).sum(), x) < self.TOL
+            assert dc.gradient_check(lambda t: dc.tensor_sum(dc.mul(dc.cosine_matrix(t, p), c)), x) < self.TOL
             w = dc.param(rng.normal(size=(4, 5)))
             q = dc.constant(rng.normal(size=(3, 5)))
-            assert dc.gradient_check(lambda t: (dc.cosine_matrix(q, t) * c).sum(), w) < self.TOL
+            assert dc.gradient_check(lambda t: dc.tensor_sum(dc.mul(dc.cosine_matrix(q, t), c)), w) < self.TOL
 
     def test_squared_euclidean(self):
         rng = np.random.default_rng(14)
@@ -394,7 +407,7 @@ class TestRandomPointGradients:
             c = dc.constant(rng.normal(size=(2, 4)))
             x = dc.param(rng.normal(size=(2, 3)))
             assert dc.gradient_check(
-                lambda t: (dc.squared_euclidean_matrix(t, p) * c).sum(), x
+                lambda t: dc.tensor_sum(dc.mul(dc.squared_euclidean_matrix(t, p), c)), x
             ) < self.TOL
 
     def test_batch_norm(self):
@@ -404,7 +417,7 @@ class TestRandomPointGradients:
             c = dc.constant(rng.normal(size=(5, 3)))
             x = dc.param(rng.normal(size=(5, 3)) * 2.0)
             assert dc.gradient_check(
-                lambda t: (dc.batch_norm(t, state, "transductive") * c).sum(), x
+                lambda t: dc.tensor_sum(dc.mul(dc.batch_norm(t, state, "transductive"), c)), x
             ) < self.TOL
 
 
@@ -426,7 +439,7 @@ UNARY = {
 
 def _weighted_sum(out, seed):
     """A scalar that weighs every output entry differently."""
-    return (out * dc.constant(np.random.default_rng(seed).normal(size=out.shape))).sum()
+    return dc.tensor_sum(dc.mul(out, dc.constant(np.random.default_rng(seed).normal(size=out.shape))))
 
 
 class TestGradientProperties:

@@ -1,5 +1,6 @@
 """Evaluation harness: aggregation, determinism, paired ablation."""
 
+import concurrent.futures
 import dataclasses
 import json
 import multiprocessing
@@ -154,6 +155,31 @@ class TestPool:
         # each worker blocks in the first episode it takes after episode 0
         started = {int(p.name.split("-")[1]) for p in tmp_path.glob("started-*")}
         assert 0 in started and started <= {0, 1, 2}
+
+    @pytest.mark.parametrize(("workers", "episodes", "asked"), [(8, 2, [2]), (8, 1, []), (2, 5, [2])])
+    def test_processes_capped_at_episode_count(self, monkeypatch, workers, episodes, asked):
+        # the fake pool records the process count it is asked for and starts none
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, indices):
+                return [(float(i),) for i in indices]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(evalharness, "run_episode", lambda bk, dataset, plan, index, modes: (float(index),))
+        bk, ds = tiny_setup()
+        scored = evalharness.score_episodes(bk, ds, plan(1, episodes, 0), ("with_pqs",), workers)
+        assert scored == {"with_pqs": [float(i) for i in range(episodes)]}
+        assert requested == asked
 
 
 @pytest.fixture

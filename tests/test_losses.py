@@ -116,7 +116,7 @@ class TestComputePrototypes:
         c = dc.constant(rng.normal(size=(2, 3)))
         x = dc.param(rng.normal(size=(4, 3)))
         err = dc.gradient_check(
-            lambda t: (compute_prototypes(t, labels) * c).sum(), x
+            lambda t: dc.tensor_sum(dc.mul(compute_prototypes(t, labels), c)), x
         )
         assert err < 1e-4
 
