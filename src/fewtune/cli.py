@@ -18,7 +18,7 @@ import time
 import types
 from dataclasses import dataclass
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 from .episodes import PQS_RULES, EpisodeShape, load_dataset, pqs_rule, write_dataset
 from .errors import ContractError, DataError, ParameterError
@@ -39,7 +39,8 @@ from .synthetic import generate_synthetic, source_domain, target_domain
 log = logging.getLogger("fewtune")
 
 PRESETS = {"source": source_domain, "target": target_domain}
-EVAL_MODES = (*MODES, "ablate")
+# RunConfig field -> the values it takes
+CHOICES = {"preset": tuple(PRESETS), "mode": (*MODES, "ablate")}
 # settings no longer in RunConfig -> the values that configs written before them carry
 RETIRED_KEYS = {
     **dict.fromkeys(("tag", "pattern_offset", "palette_angle", "background", "contrast", "noise_sigma"), (None,)),
@@ -58,12 +59,7 @@ HP_FIELDS = {
     "momentum": "momentum",
     "transductive": "transductive",
 }
-META_ARGS = {
-    "tasks_per_epoch": "episodes_per_epoch",
-    "epochs": "epochs",
-    "lr": "learning_rate",
-    "momentum": "momentum",
-}
+META_ARGS = {"epochs": "epochs", "tasks_per_epoch": "episodes_per_epoch", "lr": "learning_rate", "momentum": "momentum"}
 SPEC_FIELDS = {"hidden": "hidden", "embed_dim": "embed_dim"}
 SYNTH_FIELDS = {"classes": "n_classes", "images_per_class": "images_per_class", "size": "image_size"}
 SHAPE_FIELDS = {"n_way": "n_way", "k_shot": "k_shot", "m_query": "m_query"}
@@ -113,12 +109,15 @@ class RunConfig:
     size: int | None = None
 
     def __post_init__(self):
-        for key, choices in (("preset", tuple(PRESETS)), ("mode", EVAL_MODES)):
+        for key, choices in CHOICES.items():
             value = getattr(self, key)
             if value not in choices:
                 raise ParameterError(f"run config key {key!r} must be one of {choices}, got {value!r}")
         if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
             raise ParameterError(f"--seed must be >= 0, got {self.seed}")
+        for key in ("out", "data", "snapshot"):
+            if getattr(self, key) == "":  # a path that names the working directory
+                raise ParameterError(f"--{key} must not be empty")
         defaults = META_DEFAULTS if self.command == "metatrain" else HP_DEFAULTS
         for key, value in defaults.items():
             if getattr(self, key) is None:
@@ -156,16 +155,21 @@ class RunConfig:
         return cls(**{key: _typed(fields[key], hints[key], value) for key, value in data.items()})
 
 
+def _kind(hint):
+    """The type a field holds when it is set: `X` for `X | None`."""
+    return get_args(hint)[0] if isinstance(hint, types.UnionType) else hint
+
+
 def _typed(field: dataclasses.Field, hint, value):
     """`value` as `field` holds it (a JSON list becomes a tuple), or ParameterError."""
-    kinds = get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
-    if value is None and type(None) in kinds:
+    kind = _kind(hint)
+    if value is None and kind is not hint:  # an `X | None` field
         return None
-    if kinds[0] is float and type(value) in (int, float):
+    if kind is float and type(value) in (int, float):
         return float(value)
-    if get_origin(kinds[0]) is tuple and type(value) is list and all(type(v) is int for v in value):
+    if get_origin(kind) is tuple and type(value) is list and all(type(v) is int for v in value):
         return tuple(value)
-    if type(value) is kinds[0]:
+    if type(value) is kind:
         return value
     raise ParameterError(f"run config key {field.name!r} must be {field.type}, got {value!r}")
 
@@ -190,75 +194,9 @@ def _hidden_widths(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad width list {text!r}") from exc
 
 
-def _add_episode_flags(p: argparse.ArgumentParser):
-    p.add_argument("--n-way", type=int)
-    p.add_argument("--k-shot", type=int)
-    p.add_argument("--m-query", type=int)
-
-
-def _add_hp_flags(p: argparse.ArgumentParser):
-    p.add_argument("--episodes", type=int, help="evaluation episode count")
-    p.add_argument("--epochs", type=int, help="fine-tune epochs per episode")
-    p.add_argument("--margin", type=float, help="triplet margin")
-    p.add_argument("--s", type=float, help="cosine softmax scale")
-    p.add_argument("--m", type=float, help="cosine margin")
-    p.add_argument("--lambda-pt", type=float, dest="lambda_pt")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--transductive", action=argparse.BooleanOptionalAction)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fewtune")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = sub.add_parser("synth", help="render a synthetic dataset as PPM files")
-    p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--seed", type=int)
-    p_synth.add_argument("--preset", choices=tuple(PRESETS))
-    p_synth.add_argument("--classes", type=int)
-    p_synth.add_argument("--images-per-class", type=int)
-    p_synth.add_argument("--size", type=int)
-
-    p_meta = sub.add_parser("metatrain", help="episodic training, snapshot the backbone")
-    p_meta.add_argument("--data", required=True)
-    p_meta.add_argument("--out", required=True)
-    p_meta.add_argument("--seed", type=int)
-    p_meta.add_argument("--epochs", type=int)
-    p_meta.add_argument("--tasks-per-epoch", type=int)
-    p_meta.add_argument("--lr", type=float)
-    p_meta.add_argument("--momentum", type=float)
-    p_meta.add_argument("--hidden", type=_hidden_widths)
-    p_meta.add_argument("--embed-dim", type=int)
-    _add_episode_flags(p_meta)
-
-    p_eval = sub.add_parser("eval", help="episodic evaluation or paired ablation")
-    p_eval.add_argument("--snapshot", required=True)
-    p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--mode", choices=EVAL_MODES)
-    p_eval.add_argument("--seed", type=int)
-    p_eval.add_argument("--workers", type=int)
-    _add_episode_flags(p_eval)
-    _add_hp_flags(p_eval)
-
-    p_replay = sub.add_parser("replay", help="re-run a saved run_config.json")
-    p_replay.add_argument("config")
-    p_replay.add_argument("--out", default=None, help="override output directory")
-
-    return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Flags that were not given (None) leave the RunConfig default in place."""
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    data = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    return RunConfig(**data)
-
-
-def _check_paths(cfg: RunConfig, *keys: str) -> None:
-    """argparse requires these input paths, but a replayed config may lack them."""
-    missing = [f"--{key}" for key in keys if getattr(cfg, key) is None]
+def _check_paths(cfg: RunConfig) -> None:
+    """argparse requires the command's input paths, but a replayed config may lack them."""
+    missing = [f"--{key}" for key in COMMANDS[cfg.command].paths if getattr(cfg, key) is None]
     if missing:
         raise ParameterError(f"{cfg.command} needs {' and '.join(missing)}")
 
@@ -296,7 +234,7 @@ def cmd_synth(cfg: RunConfig) -> int:
 def cmd_metatrain(cfg: RunConfig) -> int:
     shape = cfg.shape()
     _check_batch_rows(cfg, shape)
-    _check_paths(cfg, "data")
+    _check_paths(cfg)
     ds = load_dataset(cfg.data)
     sample = ds.images_for(ds.classes[0])[0]
     spec = _call(BackboneSpec, cfg, SPEC_FIELDS, input_dim=sample.pixels.size)
@@ -328,7 +266,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     if cfg.workers < 1:
         raise ParameterError(f"--workers must be >= 1, got {cfg.workers}")
     _check_batch_rows(cfg, plan.shape)
-    _check_paths(cfg, "snapshot", "data")
+    _check_paths(cfg)
     bk = Backbone.load(cfg.snapshot)
     ds = load_dataset(cfg.data)
     sample = ds.images_for(ds.classes[0])[0]
@@ -373,18 +311,65 @@ def cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
+class Command(NamedTuple):
+    """A subcommand; each name in `paths` (the input paths) and `flags` is a RunConfig field."""
+    run: Callable[[RunConfig], int]
+    help: str
+    paths: tuple[str, ...]
+    flags: tuple[str, ...]
+
+
+COMMANDS = {
+    "synth": Command(cmd_synth, "render a synthetic dataset as PPM files", (), ("out", "seed", "preset", *SYNTH_FIELDS)),
+    "metatrain": Command(cmd_metatrain, "episodic training, snapshot the backbone", ("data",),
+                         ("out", "seed", *META_ARGS, *SPEC_FIELDS, *SHAPE_FIELDS)),
+    "eval": Command(cmd_eval, "episodic evaluation or paired ablation", ("snapshot", "data"),
+                    ("out", "mode", "seed", "workers", *SHAPE_FIELDS, *HP_FIELDS)),
+}
+# RunConfig field -> its flag's help line
+HELP = {"episodes": "evaluation episode count", "margin": "triplet margin", "s": "cosine softmax scale",
+        "m": "cosine margin", "epochs": "fine-tune epochs per episode (eval) or meta-training epochs (metatrain)"}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, as every other usage error
+        self.exit(2, f"usage error: {message}\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per COMMANDS entry; each flag takes its RunConfig field's type."""
+    parser = _Parser(prog="fewtune")
+    sub = parser.add_subparsers(dest="command", required=True)
+    hints = get_type_hints(RunConfig)
+    # field types whose flag does not parse by calling the type
+    special = {bool: {"action": argparse.BooleanOptionalAction}, tuple[int, ...]: {"type": _hidden_widths}}
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in (*command.paths, *command.flags):
+            kind = _kind(hints[key])
+            spec = special.get(kind, {"type": kind, "choices": CHOICES.get(key)})
+            required = key in command.paths or key == "out"
+            p.add_argument("--" + key.replace("_", "-"), required=required, help=HELP.get(key), **spec)
+    p_replay = sub.add_parser("replay", help="re-run a saved run_config.json")
+    p_replay.add_argument("config")
+    p_replay.add_argument("--out", default=None, help="override output directory")
+    return parser
+
+
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """Flags that were not given (None) leave the RunConfig default in place."""
+    return RunConfig(**{key: value for key, value in vars(args).items() if value is not None})
+
+
 def dispatch(cfg: RunConfig) -> int:
-    commands = {"synth": cmd_synth, "metatrain": cmd_metatrain, "eval": cmd_eval}
-    if cfg.command not in commands:
+    if cfg.command not in COMMANDS:
         raise ParameterError(f"unknown command {cfg.command!r}")
-    return commands[cfg.command](cfg)
+    return COMMANDS[cfg.command].run(cfg)
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "replay":
             cfg = RunConfig.from_json(Path(args.config).read_bytes())

@@ -9,7 +9,8 @@ reduction in episode-index order. A report stores its accuracies and
 derives its mean and 95% half-width from them, so the two cannot
 disagree; an ablation derives its paired difference from its two arms.
 The first episode to fail, in index order, ends the pass: with a worker
-pool, the queued episodes are cancelled and the running ones ended.
+pool, the workers are ended, so neither the running nor the queued
+episodes finish.
 
 Every scoring pass runs numpy's bundled OpenBLAS on one thread: each pool
 worker sets it when it starts, and a pass in the calling process sets it
@@ -218,15 +219,16 @@ def score_episodes(
         init_args = (bk.to_bytes(), target, plan, modes)
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=init_args) as pool:
             try:
-                rows = list(pool.map(_worker_episode, indices))
+                futures = [pool.submit(_worker_episode, i) for i in indices]
+                rows = [future.result() for future in futures]
             except BaseException:
                 # the first failure ends the pass. Leaving the block would wait
-                # for the running episodes and those already handed to a
-                # worker, which cancelling cannot reach, and the executor has
-                # no public call that ends its workers (before Python 3.14)
+                # for the running episodes and those already handed to a worker,
+                # and the executor has no public call that ends its workers
+                # (before Python 3.14). It then fails the waiting futures itself;
+                # none may be cancelled, or its management thread dies (3.11)
                 for process in pool._processes.values():
                     process.terminate()
-                pool.shutdown(cancel_futures=True)
                 raise
     return {mode: [float(row[j]) for row in rows] for j, mode in enumerate(modes)}
 

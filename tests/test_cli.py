@@ -339,6 +339,47 @@ class TestExitCodes:
             main(["eval"])  # missing required flags
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--snapshot", "x", "--data", "y", "--out", "z", "--episodes", "abc"],
+         "argument --episodes: invalid int value: 'abc'"),
+        (["eval", "--snapshot", "x", "--data", "y", "--out", "z", "--mode", "with-pqs"],
+         "argument --mode: invalid choice: 'with-pqs' (choose from 'with_pqs', 'no_finetune', 'ablate')"),
+        (["metatrain", "--data", "d", "--out", "o", "--hidden", "12,x"], "argument --hidden: bad width list '12,x'"),
+        (["eval", "--data", "y"], "the following arguments are required: --snapshot, --out"),
+        (["replay"], "the following arguments are required: config"),
+        ([], "the following arguments are required: command"),
+    ], ids=["bad-int", "bad-choice", "bad-widths", "eval-missing", "replay-missing", "no-command"])
+    def test_parse_error_is_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["synth", "--out", "", *SYNTH_SMALL], "--out"),
+        (["metatrain", "--data", "", "--out", "o"], "--data"),
+        (["eval", "--snapshot", "SNAP", "--data", "DATA", "--out", ""], "--out"),
+        (["eval", "--snapshot", "SNAP", "--data", "", "--out", "o"], "--data"),
+        (["eval", "--snapshot", "", "--data", "DATA", "--out", "o"], "--snapshot"),
+        (["replay", "CONFIG", "--out", ""], "--out"),
+        (["replay", "EMPTY_DATA_CONFIG"], "--data"),
+    ], ids=["synth-out", "metatrain-data", "eval-out", "eval-data", "eval-snapshot", "replay-out", "replay-data"])
+    def test_empty_path_is_usage_error(self, trained, tmp_path, monkeypatch, capsys, argv, flag):
+        # an empty path names the working directory; nothing is read from it or written to it
+        snap, data, _ = trained
+        config = {"command": "eval", "snapshot": str(snap), "data": str(data), "out": "o", "episodes": 1, "epochs": 0}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        (tmp_path / "empty_data.json").write_text(json.dumps(dict(config, data="")))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        names = {"SNAP": str(snap), "DATA": str(data), "CONFIG": str(tmp_path / "config.json"),
+                 "EMPTY_DATA_CONFIG": str(tmp_path / "empty_data.json")}
+        extra = ["--episodes", "1", "--epochs", "0"] if argv[0] == "eval" else []
+        assert main([names.get(arg, arg) for arg in argv] + extra) == 2
+        assert capsys.readouterr().err == f"usage error: {flag} must not be empty\n"
+        assert list(work.iterdir()) == []
+
     def test_data_error(self, tmp_path, capsys):
         code = main([
             "eval", "--snapshot", str(tmp_path / "none.snap"), "--data", str(tmp_path / "none"),

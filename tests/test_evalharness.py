@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import json
 import multiprocessing
+import threading
 import time
 
 import numpy as np
@@ -156,6 +157,24 @@ class TestPool:
         started = {int(p.name.split("-")[1]) for p in tmp_path.glob("started-*")}
         assert 0 in started and started <= {0, 1, 2}
 
+    def test_failed_passes_leave_no_thread_exception(self, monkeypatch):
+        # the executor's management thread dies if it is left to fail a
+        # future that was cancelled; episode 0 fails while the others wait
+        def episode(bk, dataset, plan, index, modes):
+            if index == 0:
+                raise DivergenceError("episode 0, fine-tuning epoch 0: loss diverged to nan at learning rate 9.0")
+            time.sleep(1)
+            return (1.0,)
+
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        monkeypatch.setattr(evalharness, "run_episode", episode)
+        bk, ds = tiny_setup()
+        for _ in range(100):
+            with pytest.raises(DivergenceError):
+                evalharness.score_episodes(bk, ds, plan(1, 8, 0), ("with_pqs",), workers=2)
+        assert [str(args.exc_value) for args in raised] == []
+
     @pytest.mark.parametrize(("workers", "episodes", "asked"), [(8, 2, [2]), (8, 1, []), (2, 5, [2])])
     def test_processes_capped_at_episode_count(self, monkeypatch, workers, episodes, asked):
         # the fake pool records the process count it is asked for and starts none
@@ -171,8 +190,10 @@ class TestPool:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, indices):
-                return [(float(i),) for i in indices]
+            def submit(self, fn, index):
+                future = concurrent.futures.Future()
+                future.set_result((float(index),))
+                return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(evalharness, "run_episode", lambda bk, dataset, plan, index, modes: (float(index),))
