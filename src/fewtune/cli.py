@@ -5,6 +5,10 @@ Subcommands: `synth` renders a synthetic dataset to PPM files,
 the episodic evaluation or the paired ablation, and `replay` re-runs a
 saved run configuration. Exit codes: 0 success, 2 usage error, 3 data
 error, 4 contract violation.
+
+`main` pins the C allocator for its process (`evalharness.pin_allocator`).
+`metatrain` trains on one OpenBLAS thread, as each `eval` scoring pass
+does; `eval` starts no more pool processes than it has usable cores.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
 import sys
 import time
 import types
@@ -22,7 +27,7 @@ from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 from .episodes import PQS_RULES, EpisodeShape, load_dataset, pqs_rule, write_dataset
 from .errors import ContractError, DataError, ParameterError
-from .evalharness import MODES, EvalPlan, ablate, emit_report, pass_blas_threads, run_eval
+from .evalharness import MODES, EvalPlan, ablate, emit_report, pass_blas, pass_blas_threads, pin_allocator, run_eval
 from .fewshot import (
     META_EPOCHS,
     META_LEARNING_RATE,
@@ -176,9 +181,11 @@ def _typed(field: dataclasses.Field, hint, value):
 
 def _call(fn, cfg: RunConfig, names: dict[str, str], *args, **kwargs):
     """`fn(*args, **kwargs)` with each library name in `names` set from its RunConfig
-    field; a ParameterError about one of them is re-raised naming the field's flag."""
+    field, unless the field is None; a ParameterError about one of them is
+    re-raised naming the field's flag."""
+    given = {name: getattr(cfg, key) for key, name in names.items() if getattr(cfg, key) is not None}
     try:
-        return fn(*args, **kwargs, **{name: getattr(cfg, key) for key, name in names.items()})
+        return fn(*args, **kwargs, **given)
     except ParameterError as exc:
         name, _, rest = str(exc).partition(" ")
         flags = {lib: "--" + key.replace("_", "-") for key, lib in names.items()}
@@ -221,8 +228,7 @@ def _check_batch_rows(cfg: RunConfig, shape: EpisodeShape) -> None:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
-    given = {key: name for key, name in SYNTH_FIELDS.items() if getattr(cfg, key) is not None}
-    spec = _call(PRESETS[cfg.preset], cfg, given)
+    spec = _call(PRESETS[cfg.preset], cfg, SYNTH_FIELDS)
     ds = generate_synthetic(spec, RngStream(cfg.seed))
     out = Path(cfg.out)
     write_dataset(ds, out)
@@ -247,9 +253,12 @@ def cmd_metatrain(cfg: RunConfig) -> int:
         log.info("epoch %d mean episodic loss %.4f", epoch, mean_loss)
 
     # meta_train checks its counts first; --out is created only after it succeeds
-    trained = _call(
-        meta_train, cfg, META_ARGS, bk, ds, shape, rng=RngStream(cfg.seed, (1,)), on_epoch=on_epoch
-    )
+    start = time.perf_counter()
+    with pass_blas():
+        trained = _call(
+            meta_train, cfg, META_ARGS, bk, ds, shape, rng=RngStream(cfg.seed, (1,)), on_epoch=on_epoch
+        )
+    _log_rate(cfg.epochs * cfg.tasks_per_epoch, "tasks", time.perf_counter() - start)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     trained.save(out / "backbone.snap")
@@ -266,6 +275,11 @@ def cmd_eval(cfg: RunConfig) -> int:
     if cfg.workers < 1:
         raise ParameterError(f"--workers must be >= 1, got {cfg.workers}")
     _check_batch_rows(cfg, plan.shape)
+    # a pool process beyond the usable cores only waits for one; reports do not depend on the count
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cfg.workers, cores)
+    if workers < cfg.workers:
+        log.info("--workers %d is above the %d usable cores; starting at most %d", cfg.workers, cores, workers)
     _check_paths(cfg)
     bk = Backbone.load(cfg.snapshot)
     ds = load_dataset(cfg.data)
@@ -284,7 +298,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
     start = time.perf_counter()
     if cfg.mode == "ablate":
-        result = ablate(bk, ds, plan, cfg.workers)
+        result = ablate(bk, ds, plan, workers)
         files = {
             "report_with_pqs.json": (result.with_pqs, "json"),
             "report_no_finetune.json": (result.no_finetune, "json"),
@@ -293,15 +307,10 @@ def cmd_eval(cfg: RunConfig) -> int:
         }
         log.info("paired delta %.4f (ci95 %.4f)", result.delta_mean, result.delta_ci95)
     else:
-        report = run_eval(bk, ds, plan, cfg.mode, cfg.workers)
+        report = run_eval(bk, ds, plan, cfg.mode, workers)
         files = {"report.json": (report, "json"), "report.txt": (report, "table")}
         log.info("accuracy %.4f (ci95 %.4f) over %d episodes", report.mean, report.ci95, report.episodes)
-    wall = time.perf_counter() - start
-    threads = pass_blas_threads()
-    log.info(
-        "%d episodes in %.2f s, %.2f episodes/s, BLAS threads per process: %s",
-        cfg.episodes, wall, cfg.episodes / wall, "default" if threads is None else threads,
-    )
+    _log_rate(cfg.episodes, "episodes", time.perf_counter() - start)
     # --out is created only after the pass succeeds, as in cmd_metatrain
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -309,6 +318,12 @@ def cmd_eval(cfg: RunConfig) -> int:
         emit_report(content, fmt, out / name)
     (out / "run_config.json").write_text(cfg.to_json())
     return 0
+
+
+def _log_rate(count: int, unit: str, wall: float) -> None:
+    threads = pass_blas_threads()
+    log.info("%d %s in %.2f s, %.2f %s/s, BLAS threads per process: %s",
+             count, unit, wall, count / wall, unit, "default" if threads is None else threads)
 
 
 class Command(NamedTuple):
@@ -368,6 +383,7 @@ def dispatch(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    pin_allocator()
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr)
     args = build_parser().parse_args(argv)
     try:

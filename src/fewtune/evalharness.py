@@ -19,10 +19,14 @@ matrices are small, so a second BLAS thread buys little in one process
 and oversubscribes the cores in a pool; one thread also makes the bits of
 a fine-tune independent of the machine's core count. Without that library
 the thread count is left as it is.
+
+Each pool worker also pins the C allocator when it starts (`pin_allocator`),
+as the CLI does for its own process; importing the package does not.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -176,6 +180,31 @@ def _set_blas_threads(count: int) -> int | None:
     return before
 
 
+@contextlib.contextmanager
+def pass_blas():
+    """OpenBLAS at PASS_BLAS_THREADS in this process for the block, then back
+    at the caller's count, also when the block raises."""
+    before = _set_blas_threads(PASS_BLAS_THREADS)
+    try:
+        yield
+    finally:
+        if before is not None:
+            _set_blas_threads(before)
+
+
+def pin_allocator() -> None:
+    """glibc's trim threshold at 64 MiB and mmap threshold at its 64-bit maximum,
+    32 MiB, so a task's arrays (up to 768 x 128 float64) reuse the pages the
+    last task freed instead of faulting in new ones. No-op without `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no handle to the C library, or not glibc
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    for param, value in ((-1, 64 << 20), (-3, 32 << 20)):  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+        mallopt(param, value)
+
+
 def pass_blas_threads() -> int | None:
     """The OpenBLAS thread count each process of a scoring pass runs with;
     None when the library is not found and the count is left alone."""
@@ -186,6 +215,7 @@ _WORKER: dict = {}
 
 
 def _init_worker(snapshot: bytes, dataset: LabeledDataset, plan: EvalPlan, modes: tuple[str, ...]):
+    pin_allocator()
     _set_blas_threads(PASS_BLAS_THREADS)
     _WORKER.update(backbone=Backbone.from_bytes(snapshot), dataset=dataset, plan=plan, modes=modes)
 
@@ -206,12 +236,8 @@ def score_episodes(
     workers = min(workers, len(indices))
     if workers == 1:
         # library callers share this process, so its count is given back
-        before = _set_blas_threads(PASS_BLAS_THREADS)
-        try:
+        with pass_blas():
             rows = [run_episode(bk, target, plan, i, modes) for i in indices]
-        finally:
-            if before is not None:
-                _set_blas_threads(before)
     else:
         # only this path pays for the import, which costs tens of ms
         from concurrent.futures import ProcessPoolExecutor

@@ -202,10 +202,11 @@ def _layout(spec: BackboneSpec) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def images_to_batch(images: list[Image], input_dim: int) -> DiffTensor:
-    flat = np.stack([img.pixels.reshape(-1) for img in images])
-    if flat.shape[1] != input_dim:
-        raise ShapeError(f"images flatten to {flat.shape[1]}, backbone expects {input_dim}")
-    return dc.constant(flat)
+    """One row per image, its pixels flattened, built in a single copy."""
+    sizes = {img.pixels.size for img in images}
+    if sizes != {input_dim}:
+        raise ShapeError(f"images flatten to {sorted(sizes)}, backbone expects {input_dim}")
+    return dc.constant(np.concatenate([img.pixels for img in images], axis=None).reshape(len(images), input_dim))
 
 
 def embed(bk: Backbone, images: list[Image], mode: str) -> DiffTensor:

@@ -20,6 +20,9 @@ from .episodes import LabeledDataset
 from .rng import RngStream
 
 GOLDEN_ANGLE = 2.399963229728653
+# cap on the bytes generate_synthetic holds: n_classes x images_per_class x 3 x
+# image_size^2 float64 pixels, plus _pattern's two image_size^2 float64 meshgrids
+MAX_DATASET_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,10 @@ class DomainSpec:
             raise ParameterError(f"background must be in [0, 1], got {self.background}")
         if self.noise_sigma < 0:
             raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        held = (self.n_classes * self.images_per_class * 3 + 2) * self.image_size**2 * 8
+        if held > MAX_DATASET_BYTES:
+            raise ParameterError(f"image_size {self.image_size} with {self.n_classes} classes x "
+                                 f"{self.images_per_class} images holds {held} bytes, above the cap of {MAX_DATASET_BYTES}")
 
 
 def source_domain(**overrides) -> DomainSpec:

@@ -17,8 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fewtune.cli as cli
 from fewtune.cli import RunConfig, _config_from_args, build_parser, main
 from fewtune.episodes import load_dataset
+from fewtune.errors import DivergenceError
 from fewtune.evalharness import pass_blas_threads
 from fewtune.fewshot import META_EPOCHS, META_LEARNING_RATE, META_MOMENTUM, Backbone
 from fewtune.losses import HyperParams
@@ -219,6 +221,18 @@ class TestSynth:
         assert err == f"usage error: {flag} must be {bound}, got {value}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, held", [
+        (["--size", "100000"], 76960000000000), (["--classes", "1000000"], 245760004096),
+    ], ids=["size", "classes"])
+    def test_dataset_over_the_byte_cap_is_usage_error(self, tmp_path, capsys, flags, held):
+        # refused before any array is allocated: --size 100000 would need 77 TB
+        out = tmp_path / "d"
+        assert main(["synth", "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: --size ") and f"holds {held} bytes, above the cap of 1073741824" in err
+        assert not out.exists()
+
 
 class TestMetatrain:
     def test_snapshot_round_trip(self, tmp_path):
@@ -244,6 +258,32 @@ class TestMetatrain:
         run_metatrain(tmp_path / "d", tmp_path / "m")
         log = (tmp_path / "m" / "metatrain_log.txt").read_text().strip().splitlines()
         assert len(log) == 1 and log[0].startswith("0 ")
+
+    def test_trains_at_one_blas_thread(self, tmp_path, monkeypatch, blas_threads, caplog):
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(blas_threads())
+            return meta_train(*args, **kwargs)
+
+        meta_train = cli.meta_train
+        monkeypatch.setattr(cli, "meta_train", recording)
+        run_synth(tmp_path / "d")
+        with caplog.at_level("INFO", logger="fewtune"):
+            assert run_metatrain(tmp_path / "d", tmp_path / "m") == 0
+        assert seen == [1] and blas_threads() == 2
+        line = [m for m in caplog.messages if " tasks in " in m]
+        assert len(line) == 1 and re.fullmatch(r"6 tasks in [\d.]+ s, [\d.]+ tasks/s, BLAS threads per process: 1", line[0])
+
+    def test_caller_count_restored_after_a_failure(self, tmp_path, monkeypatch, blas_threads):
+        def diverging(*args, **kwargs):
+            raise DivergenceError("meta-training epoch 0 task 0: loss diverged to nan at learning rate 0.01")
+
+        monkeypatch.setattr(cli, "meta_train", diverging)
+        run_synth(tmp_path / "d")
+        assert run_metatrain(tmp_path / "d", tmp_path / "m") == 4
+        assert blas_threads() == 2
+        assert not (tmp_path / "m").exists()
 
 
 class TestEval:
@@ -287,6 +327,16 @@ class TestEval:
             + ("default" if threads is None else str(threads)),
             caplog.messages[-1],
         )
+
+    @pytest.mark.parametrize(("cores", "asked"), [(2, [2]), (1, [])])
+    def test_workers_capped_at_usable_cores(self, pipeline, recording_pool, monkeypatch, caplog, cores, asked):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        tmp_path, snap, data = pipeline
+        with caplog.at_level("INFO", logger="fewtune"):
+            assert run_eval(snap, data, tmp_path / "e", extra=["--workers", "64"]) == 0
+        assert recording_pool == asked
+        assert f"--workers 64 is above the {cores} usable cores; starting at most {cores}" in caplog.messages
+        assert json.loads((tmp_path / "e" / "report.json").read_text())["accuracies"] == [0.0, 1.0, 2.0]
 
     def test_ablate_outputs(self, pipeline):
         tmp_path, snap, data = pipeline

@@ -256,6 +256,12 @@ class TestSynthetic:
         b = generate_synthetic(target_domain(), RngStream(21))
         assert a.fingerprint() != b.fingerprint()
 
+    def test_held_bytes_capped(self):
+        # 2 classes x 1 image x 3 channels plus two meshgrids: 8 x 4096^2 float64 is exactly 2**30 bytes
+        DomainSpec(n_classes=2, images_per_class=1, image_size=4096)
+        with pytest.raises(ParameterError, match=r"^image_size 4097 with 2 classes x 1 images holds 1074266176 bytes"):
+            DomainSpec(n_classes=2, images_per_class=1, image_size=4097)
+
     def test_requires_two_classes(self):
         with pytest.raises(ParameterError, match="^n_classes must be >= 2, got 1$"):
             DomainSpec(n_classes=1)

@@ -1,15 +1,21 @@
 """Evaluation harness: aggregation, determinism, paired ablation."""
 
-import concurrent.futures
+import ctypes
 import dataclasses
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 import time
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fewtune.cli as cli
 import fewtune.evalharness as evalharness
 from fewtune.episodes import EpisodeShape, sample_episode
 from fewtune.errors import DivergenceError, ParameterError
@@ -29,6 +35,7 @@ from fewtune.synthetic import generate_synthetic, target_domain
 
 SPEC = BackboneSpec(input_dim=48, hidden=(16, 12), embed_dim=8)
 SHAPE = EpisodeShape(n_way=3, k_shot=2, m_query=3)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def plan(seed, episodes, epochs):
@@ -176,45 +183,11 @@ class TestPool:
         assert [str(args.exc_value) for args in raised] == []
 
     @pytest.mark.parametrize(("workers", "episodes", "asked"), [(8, 2, [2]), (8, 1, []), (2, 5, [2])])
-    def test_processes_capped_at_episode_count(self, monkeypatch, workers, episodes, asked):
-        # the fake pool records the process count it is asked for and starts none
-        requested = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, index):
-                future = concurrent.futures.Future()
-                future.set_result((float(index),))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(evalharness, "run_episode", lambda bk, dataset, plan, index, modes: (float(index),))
+    def test_processes_capped_at_episode_count(self, recording_pool, workers, episodes, asked):
         bk, ds = tiny_setup()
         scored = evalharness.score_episodes(bk, ds, plan(1, episodes, 0), ("with_pqs",), workers)
         assert scored == {"with_pqs": [float(i) for i in range(episodes)]}
-        assert requested == asked
-
-
-@pytest.fixture
-def blas_threads():
-    """numpy's OpenBLAS at 2 threads for the test, so a pass at 1 thread
-    shows; yields the count getter and restores the count after."""
-    found = evalharness._openblas()
-    if found is None:
-        pytest.skip("numpy's bundled OpenBLAS not found")
-    get_threads, set_threads = found
-    before = get_threads()
-    set_threads(2)
-    yield get_threads
-    set_threads(before)
+        assert recording_pool == asked
 
 
 class TestBlasThreads:
@@ -249,6 +222,81 @@ class TestBlasThreads:
         assert evalharness.pass_blas_threads() is None
         for workers in (1, 2):
             assert run_eval(bk, ds, plan(11, 4, 2), "with_pqs", workers).to_json() == expected.to_json()
+
+
+# glibc's mallopt parameter numbers
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+
+def tiny_synth(tmp_path):
+    return cli.main(["synth", "--out", str(tmp_path / "d"), "--classes", "2", "--images-per-class", "1", "--size", "2"])
+
+
+@pytest.fixture
+def mallopt_calls(monkeypatch):
+    """The C library as a stand-in whose `mallopt` records its calls; other
+    libraries load as before."""
+    calls = []
+    libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+    real = ctypes.CDLL
+    monkeypatch.setattr(ctypes, "CDLL", lambda name, *args, **kwargs: libc if name is None else real(name, *args, **kwargs))
+    return calls
+
+
+class TestPinAllocator:
+    """The C allocator's thresholds are set once per process: by the CLI and by each pool worker."""
+
+    PINNED = [(M_TRIM_THRESHOLD, 64 << 20), (M_MMAP_THRESHOLD, 32 << 20)]
+
+    def test_sets_both_thresholds(self, mallopt_calls):
+        evalharness.pin_allocator()
+        assert mallopt_calls == self.PINNED
+
+    def test_cli_main_pins(self, mallopt_calls, tmp_path):
+        assert tiny_synth(tmp_path) == 0
+        assert mallopt_calls == self.PINNED
+
+    def test_worker_initializer_pins(self, mallopt_calls, monkeypatch):
+        monkeypatch.setattr(evalharness, "_set_blas_threads", lambda count: None)
+        monkeypatch.setattr(evalharness, "_WORKER", {})
+        bk, ds = tiny_setup()
+        evalharness._init_worker(bk.to_bytes(), ds, plan(1, 1, 0), ("with_pqs",))
+        assert mallopt_calls == self.PINNED
+
+    @pytest.mark.parametrize("libc", [types.SimpleNamespace(), None], ids=["no-mallopt", "no-handle"])
+    def test_nothing_without_mallopt(self, monkeypatch, tmp_path, libc):
+        real = ctypes.CDLL
+
+        def cdll(name, *args, **kwargs):
+            if name is not None:
+                return real(name, *args, **kwargs)
+            if libc is None:
+                raise OSError("no C library")
+            return libc
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert evalharness.pin_allocator() is None
+        assert tiny_synth(tmp_path) == 0
+
+    def test_import_does_not_pin(self):
+        # a fresh interpreter imports every module with mallopt recorded; the
+        # recording is shown to work by one call of the pin afterwards
+        code = """
+import ctypes, importlib, pkgutil
+calls = []
+real = ctypes.CDLL
+libc = type("LibC", (), {"mallopt": staticmethod(lambda param, value: calls.append(param) or 1)})()
+ctypes.CDLL = lambda name, *args, **kwargs: libc if name is None else real(name, *args, **kwargs)
+import fewtune
+for module in pkgutil.iter_modules(fewtune.__path__):
+    importlib.import_module("fewtune." + module.name)
+print(len(calls))
+fewtune.evalharness.pin_allocator()
+print(len(calls))
+"""
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.split() == ["0", "2"]
 
 
 class TestAblate:

@@ -102,6 +102,19 @@ class TestBackbone:
         with pytest.raises(ShapeError):
             embed(bk, [Image(np.zeros((3, 5, 5)))], "eval")
 
+    def test_batch_rows_are_the_flattened_images(self):
+        rng = np.random.default_rng(4)
+        images = [Image(rng.uniform(size=(3, 4, 4))) for _ in range(7)]
+        batch = images_to_batch(images, 48).values
+        assert batch.shape == (7, 48) and batch.dtype == np.float64
+        for row, img in zip(batch, images):
+            assert row.tobytes() == img.pixels.reshape(-1).tobytes()
+
+    def test_batch_of_mismatched_shapes(self):
+        # 16 + 48 values fill a 2 x 32 batch, but neither image has 32
+        with pytest.raises(ShapeError, match=r"flatten to \[16, 48\], backbone expects 32"):
+            images_to_batch([Image(np.zeros((1, 4, 4))), Image(np.zeros((3, 4, 4)))], 32)
+
     def test_clone_is_deep(self):
         bk = small_backbone()
         for p in bk.parameters():  # give the original gradients and momentum buffers
