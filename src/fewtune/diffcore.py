@@ -431,6 +431,14 @@ def sgd_step(params: Iterable[DiffTensor], learning_rate: float, momentum: float
         p.values = updated
 
 
+def check_sgd(learning_rate: float, momentum: float) -> None:
+    """The checks `sgd_step` leaves to its callers; each message starts with the argument's name."""
+    if not 0 < learning_rate < np.inf:
+        raise ParameterError(f"learning_rate must be positive and finite, got {learning_rate}")
+    if not 0.0 <= momentum < 1.0:
+        raise ParameterError(f"momentum must be in [0, 1), got {momentum}")
+
+
 def gradient_check(f, x: DiffTensor, h: float = 1e-5) -> float:
     """Max relative gap between analytic and central-difference gradients.
 

@@ -17,6 +17,9 @@ images X Q, for an orthonormal basis Q (D x min(B, D)) of that span, and
 adds Q (C_T - C_0) to W once at the end. Momentum SGD is linear, so this
 is the full-space fine-tune up to rounding, on the same tape with a
 first-layer matmul of min(B, D) instead of D rows.
+
+`finetune` and `meta_train` feed their step losses to one SGD loop, `_train`, which
+alone checks for a non-finite loss and, after the last step, a non-finite array.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import io
 import json
 import struct
 from dataclasses import asdict, dataclass, field
-from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +49,9 @@ META_TASKS_PER_EPOCH = 300
 META_LEARNING_RATE = 0.01
 META_MOMENTUM = 0.9
 
+# cap on a spec's snapshot arrays, `_layout`'s shapes x 8 bytes; the default spec holds about 0.9 MB
+MAX_BACKBONE_BYTES = 1 << 28
+
 
 @dataclass(frozen=True)
 class BackboneSpec:
@@ -59,6 +64,11 @@ class BackboneSpec:
         for name, values in widths.items():
             if any(w < 1 for w in values):
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+        held = 8 * sum(rows * cols for _, (rows, cols) in _layout(self))
+        if held > MAX_BACKBONE_BYTES:
+            widest = max(widths, key=lambda name: max(widths[name], default=0))
+            raise ParameterError(f"{widest} {getattr(self, widest)} makes the backbone's arrays hold {held} bytes, "
+                                 f"above the cap of {MAX_BACKBONE_BYTES}")
 
 
 @dataclass
@@ -234,16 +244,22 @@ def _normalized_rows(values: np.ndarray) -> np.ndarray:
     return values / np.maximum(norms, dc.NORM_FLOOR)
 
 
-def _check_finite(loss: DiffTensor, where: str, learning_rate: float) -> None:
-    if not np.isfinite(loss.values):
-        raise DivergenceError(f"{where}: loss diverged to {float(loss.values)} at learning rate {learning_rate}")
-
-
-def _check_state_finite(named: list[tuple[str, np.ndarray]], where: str, learning_rate: float) -> None:
-    # the loss check catches every update but the last
-    bad = next((name for name, a in named if not np.isfinite(a).all()), None)
-    if bad is not None:
-        raise DivergenceError(f"{where}: {bad} diverged to a non-finite value at learning rate {learning_rate}")
+def _train(params, steps, learning_rate, momentum, history, state) -> None:
+    """Momentum SGD on `params`, one step per `(where, loss)` that `steps` yields, each loss
+    appended to `history`; `steps` resumes only after its step's update. DivergenceError names
+    the `where` of a non-finite loss, or of the last step if it leaves an array of `state()` non-finite."""
+    where = None
+    # a diverging run ends in DivergenceError, not in numpy warnings on the way
+    with np.errstate(all="ignore"):
+        for where, loss in steps:
+            if not np.isfinite(loss.values):
+                raise DivergenceError(f"{where}: loss diverged to {float(loss.values)} at learning rate {learning_rate}")
+            dc.backward(loss)
+            dc.sgd_step(params, learning_rate, momentum)
+            dc.zero_grads(params)
+            history.append(float(loss.values))
+        if where and (bad := next((name for name, a in state() if not np.isfinite(a).all()), None)):
+            raise DivergenceError(f"{where}: {bad} diverged to a non-finite value at learning rate {learning_rate}")
 
 
 def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
@@ -259,9 +275,9 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
         raise ContractError("episode has no pseudo query set; run build_pseudo_query first")
     work = bk.clone()
     state = FinetuneState(backbone=work, head=None)
+    params: list[DiffTensor] = []  # filled by steps() once the first layer trains on coordinates
 
-    # a diverging run ends in DivergenceError, not in numpy warnings on the way
-    with ep.query_guard(), np.errstate(all="ignore"):
+    def steps():
         # the images are fixed for the whole episode: stack them once, and
         # train the first layer on coordinates in their row space
         support = images_to_batch(ep.support_images, work.spec.input_dim).values
@@ -276,30 +292,25 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
         # mode keeps the init free of running-stat side effects
         init_emb = work.forward(support_batch, "transductive")
         init_protos = compute_prototypes(init_emb, ep.support_labels, ep.n_way)
-        head = dc.param(_normalized_rows(init_protos.values))
-        state.head = head
-        params = work.parameters() + [head]
+        state.head = head = dc.param(_normalized_rows(init_protos.values))
+        params.extend(work.parameters() + [head])
 
         for epoch in range(hp.finetune_epochs):
             support_emb = work.forward(support_batch, "train")
             pseudo_emb = work.forward(pseudo_batch, "train")
-            loss = finetune_objective(
+            yield f"fine-tuning epoch {epoch}", finetune_objective(
                 support_emb, ep.support_labels, pseudo_emb, pseudo_labels, head, hp
             )
-            _check_finite(loss, f"fine-tuning epoch {epoch}", hp.learning_rate)
-            dc.backward(loss)
-            dc.sgd_step(params, hp.learning_rate, hp.momentum)
             head.values = _normalized_rows(head.values)
-            dc.zero_grads(params)
-            state.loss_history.append(float(loss.values))
         coords_t = work.dense[0].weight.values
         work.dense[0].weight = full
         if hp.finetune_epochs:
             # the first layer's whole change, mapped back once
             full.values = full.values + basis @ (coords_t - coords_0)
-            named = [*work._arrays(), ("head", head.values)]
-            _check_state_finite(named, f"fine-tuning epoch {epoch}", hp.learning_rate)
 
+    with ep.query_guard():
+        _train(params, steps(), hp.learning_rate, hp.momentum, state.loss_history,
+               lambda: [*work._arrays(), ("head", state.head.values)])
     return state
 
 
@@ -348,30 +359,21 @@ def meta_train(
         raise ParameterError(f"episodes_per_epoch must be >= 1, got {episodes_per_epoch}")
     if epochs < 0:
         raise ParameterError(f"epochs must be >= 0, got {epochs}")
-    if not 0 < learning_rate < inf:
-        raise ParameterError(f"learning_rate must be positive and finite, got {learning_rate}")
-    if not 0.0 <= momentum < 1.0:
-        raise ParameterError(f"momentum must be in [0, 1), got {momentum}")
+    dc.check_sgd(learning_rate, momentum)
     work = bk.clone()
-    params = work.parameters()
-    # a diverging run ends in DivergenceError, not in numpy warnings on the way
-    with np.errstate(all="ignore"):
+    history: list[float] = []
+
+    def steps():
         for epoch in range(epochs):
-            losses = []
             for task in range(episodes_per_epoch):
                 stream = rng.child(epoch * episodes_per_epoch + task)
                 ep = sample_episode(ds, shape.n_way, shape.k_shot, shape.m_query, stream)
                 support_emb = embed(work, ep.support_images, "train")
                 query_emb = embed(work, ep.query_images, "train")
                 protos = compute_prototypes(support_emb, ep.support_labels, ep.n_way)
-                loss = proto_xent(query_emb, ep.query_labels, protos)
-                _check_finite(loss, f"meta-training epoch {epoch} task {task}", learning_rate)
-                dc.backward(loss)
-                dc.sgd_step(params, learning_rate, momentum)
-                dc.zero_grads(params)
-                losses.append(float(loss.values))
+                yield f"meta-training epoch {epoch} task {task}", proto_xent(query_emb, ep.query_labels, protos)
             if on_epoch is not None:
-                on_epoch(epoch, float(np.mean(losses)))
-        if epochs:
-            _check_state_finite(work._arrays(), f"meta-training epoch {epoch} task {task}", learning_rate)
+                on_epoch(epoch, float(np.mean(history[-episodes_per_epoch:])))
+
+    _train(work.parameters(), steps(), learning_rate, momentum, history, work._arrays)
     return work

@@ -49,10 +49,7 @@ class HyperParams:
             raise ParameterError(f"triplet_margin must be >= 0 and finite, got {self.triplet_margin}")
         if not 0 <= self.ptloss_weight < inf:
             raise ParameterError(f"ptloss_weight must be >= 0 and finite, got {self.ptloss_weight}")
-        if not 0 < self.learning_rate < inf:
-            raise ParameterError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
+        dc.check_sgd(self.learning_rate, self.momentum)
         if self.episodes_count < 1:
             raise ParameterError(f"episodes_count must be >= 1, got {self.episodes_count}")
         if self.finetune_epochs < 0:

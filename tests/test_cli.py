@@ -501,6 +501,17 @@ class TestExitCodes:
         assert flags[0] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--hidden", "--embed-dim"])
+    def test_backbone_over_the_byte_cap_is_usage_error(self, trained, capsys, flag):
+        # refused before the backbone allocates: 100M units would need 52-68 GB
+        _, data, root = trained
+        out = root / f"wide{flag}"
+        assert main(["metatrain", "--data", str(data), "--out", str(out), flag, "100000000"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"usage error: {flag} ") and err.endswith("above the cap of 268435456")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["synth", "eval", "metatrain", "replay"])
     def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
         # numpy's seeding refuses a negative seed; the run config refuses it first

@@ -11,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fewtune.diffcore as dc
-from fewtune.episodes import build_pseudo_query, sample_episode
+import fewtune.fewshot as fewshot
+from fewtune.episodes import EpisodeShape, build_pseudo_query, sample_episode
 from fewtune.errors import (
     ContractError,
     DataLoadError,
@@ -21,6 +22,7 @@ from fewtune.errors import (
     ShapeError,
 )
 from fewtune.fewshot import (
+    MAX_BACKBONE_BYTES,
     Backbone,
     BackboneSpec,
     FinetuneState,
@@ -70,6 +72,15 @@ class TestBackbone:
     def test_bad_width_names_the_field(self, kwargs, name):
         with pytest.raises(ParameterError, match=f"^{name} "):
             BackboneSpec(**kwargs)
+
+    # held: every weight, bias and batch-norm row of a 48-input spec, 8 bytes each
+    @pytest.mark.parametrize("kwargs, name, held", [
+        ({"hidden": (1 << 24,)}, "hidden", 8 * (48 + 1 + 8 + 4) * (1 << 24) + 64),
+        ({"hidden": (16, 12), "embed_dim": 1 << 22}, "embed_dim", 8 * (48 * 16 + 16 * 12 + 13 * (1 << 22) + 4 * 28 + 28)),
+    ])
+    def test_over_the_byte_cap_names_the_widest_field(self, kwargs, name, held):
+        with pytest.raises(ParameterError, match=f"^{name} .* hold {held} bytes, above the cap of {MAX_BACKBONE_BYTES}$"):
+            BackboneSpec(**dict({"input_dim": 48, "embed_dim": 8}, **kwargs))
 
     def test_embedding_shape(self):
         bk = small_backbone()
@@ -188,9 +199,10 @@ class TestSnapshotErrors:
         lambda h: dict(h, spec=dict(h["spec"], bn_eps=1e-3)),
         lambda h: dict(h, spec=dict(h["spec"], bn_momentum=0.2)),
         lambda h: dict(h, spec=dict(h["spec"], bn_eps="1e-05")),
+        lambda h: dict(h, spec=dict(h["spec"], hidden=[1 << 40])),
     ], ids=["not-utf8", "not-json", "not-object", "no-spec", "no-arrays", "hidden-not-list",
             "zero-width", "array-missing", "array-renamed", "array-reshaped",
-            "other-bn-eps", "other-bn-momentum", "bn-eps-as-text"])
+            "other-bn-eps", "other-bn-momentum", "bn-eps-as-text", "over-the-byte-cap"])
     def test_bad_header_is_a_data_error(self, edit):
         blob = tiny_snapshot()
         with pytest.raises(DataLoadError):
@@ -298,6 +310,18 @@ class TestFinetune:
         ep = small_episode()
         finetune(bk, ep, HyperParams(finetune_epochs=3))
         assert ep.query_reads == 0
+
+    def test_objective_cannot_read_the_query(self, monkeypatch):
+        # every step runs with the query set locked
+        ep = small_episode()
+
+        def peeking(*args):
+            _ = ep.query_images
+            return finetune_objective(*args)
+
+        monkeypatch.setattr(fewshot, "finetune_objective", peeking)
+        with pytest.raises(QueryIsolationError):
+            finetune(small_backbone(), ep, HyperParams(finetune_epochs=2))
 
     def test_query_locked_inside(self):
         # a hostile objective that peeks at the query set must blow up;
@@ -652,6 +676,21 @@ class TestMetaTrain:
             firsts.append(history[0])
             finals.append(history[-1])
         assert np.median(finals) < np.median(firsts)
+
+    def test_bits_pinned(self):
+        # sha256 of the trained snapshot and the per-epoch mean losses; a
+        # change to the meta-training step that moves any bit fails here.
+        # The digest was taken with numpy 2.4 on x86-64 OpenBLAS; another
+        # BLAS may round the matmuls differently.
+        ds = generate_synthetic(source_domain(n_classes=6, images_per_class=12, image_size=8), RngStream(1))
+        bk = Backbone.create(BackboneSpec(192, (32, 16), 8), RngStream(2))
+        means = []
+        out = meta_train(bk, ds, EpisodeShape(3, 2, 3), rng=RngStream(3), episodes_per_epoch=20, epochs=3,
+                         on_epoch=lambda epoch, loss: means.append(loss))
+        assert hashlib.sha256(out.to_bytes()).hexdigest() == (
+            "025602b494c8bc580cd8a7205d06a021f4eba3d7bdf0239cc73195d9f0aea56b"
+        )
+        assert means == [0.5221960650442077, 0.1270878076411695, 0.1060681450697388]
 
     def test_deterministic(self):
         a = meta_train(small_backbone(), small_dataset(), episodes_per_epoch=8, epochs=1, rng=RngStream(2))
