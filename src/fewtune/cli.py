@@ -35,6 +35,7 @@ from .fewshot import (
     META_TASKS_PER_EPOCH,
     Backbone,
     BackboneSpec,
+    check_meta_train,
     meta_train,
 )
 from .losses import HyperParams
@@ -202,10 +203,15 @@ def _hidden_widths(text: str) -> tuple[int, ...]:
 
 
 def _check_paths(cfg: RunConfig) -> None:
-    """argparse requires the command's input paths, but a replayed config may lack them."""
+    """argparse requires the command's input paths, but a replayed config may lack them.
+    An --out that cannot become a directory is refused before any work is done."""
     missing = [f"--{key}" for key in COMMANDS[cfg.command].paths if getattr(cfg, key) is None]
     if missing:
         raise ParameterError(f"{cfg.command} needs {' and '.join(missing)}")
+    out = Path(cfg.out)
+    blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+    if blocker is not None:
+        raise DataError(f"--out {cfg.out}: {blocker} exists and is not a directory")
 
 
 def _check_batch_rows(cfg: RunConfig, shape: EpisodeShape) -> None:
@@ -229,6 +235,7 @@ def _check_batch_rows(cfg: RunConfig, shape: EpisodeShape) -> None:
 
 def cmd_synth(cfg: RunConfig) -> int:
     spec = _call(PRESETS[cfg.preset], cfg, SYNTH_FIELDS)
+    _check_paths(cfg)
     ds = generate_synthetic(spec, RngStream(cfg.seed))
     out = Path(cfg.out)
     write_dataset(ds, out)
@@ -239,6 +246,7 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 def cmd_metatrain(cfg: RunConfig) -> int:
     shape = cfg.shape()
+    _call(check_meta_train, cfg, META_ARGS)
     _check_batch_rows(cfg, shape)
     _check_paths(cfg)
     ds = load_dataset(cfg.data)
@@ -252,7 +260,7 @@ def cmd_metatrain(cfg: RunConfig) -> int:
         losses.append(mean_loss)
         log.info("epoch %d mean episodic loss %.4f", epoch, mean_loss)
 
-    # meta_train checks its counts first; --out is created only after it succeeds
+    # --out is created only after meta_train succeeds
     start = time.perf_counter()
     with pass_blas():
         trained = _call(

@@ -3,20 +3,22 @@ toy episodic meta-training.
 
 The backbone is a dense stack (flatten -> dense -> norm -> relu, twice,
 then a final dense projection). Its state is the snapshot's arrays in
-`_layout` order, from which `clone` and `from_bytes` both build it; a
-snapshot with a NaN, an infinity or other batch-norm constants does not
-load. Fine-tuning always works on a private clone, so the pristine
-meta-trained backbone is never mutated and every episode starts from the
-same snapshot. During fine-tuning the real query set is locked; only
-support and pseudo-query images are read.
+`_layout` order, which `Backbone(spec, arrays)`, the one constructor,
+wraps for `create`, `clone`, `from_bytes` and `finetune`'s coordinate
+copy; a snapshot with a NaN, an infinity or other batch-norm constants
+does not load. Fine-tuning always works on a private clone, so the
+pristine meta-trained backbone is never mutated and every episode
+starts from the same snapshot. During fine-tuning the real query set is
+locked; only support and pseudo-query images are read.
 
 The first dense layer is fine-tuned in the row space of the episode's
 images. Its gradient X^T G lies in the span of the B stacked support and
-pseudo-query rows, so `finetune` trains the coordinates Q^T W on the
-images X Q, for an orthonormal basis Q (D x min(B, D)) of that span, and
-adds Q (C_T - C_0) to W once at the end. Momentum SGD is linear, so this
-is the full-space fine-tune up to rounding, on the same tape with a
-first-layer matmul of min(B, D) instead of D rows.
+pseudo-query rows, so `finetune` trains a coordinate copy of input width
+min(B, D), whose first weight is Q^T W for an orthonormal basis Q of
+that span, on the images X Q, and builds the result from W + Q (C_T -
+C_0) once at the end. Momentum SGD is linear, so this is the full-space
+fine-tune up to rounding, on the same tape with a first-layer matmul of
+min(B, D) instead of D rows.
 
 `finetune` and `meta_train` feed their step losses to one SGD loop, `_train`, which
 alone checks for a non-finite loss and, after the last step, a non-finite array.
@@ -27,7 +29,7 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,25 +82,23 @@ class DenseLayer:
 class Backbone:
     """Embedding network: parameters plus batch-norm running statistics."""
 
-    def __init__(self, spec: BackboneSpec, dense: list[DenseLayer], norms: list[BatchNormState]):
+    def __init__(self, spec: BackboneSpec, arrays: list[np.ndarray]):
+        """Wraps `arrays`, given in `_layout(spec)` order, without copying."""
         self.spec = spec
-        self.dense = dense
-        self.norms = norms
+        it = iter(arrays)
+        self.dense = [DenseLayer(dc.param(next(it)), dc.param(next(it))) for _ in range(len(spec.hidden) + 1)]
+        self.norms = [BatchNormState(dc.param(next(it)), dc.param(next(it)), next(it), next(it)) for _ in spec.hidden]
 
     @classmethod
     def create(cls, spec: BackboneSpec, rng: RngStream) -> "Backbone":
         widths = (spec.input_dim, *spec.hidden, spec.embed_dim)
-        dense: list[DenseLayer] = []
-        norms: list[BatchNormState] = []
+        arrays: list[np.ndarray] = []
         for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
-            gen = rng.child(i).generator()
             scale = np.sqrt(2.0 / fan_in)
-            weight = dc.param(gen.normal(0.0, scale, size=(fan_in, fan_out)))
-            bias = dc.param(np.zeros((1, fan_out)))
-            dense.append(DenseLayer(weight, bias))
-            if i < len(spec.hidden):
-                norms.append(BatchNormState.create(fan_out))
-        return cls(spec, dense, norms)
+            arrays += [rng.child(i).generator().normal(0.0, scale, size=(fan_in, fan_out)), np.zeros((1, fan_out))]
+        for width in spec.hidden:
+            arrays += _norm_arrays(BatchNormState.create(width))
+        return cls(spec, arrays)
 
     def parameters(self) -> list[DiffTensor]:
         params: list[DiffTensor] = []
@@ -109,7 +109,7 @@ class Backbone:
         return params
 
     def clone(self) -> "Backbone":
-        return Backbone._from_arrays(self.spec, [a.copy() for _, a in self._arrays()])
+        return Backbone(self.spec, [a.copy() for _, a in self._arrays()])
 
     def forward(self, batch: DiffTensor, mode: str) -> DiffTensor:
         x = batch
@@ -124,17 +124,8 @@ class Backbone:
 
     def _arrays(self) -> list[tuple[str, np.ndarray]]:
         arrays = [a for layer in self.dense for a in (layer.weight.values, layer.bias.values)]
-        for norm in self.norms:
-            arrays += [norm.gamma.values, norm.beta.values, norm.running_mean, norm.running_var]
+        arrays += [a for norm in self.norms for a in _norm_arrays(norm)]
         return [(name, a) for (name, _), a in zip(_layout(self.spec), arrays)]
-
-    @classmethod
-    def _from_arrays(cls, spec: BackboneSpec, arrays: list[np.ndarray]) -> "Backbone":
-        """Inverse of `_arrays`: wraps `arrays`, given in `_layout` order, without copying."""
-        it = iter(arrays)
-        dense = [DenseLayer(dc.param(next(it)), dc.param(next(it))) for _ in range(len(spec.hidden) + 1)]
-        norms = [BatchNormState(dc.param(next(it)), dc.param(next(it)), next(it), next(it)) for _ in spec.hidden]
-        return cls(spec, dense, norms)
 
     def to_bytes(self) -> bytes:
         arrays = self._arrays()
@@ -186,7 +177,7 @@ class Backbone:
             raise DataLoadError(f"bad snapshot header: {type(exc).__name__}: {exc}") from exc
         if pos != len(blob):
             raise DataLoadError(f"{len(blob) - pos} stray bytes after the last snapshot array")
-        return cls._from_arrays(spec, arrays)
+        return cls(spec, arrays)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_bytes(self.to_bytes())
@@ -197,6 +188,10 @@ class Backbone:
             return cls.from_bytes(Path(path).read_bytes())
         except OSError as exc:
             raise DataLoadError(f"cannot read snapshot {path}: {exc}") from exc
+
+
+def _norm_arrays(norm: BatchNormState) -> list[np.ndarray]:
+    return [norm.gamma.values, norm.beta.values, norm.running_mean, norm.running_var]
 
 
 def _layout(spec: BackboneSpec) -> list[tuple[str, tuple[int, ...]]]:
@@ -266,26 +261,25 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
     """Adapt a private clone of `bk` on the episode's support and pseudo
     queries; the real query set is locked for the duration.
 
-    The first layer trains in the row space of the stacked images, on
-    coordinates in a thin-QR basis of it, and its change is mapped back
+    A coordinate copy trains: a backbone over a thin-QR basis of the
+    stacked images' row space, whose first-layer change is mapped back
     once after the last step; with zero epochs the clone is returned
     unchanged.
     """
     if not ep.pseudo_images:
         raise ContractError("episode has no pseudo query set; run build_pseudo_query first")
-    work = bk.clone()
-    state = FinetuneState(backbone=work, head=None)
-    params: list[DiffTensor] = []  # filled by steps() once the first layer trains on coordinates
+    state = FinetuneState(backbone=bk.clone(), head=None)
+    params: list[DiffTensor] = []  # filled by steps() once the coordinate copy is built
 
     def steps():
         # the images are fixed for the whole episode: stack them once, and
-        # train the first layer on coordinates in their row space
-        support = images_to_batch(ep.support_images, work.spec.input_dim).values
-        pseudo = images_to_batch(ep.pseudo_images, work.spec.input_dim).values
+        # train a copy whose first layer takes coordinates in their row space
+        support = images_to_batch(ep.support_images, bk.spec.input_dim).values
+        pseudo = images_to_batch(ep.pseudo_images, bk.spec.input_dim).values
         basis, _ = np.linalg.qr(np.concatenate([support, pseudo]).T)  # D x min(B, D), orthonormal
-        full = work.dense[0].weight
-        coords_0 = basis.T @ full.values
-        work.dense[0].weight = dc.param(coords_0)
+        weight, *rest = (a for _, a in state.backbone._arrays())
+        coords_0 = basis.T @ weight
+        work = Backbone(replace(bk.spec, input_dim=basis.shape[1]), [coords_0, *rest])
         support_batch, pseudo_batch = dc.constant(support @ basis), dc.constant(pseudo @ basis)
         pseudo_labels = ep.pseudo_labels
         # head starts at the normalized support prototypes; transductive
@@ -302,15 +296,14 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
                 support_emb, ep.support_labels, pseudo_emb, pseudo_labels, head, hp
             )
             head.values = _normalized_rows(head.values)
-        coords_t = work.dense[0].weight.values
-        work.dense[0].weight = full
         if hp.finetune_epochs:
             # the first layer's whole change, mapped back once
-            full.values = full.values + basis @ (coords_t - coords_0)
+            coords_t, *trained = (a for _, a in work._arrays())
+            state.backbone = Backbone(bk.spec, [weight + basis @ (coords_t - coords_0), *trained])
 
     with ep.query_guard():
         _train(params, steps(), hp.learning_rate, hp.momentum, state.loss_history,
-               lambda: [*work._arrays(), ("head", state.head.values)])
+               lambda: [*state.backbone._arrays(), ("head", state.head.values)])
     return state
 
 
@@ -338,6 +331,15 @@ def pristine_state(bk: Backbone) -> FinetuneState:
     return FinetuneState(backbone=bk.clone(), head=None)
 
 
+def check_meta_train(episodes_per_epoch: int, epochs: int, learning_rate: float, momentum: float) -> None:
+    """`meta_train`'s argument checks; each message starts with the argument's name."""
+    if episodes_per_epoch < 1:
+        raise ParameterError(f"episodes_per_epoch must be >= 1, got {episodes_per_epoch}")
+    if epochs < 0:
+        raise ParameterError(f"epochs must be >= 0, got {epochs}")
+    dc.check_sgd(learning_rate, momentum)
+
+
 def meta_train(
     bk: Backbone,
     ds: LabeledDataset,
@@ -355,11 +357,7 @@ def meta_train(
     Desk-scale stand-in for large-scale meta-training; `on_epoch(epoch,
     mean_loss)` is invoked after each epoch when given.
     """
-    if episodes_per_epoch < 1:
-        raise ParameterError(f"episodes_per_epoch must be >= 1, got {episodes_per_epoch}")
-    if epochs < 0:
-        raise ParameterError(f"epochs must be >= 0, got {epochs}")
-    dc.check_sgd(learning_rate, momentum)
+    check_meta_train(episodes_per_epoch, epochs, learning_rate, momentum)
     work = bk.clone()
     history: list[float] = []
 

@@ -488,18 +488,37 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--tasks-per-epoch", "0"], ["--epochs", "-1"], ["--lr", "0"], ["--momentum", "1"]],
-        ids=["no-tasks", "negative-epochs", "zero-lr", "unit-momentum"],
+        [["--tasks-per-epoch", "0"], ["--epochs", "-1"], ["--lr", "0"], ["--momentum", "1"], ["--lr", "nan"]],
+        ids=["no-tasks", "negative-epochs", "zero-lr", "unit-momentum", "nan-lr"],
     )
-    def test_bad_metatrain_count_is_usage_error(self, trained, capsys, flags):
-        _, data, root = trained
-        out = root / f"bad{flags[0]}"
-        argv = ["metatrain", "--data", str(data), "--out", str(out), "--hidden", "12,10", "--embed-dim", "8"]
+    def test_bad_metatrain_count_is_usage_error(self, tmp_path, capsys, flags):
+        # --data does not exist: the training flags are checked before it is read
+        out = tmp_path / "o"
+        argv = ["metatrain", "--data", str(tmp_path / "none"), "--out", str(out), "--hidden", "12,10", "--embed-dim", "8"]
         assert main([*argv, *flags]) == 2
-        err = capsys.readouterr().err.strip()
-        assert len(err.splitlines()) == 1
-        assert flags[0] in err
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"usage error: {flags[0]} ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["synth", "metatrain", "eval"])
+    def test_out_blocked_by_a_file_is_data_error(self, tmp_path, monkeypatch, capsys, command, under):
+        # refused before any data is read or rendered
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: pytest.fail("load_dataset called"))
+        monkeypatch.setattr(cli, "generate_synthetic", lambda *a: pytest.fail("generate_synthetic called"))
+        blocker = tmp_path / "afile"
+        blocker.write_bytes(b"kept")
+        out = blocker / "sub" if under else blocker
+        argv = {
+            "synth": ["synth", *SYNTH_SMALL],
+            "metatrain": ["metatrain", "--data", str(tmp_path / "none")],
+            "eval": ["eval", "--snapshot", str(tmp_path / "none.snap"), "--data", str(tmp_path / "none")],
+        }[command]
+        assert main([*argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: --out {out}: {blocker} exists and is not a directory\n"
+        assert blocker.read_bytes() == b"kept"
+        assert sorted(tmp_path.iterdir()) == [blocker]
 
     @pytest.mark.parametrize("flag", ["--hidden", "--embed-dim"])
     def test_backbone_over_the_byte_cap_is_usage_error(self, trained, capsys, flag):

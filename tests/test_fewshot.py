@@ -395,6 +395,23 @@ class TestFinetune:
         state = finetune(small_backbone(), small_episode(seed=3), HyperParams(finetune_epochs=5))
         assert finetune_digest(state) == "e7a52508e4865ffdf96f9c79ad2e9f1585067431c121f7c151b6a3c09f266f81"
 
+    def test_post_run_check_sees_the_returned_arrays(self, monkeypatch):
+        # the divergence check after the last step reads the adapted
+        # backbone that finetune returns, not the coordinate copy it trained
+        checked = []
+        train = fewshot._train
+
+        def spy(params, steps, learning_rate, momentum, history, state):
+            train(params, steps, learning_rate, momentum, history, state)
+            checked.extend(state())
+
+        monkeypatch.setattr(fewshot, "_train", spy)
+        result = finetune(small_backbone(), small_episode(), HyperParams(finetune_epochs=3))
+        returned = [*result.backbone._arrays(), ("head", result.head.values)]
+        assert [name for name, _ in checked] == [name for name, _ in returned]
+        for (name, a), (_, b) in zip(checked, returned):
+            assert a.shape == b.shape and np.array_equal(a, b), name
+
     def test_loss_mostly_decreases(self):
         # net decrease first -> last epoch in >= 90% of 100 episodes
         bk = small_backbone()
