@@ -250,7 +250,7 @@ def cmd_metatrain(cfg: RunConfig) -> int:
     _check_batch_rows(cfg, shape)
     _check_paths(cfg)
     ds = load_dataset(cfg.data)
-    sample = ds.images_for(ds.classes[0])[0]
+    sample = next(iter(ds.images.values()))[0]
     spec = _call(BackboneSpec, cfg, SPEC_FIELDS, input_dim=sample.pixels.size)
     bk = Backbone.create(spec, RngStream(cfg.seed, (0,)))
 
@@ -291,7 +291,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     _check_paths(cfg)
     bk = Backbone.load(cfg.snapshot)
     ds = load_dataset(cfg.data)
-    sample = ds.images_for(ds.classes[0])[0]
+    sample = next(iter(ds.images.values()))[0]
     if sample.pixels.size != bk.spec.input_dim:
         raise DataError(
             f"snapshot {cfg.snapshot} takes {bk.spec.input_dim} values per image, "

@@ -40,32 +40,22 @@ class EpisodeShape:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Immutable class-name -> images mapping with a domain tag."""
+    """A domain tag and its class-name -> images mapping, in class order."""
 
     domain: str
-    classes: tuple[str, ...]
     images: dict[str, tuple[Image, ...]]
 
-    def __post_init__(self):
-        if len(set(self.classes)) != len(self.classes):
-            raise DataLoadError("class names must be unique within a dataset")
-        missing = [c for c in self.classes if c not in self.images]
-        if missing:
-            raise DataLoadError(f"classes without images: {missing}")
-
-    def class_count(self) -> int:
-        return len(self.classes)
-
-    def images_for(self, class_name: str) -> tuple[Image, ...]:
-        return self.images[class_name]
+    @property
+    def classes(self) -> tuple[str, ...]:
+        return tuple(self.images)
 
     def fingerprint(self) -> str:
         """Hash of the class names and pixels; the domain tag is left out, so a
         renamed copy of a dataset directory keeps its fingerprint."""
         h = hashlib.sha256()
-        for name in self.classes:
+        for name, pool in self.images.items():
             h.update(name.encode())
-            for img in self.images[name]:
+            for img in pool:
                 h.update(np.ascontiguousarray(img.pixels, dtype="<f8").tobytes())
         return h.hexdigest()
 
@@ -140,18 +130,19 @@ def sample_episode(
 ) -> Episode:
     """Draw n classes, then k+m images per class, all without replacement;
     the first k of each class's draw are support, the rest query."""
-    if ds.class_count() < n:
+    classes = ds.classes
+    if len(classes) < n:
         raise CapacityError(
-            f"dataset '{ds.domain}' has {ds.class_count()} classes, episode needs {n}"
+            f"dataset '{ds.domain}' has {len(classes)} classes, episode needs {n}"
         )
     gen = rng.generator()
-    class_ids = gen.choice(ds.class_count(), size=n, replace=False)
-    names = tuple(ds.classes[int(class_id)] for class_id in class_ids)
+    class_ids = gen.choice(len(classes), size=n, replace=False)
+    names = tuple(classes[int(class_id)] for class_id in class_ids)
 
     support_images: list[Image] = []
     query_images: list[Image] = []
     for name in names:
-        pool = ds.images_for(name)
+        pool = ds.images[name]
         if len(pool) < k + m:
             raise CapacityError(
                 f"class '{name}' has {len(pool)} images, episode needs {k + m}"
@@ -191,10 +182,10 @@ def build_pseudo_query(ep: Episode, rng: RngStream) -> Episode:
 def write_dataset(ds: LabeledDataset, root: str | Path) -> Path:
     """Emit `root/<class_name>/img_<i>.ppm` for every image in the dataset."""
     root = Path(root)
-    for name in ds.classes:
+    for name, pool in ds.images.items():
         class_dir = root / name
         class_dir.mkdir(parents=True, exist_ok=True)
-        for i, img in enumerate(ds.images_for(name)):
+        for i, img in enumerate(pool):
             write_ppm(img, class_dir / f"img_{i:03d}.ppm")
     return root
 
@@ -235,8 +226,4 @@ def load_dataset(path: str | Path) -> LabeledDataset:
             loaded.append(img)
         images[class_dir.name] = tuple(loaded)
 
-    return LabeledDataset(
-        domain=root.name,
-        classes=tuple(d.name for d in class_dirs),
-        images=images,
-    )
+    return LabeledDataset(domain=root.name, images=images)

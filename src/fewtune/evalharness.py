@@ -10,7 +10,9 @@ derives its mean and 95% half-width from them, so the two cannot
 disagree; an ablation derives its paired difference from its two arms.
 The first episode to fail, in index order, ends the pass: with a worker
 pool, the workers are ended, so neither the running nor the queued
-episodes finish.
+episodes finish. A pool pass keeps EPISODES_IN_FLIGHT_PER_WORKER episodes
+per worker submitted and unread, so its memory does not grow with the
+episode count and a first failure is read while the pass is young.
 
 Every scoring pass runs numpy's bundled OpenBLAS on one thread: each pool
 worker sets it when it starts, and a pass in the calling process sets it
@@ -31,6 +33,7 @@ import ctypes
 import functools
 import hashlib
 import json
+from collections import deque
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
 
@@ -43,6 +46,9 @@ from .losses import HyperParams
 from .rng import RngStream
 
 MODES = ("with_pqs", "no_finetune")
+
+# a pool pass submits the next episode only once fewer than this many per worker are unread
+EPISODES_IN_FLIGHT_PER_WORKER = 16
 
 
 @dataclass(frozen=True)
@@ -245,8 +251,12 @@ def score_episodes(
         init_args = (bk.to_bytes(), target, plan, modes)
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=init_args) as pool:
             try:
-                futures = [pool.submit(_worker_episode, i) for i in indices]
-                rows = [future.result() for future in futures]
+                rows, in_flight = [], deque()
+                for i in indices:
+                    if len(in_flight) == EPISODES_IN_FLIGHT_PER_WORKER * workers:
+                        rows.append(in_flight.popleft().result())
+                    in_flight.append(pool.submit(_worker_episode, i))
+                rows += [future.result() for future in in_flight]
             except BaseException:
                 # the first failure ends the pass. Leaving the block would wait
                 # for the running episodes and those already handed to a worker,

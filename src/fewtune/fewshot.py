@@ -6,10 +6,12 @@ then a final dense projection). Its state is the snapshot's arrays in
 `_layout` order, which `Backbone(spec, arrays)`, the one constructor,
 wraps for `create`, `clone`, `from_bytes` and `finetune`'s coordinate
 copy; a snapshot with a NaN, an infinity or other batch-norm constants
-does not load. Fine-tuning always works on a private clone, so the
-pristine meta-trained backbone is never mutated and every episode
-starts from the same snapshot. During fine-tuning the real query set is
-locked; only support and pseudo-query images are read.
+does not load, and a loaded snapshot's arrays are read-only. No code
+writes into a backbone's arrays: an SGD step replaces a parameter's
+`values` and a train-mode batch norm replaces its running statistics.
+So episodes share the snapshot's arrays without copying them, and every
+episode starts from the same snapshot. During fine-tuning the real query
+set is locked; only support and pseudo-query images are read.
 
 The first dense layer is fine-tuned in the row space of the episode's
 images. Its gradient X^T G lies in the span of the B stacked support and
@@ -169,7 +171,7 @@ class Backbone:
                 end = pos + 8 * shape[0] * shape[1]
                 if end > len(blob):
                     raise DataLoadError("snapshot truncated")
-                arrays.append(np.frombuffer(blob[pos:end], dtype="<f8").reshape(shape).copy())
+                arrays.append(np.frombuffer(blob[pos:end], dtype="<f8").reshape(shape))  # read-only; the slice is a copy
                 if not np.isfinite(arrays[-1]).all():
                     raise DataLoadError(f"snapshot array {name} holds a NaN or infinite value")
                 pos = end
@@ -227,7 +229,7 @@ def classify_cosine(query_emb: DiffTensor, protos: DiffTensor) -> tuple[np.ndarr
 
 @dataclass
 class FinetuneState:
-    """Adapted working copy of the backbone plus the class-weight head."""
+    """The adapted backbone, or the pristine one, plus the class-weight head."""
 
     backbone: Backbone
     head: DiffTensor | None
@@ -258,17 +260,16 @@ def _train(params, steps, learning_rate, momentum, history, state) -> None:
 
 
 def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
-    """Adapt a private clone of `bk` on the episode's support and pseudo
-    queries; the real query set is locked for the duration.
+    """Adapt `bk` to the episode's support and pseudo queries, leaving `bk`
+    unchanged; the real query set is locked for the duration.
 
     A coordinate copy trains: a backbone over a thin-QR basis of the
-    stacked images' row space, whose first-layer change is mapped back
-    once after the last step; with zero epochs the clone is returned
-    unchanged.
+    stacked images' row space, built on `bk`'s own arrays, whose
+    first-layer change is mapped back once after the last step.
     """
     if not ep.pseudo_images:
         raise ContractError("episode has no pseudo query set; run build_pseudo_query first")
-    state = FinetuneState(backbone=bk.clone(), head=None)
+    state = FinetuneState(backbone=bk, head=None)
     params: list[DiffTensor] = []  # filled by steps() once the coordinate copy is built
 
     def steps():
@@ -277,7 +278,7 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
         support = images_to_batch(ep.support_images, bk.spec.input_dim).values
         pseudo = images_to_batch(ep.pseudo_images, bk.spec.input_dim).values
         basis, _ = np.linalg.qr(np.concatenate([support, pseudo]).T)  # D x min(B, D), orthonormal
-        weight, *rest = (a for _, a in state.backbone._arrays())
+        weight, *rest = (a for _, a in bk._arrays())
         coords_0 = basis.T @ weight
         work = Backbone(replace(bk.spec, input_dim=basis.shape[1]), [coords_0, *rest])
         support_batch, pseudo_batch = dc.constant(support @ basis), dc.constant(pseudo @ basis)
@@ -296,10 +297,9 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
                 support_emb, ep.support_labels, pseudo_emb, pseudo_labels, head, hp
             )
             head.values = _normalized_rows(head.values)
-        if hp.finetune_epochs:
-            # the first layer's whole change, mapped back once
-            coords_t, *trained = (a for _, a in work._arrays())
-            state.backbone = Backbone(bk.spec, [weight + basis @ (coords_t - coords_0), *trained])
+        # the first layer's whole change, mapped back once; zero after zero epochs
+        coords_t, *trained = (a for _, a in work._arrays())
+        state.backbone = Backbone(bk.spec, [weight + basis @ (coords_t - coords_0), *trained])
 
     with ep.query_guard():
         _train(params, steps(), hp.learning_rate, hp.momentum, state.loss_history,
@@ -327,8 +327,8 @@ def infer(state: FinetuneState, ep: Episode, hp: HyperParams) -> float:
 
 
 def pristine_state(bk: Backbone) -> FinetuneState:
-    """Un-adapted state for the no-fine-tuning arm."""
-    return FinetuneState(backbone=bk.clone(), head=None)
+    """Un-adapted state for the no-fine-tuning arm; it wraps `bk` itself."""
+    return FinetuneState(backbone=bk, head=None)
 
 
 def check_meta_train(episodes_per_epoch: int, epochs: int, learning_rate: float, momentum: float) -> None:

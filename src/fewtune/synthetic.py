@@ -113,8 +113,6 @@ def generate_synthetic(spec: DomainSpec, rng: RngStream) -> LabeledDataset:
     """Render the dataset described by `spec`, determined by (spec, rng)."""
     rot = _gray_axis_rotation(spec.palette_angle)
     images: dict[str, tuple[Image, ...]] = {}
-    names = tuple(f"class_{c:02d}" for c in range(spec.n_classes))
-
     for c in range(spec.n_classes):
         pattern_id = c + spec.pattern_offset
         color = _class_color(pattern_id)
@@ -130,6 +128,6 @@ def generate_synthetic(spec: DomainSpec, rng: RngStream) -> LabeledDataset:
             if spec.noise_sigma > 0:
                 px = px + gen.normal(0.0, spec.noise_sigma, size=px.shape)
             rendered.append(Image(np.clip(px, 0.0, 1.0)))
-        images[names[c]] = tuple(rendered)
+        images[f"class_{c:02d}"] = tuple(rendered)
 
-    return LabeledDataset(domain=spec.tag, classes=names, images=images)
+    return LabeledDataset(domain=spec.tag, images=images)

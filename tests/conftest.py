@@ -2,6 +2,7 @@
 the OpenBLAS and process-pool fixtures the harness and CLI tests share."""
 
 import concurrent.futures
+import types
 
 import pytest
 from hypothesis import settings
@@ -30,13 +31,24 @@ def blas_threads():
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """A process pool that starts no process: yields the list of process
-    counts the pools of the test ask for. Episode i scores (float(i),)."""
-    requested = []
+    """A process pool that starts no process. Yields its record: `requested`,
+    the process counts the pools of the test ask for, and `peak_unread`, the
+    most futures submitted and not yet read at once. Episode i scores (float(i),)."""
+    record = types.SimpleNamespace(requested=[], unread=set(), peak_unread=0)
+
+    class RecordedFuture(concurrent.futures.Future):
+        def __init__(self, index):
+            super().__init__()
+            self.index = index
+            self.set_result((float(index),))
+
+        def result(self, timeout=None):
+            record.unread.discard(self.index)
+            return super().result(timeout)
 
     class RecordingPool:
         def __init__(self, max_workers, initializer, initargs):
-            requested.append(max_workers)
+            record.requested.append(max_workers)
 
         def __enter__(self):
             return self
@@ -45,10 +57,10 @@ def recording_pool(monkeypatch):
             return False
 
         def submit(self, fn, index):
-            future = concurrent.futures.Future()
-            future.set_result((float(index),))
-            return future
+            record.unread.add(index)
+            record.peak_unread = max(record.peak_unread, len(record.unread))
+            return RecordedFuture(index)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(evalharness, "run_episode", lambda bk, dataset, plan, index, modes: (float(index),))
-    return requested
+    return record

@@ -185,7 +185,7 @@ def test_criterion_4_pseudo_query_sizing():
             )
             for name in names
         }
-        ds = LabeledDataset(domain="toy", classes=names, images=images)
+        ds = LabeledDataset(domain="toy", images=images)
         ep = sample_episode(ds, 5, k, 3, RngStream(4000 + k))
         build_pseudo_query(ep, RngStream(5000 + k))
         sizes[k] = len(ep.pseudo_images)

@@ -203,13 +203,13 @@ class TestSynth:
         spec = source_domain(n_classes=5, images_per_class=10, image_size=4)
         ds = generate_synthetic(spec, RngStream(9))
         emitted = read_ppm(tmp_path / "d" / ds.classes[0] / "img_000.ppm")
-        original = ds.images_for(ds.classes[0])[0]
+        original = ds.images[ds.classes[0]][0]
         assert np.abs(emitted.pixels - original.pixels).max() <= 0.5 / 255.0 + 1e-12
 
     def test_loadable(self, tmp_path):
         run_synth(tmp_path / "d")
         ds = load_dataset(tmp_path / "d")
-        assert ds.class_count() == 5
+        assert len(ds.classes) == 5
 
     @pytest.mark.parametrize("flag, value, bound", [
         ("--classes", "1", ">= 2"), ("--images-per-class", "0", ">= 1"), ("--size", "1", ">= 2"),
@@ -334,7 +334,7 @@ class TestEval:
         tmp_path, snap, data = pipeline
         with caplog.at_level("INFO", logger="fewtune"):
             assert run_eval(snap, data, tmp_path / "e", extra=["--workers", "64"]) == 0
-        assert recording_pool == asked
+        assert recording_pool.requested == asked
         assert f"--workers 64 is above the {cores} usable cores; starting at most {cores}" in caplog.messages
         assert json.loads((tmp_path / "e" / "report.json").read_text())["accuracies"] == [0.0, 1.0, 2.0]
 

@@ -31,7 +31,7 @@ def toy_dataset(n_classes=6, per_class=30, size=8, seed=0):
         name: tuple(Image(rng.uniform(size=(3, size, size))) for _ in range(per_class))
         for name in names
     }
-    return LabeledDataset(domain="toy", classes=names, images=images)
+    return LabeledDataset(domain="toy", images=images)
 
 
 class TestSampleEpisode:
@@ -47,14 +47,14 @@ class TestSampleEpisode:
         for label, name in enumerate(ep.class_names):
             used = [img for img, y in zip(ep.support_images, ep.support_labels) if y == label]
             used += [img for img, y in zip(ep.query_images, ep.query_labels) if y == label]
-            assert sorted(map(id, used)) == sorted(map(id, ds.images_for(name)))
+            assert sorted(map(id, used)) == sorted(map(id, ds.images[name]))
 
     def test_support_query_disjoint(self):
         ds = toy_dataset()
         ep = sample_episode(ds, 5, 5, 15, RngStream(2))
         for images, labels in ((ep.support_images, ep.support_labels), (ep.query_images, ep.query_labels)):
             for img, y in zip(images, labels):
-                assert any(img is x for x in ds.images_for(ep.class_names[y]))
+                assert any(img is x for x in ds.images[ep.class_names[y]])
         assert not set(map(id, ep.support_images)) & set(map(id, ep.query_images))
 
     def test_same_stream_same_episode(self):
@@ -202,7 +202,7 @@ class TestLoadDataset:
         write_dataset(ds, tmp_path / "data")
         back = load_dataset(tmp_path / "data")
         assert back.classes == ds.classes
-        assert len(back.images_for("c0")) == 4
+        assert len(back.images["c0"]) == 4
 
     def test_lexicographic_order(self, tmp_path):
         root = tmp_path / "data"
@@ -248,7 +248,7 @@ class TestSynthetic:
         a = generate_synthetic(spec, RngStream(20))
         b = generate_synthetic(spec, RngStream(20))
         for name in a.classes:
-            for x, y in zip(a.images_for(name), b.images_for(name)):
+            for x, y in zip(a.images[name], b.images[name]):
                 assert np.array_equal(x.pixels, y.pixels)
 
     def test_distinct_domains_distinct_data(self):
@@ -276,7 +276,7 @@ class TestSynthetic:
 
     def test_pixels_in_range_and_square(self):
         ds = generate_synthetic(target_domain(), RngStream(22))
-        img = ds.images_for(ds.classes[0])[0]
+        img = ds.images[ds.classes[0]][0]
         assert img.is_square and img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0
 
     def test_domain_shift_degrades_linear_classifier(self):
@@ -291,7 +291,7 @@ class TestSynthetic:
         def matrix(ds, lo, hi):
             xs, ys = [], []
             for label, name in enumerate(ds.classes):
-                for img in ds.images_for(name)[lo:hi]:
+                for img in ds.images[name][lo:hi]:
                     xs.append(img.pixels.reshape(-1))
                     ys.append(label)
             return np.stack(xs), np.asarray(ys)

@@ -182,12 +182,14 @@ class TestPool:
                 evalharness.score_episodes(bk, ds, plan(1, 8, 0), ("with_pqs",), workers=2)
         assert [str(args.exc_value) for args in raised] == []
 
-    @pytest.mark.parametrize(("workers", "episodes", "asked"), [(8, 2, [2]), (8, 1, []), (2, 5, [2])])
+    @pytest.mark.parametrize(("workers", "episodes", "asked"), [(8, 2, [2]), (8, 1, []), (2, 5, [2]), (2, 1000, [2])])
     def test_processes_capped_at_episode_count(self, recording_pool, workers, episodes, asked):
         bk, ds = tiny_setup()
         scored = evalharness.score_episodes(bk, ds, plan(1, episodes, 0), ("with_pqs",), workers)
         assert scored == {"with_pqs": [float(i) for i in range(episodes)]}
-        assert recording_pool == asked
+        assert recording_pool.requested == asked
+        # 16 episodes per worker in flight, whatever the episode count
+        assert recording_pool.peak_unread <= 32
 
 
 class TestBlasThreads:

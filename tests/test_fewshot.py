@@ -4,6 +4,7 @@ import hashlib
 import json
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -669,6 +670,27 @@ class TestEpisodeIndependence:
         permuted = {i: run(i) for i in permuted_order}
         for i in range(6):
             assert forward[i] == permuted[i]
+
+
+class TestSharedArrays:
+    def test_nothing_writes_a_shared_array(self):
+        # episodes read the snapshot's and the dataset's arrays without copying
+        # them, so any write into one raises here instead of leaking into the next
+        bk, ds = small_backbone(), small_dataset()
+        for _, a in bk._arrays():
+            a.flags.writeable = False
+        for pool in ds.images.values():
+            for img in pool:
+                img.pixels.flags.writeable = False
+        before = bk.to_bytes()
+        ep = build_pseudo_query(sample_episode(ds, 5, 5, 5, RngStream(0, (1,))), RngStream(0, (2,)))
+        for epochs in (0, 3):
+            hp = HyperParams(finetune_epochs=epochs)
+            for state in (finetune(bk, ep, hp), pristine_state(bk)):
+                for transductive in (True, False):
+                    infer(state, ep, replace(hp, transductive=transductive))
+        meta_train(bk, ds, episodes_per_epoch=5, epochs=1, rng=RngStream(3))
+        assert bk.to_bytes() == before
 
 
 class TestMetaTrain:
