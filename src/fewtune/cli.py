@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
-from .episodes import PQS_RULES, EpisodeShape, load_dataset, pqs_rule, write_dataset
+from .episodes import PQS_RULES, EpisodeShape, dataset_files, load_dataset, pqs_rule, write_dataset
 from .errors import ContractError, DataError, ParameterError
 from .evalharness import MODES, EvalPlan, ablate, emit_report, pass_blas, pass_blas_threads, pin_allocator, run_eval
 from .fewshot import (
@@ -39,6 +40,7 @@ from .fewshot import (
     meta_train,
 )
 from .losses import HyperParams
+from .ppm import ppm_shape
 from .rng import RngStream
 from .synthetic import generate_synthetic, source_domain, target_domain
 
@@ -143,7 +145,7 @@ class RunConfig:
         """Strict inverse of to_json: every key a field, every value of its type."""
         try:
             data = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParameterError(f"run config is not JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ParameterError(f"run config must be a JSON object, got {type(data).__name__}")
@@ -249,9 +251,10 @@ def cmd_metatrain(cfg: RunConfig) -> int:
     _call(check_meta_train, cfg, META_ARGS)
     _check_batch_rows(cfg, shape)
     _check_paths(cfg)
+    # the width comes from the first image's header, so an over-cap width is refused before --data is read
+    first = next(iter(dataset_files(cfg.data).values()))[0]
+    spec = _call(BackboneSpec, cfg, SPEC_FIELDS, input_dim=math.prod(ppm_shape(first)))
     ds = load_dataset(cfg.data)
-    sample = next(iter(ds.images.values()))[0]
-    spec = _call(BackboneSpec, cfg, SPEC_FIELDS, input_dim=sample.pixels.size)
     bk = Backbone.create(spec, RngStream(cfg.seed, (0,)))
 
     losses: list[float] = []
@@ -292,11 +295,9 @@ def cmd_eval(cfg: RunConfig) -> int:
     bk = Backbone.load(cfg.snapshot)
     ds = load_dataset(cfg.data)
     sample = next(iter(ds.images.values()))[0]
-    if sample.pixels.size != bk.spec.input_dim:
-        raise DataError(
-            f"snapshot {cfg.snapshot} takes {bk.spec.input_dim} values per image, "
-            f"but the images in {cfg.data} are {'x'.join(map(str, sample.pixels.shape))}"
-        )
+    if sample.size != bk.spec.input_dim:
+        raise DataError(f"snapshot {cfg.snapshot} takes {bk.spec.input_dim} values per image, "
+                        f"but the images in {cfg.data} are {'x'.join(map(str, sample.shape))}")
     if cfg.mode != "no_finetune" and cfg.k_shot not in PQS_RULES:
         log.warning(
             "no sizing rule for k=%d; falling back to %d pseudo images per support sample",

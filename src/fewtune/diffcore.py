@@ -62,7 +62,7 @@ def _as_f64(values) -> Array:
         return values
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim and not arr.flags.c_contiguous:
-        # contiguity matters: gradient_check perturbs through a flat view
+        # contiguity matters: a finite-difference check perturbs `values` through a flat view
         arr = np.ascontiguousarray(arr)
     return arr
 
@@ -437,33 +437,3 @@ def check_sgd(learning_rate: float, momentum: float) -> None:
         raise ParameterError(f"learning_rate must be positive and finite, got {learning_rate}")
     if not 0.0 <= momentum < 1.0:
         raise ParameterError(f"momentum must be in [0, 1), got {momentum}")
-
-
-def gradient_check(f, x: DiffTensor, h: float = 1e-5) -> float:
-    """Max relative gap between analytic and central-difference gradients.
-
-    Relative error per coordinate is |analytic - numeric| / max(1, |analytic|).
-    `f` must map x to a scalar DiffTensor without mutating x.
-    """
-    if h <= 0:
-        raise ParameterError(f"step h must be positive, got {h}")
-    x._grad = None
-    out = f(x)
-    backward(out)
-    analytic = x.grad.copy()
-    x._grad = None
-
-    numeric = np.zeros_like(x.values)
-    flat = x.values.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        original = flat[i]
-        flat[i] = original + h
-        hi = float(f(x).values)
-        flat[i] = original - h
-        lo = float(f(x).values)
-        flat[i] = original
-        num_flat[i] = (hi - lo) / (2.0 * h)
-
-    denom = np.maximum(1.0, np.abs(analytic))
-    return float(np.max(np.abs(analytic - numeric) / denom))

@@ -1,11 +1,15 @@
 """Dataset model, N-way K-shot episode sampling, and pseudo-query sizing.
 
-An `Episode` holds its class names, K, the support and real query images
-with their labels, and the pseudo query images with their sources. An
-episode relabels its sampled classes to 0..N-1 in draw order. The real
-query set exists for evaluation only; `Episode.query_guard` lets the
-fine-tuning stage lock it so any read raises, and a read counter backs
-the isolation tests.
+An image is a channels-first (C, H, W) float64 array in [0, 1]. A
+`LabeledDataset` holds each class as one read-only (n, C, H, W) array,
+checked once when the dataset is built; every image op keeps the value
+range, so no image is checked again. An `Episode` holds its class names,
+K, the support and real query images, each set one array fancy-indexed
+from the class arrays, with their labels, and the pseudo query images,
+stacked into one array, with their sources. An episode relabels its
+sampled classes to 0..N-1 in draw order. The real query set exists for
+evaluation only; `Episode.query_guard` lets the fine-tuning stage lock it
+so any read raises, and a read counter backs the isolation tests.
 """
 
 from __future__ import annotations
@@ -18,10 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityError, ContractError, DataLoadError, ParameterError, QueryIsolationError
-from .imageaug import Image, augment
+from .errors import CapacityError, ContractError, DataLoadError, ParameterError, QueryIsolationError, ShapeError
+from .imageaug import augment
 from .ppm import read_ppm, write_ppm
 from .rng import RngStream
+
+# cap on a dataset's float64 pixel bytes, which `DomainSpec` and `dataset_files` estimate up front
+MAX_DATASET_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -40,10 +47,27 @@ class EpisodeShape:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """A domain tag and its class-name -> images mapping, in class order."""
+    """A domain tag and its class-name -> images mapping, in class order. Each
+    class is one read-only (n, C, H, W) float64 array, a view of the given one."""
 
     domain: str
-    images: dict[str, tuple[Image, ...]]
+    images: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        images: dict[str, np.ndarray] = {}
+        shape = None
+        for name, pool in self.images.items():
+            arr = np.asarray(pool, dtype=np.float64).view()
+            if arr.ndim != 4 or arr.size == 0:
+                raise ShapeError(f"class {name!r}: expected non-empty (images, channels, height, width), got {arr.shape}")
+            shape = shape or arr.shape[1:]
+            if arr.shape[1:] != shape:
+                raise ShapeError(f"class {name!r}: image shape {arr.shape[1:]} differs from dataset shape {shape}")
+            if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # false for a NaN too
+                raise ParameterError(f"class {name!r}: pixel values must lie in [0, 1]")
+            arr.flags.writeable = False
+            images[name] = arr
+        object.__setattr__(self, "images", images)
 
     @property
     def classes(self) -> tuple[str, ...]:
@@ -55,8 +79,7 @@ class LabeledDataset:
         h = hashlib.sha256()
         for name, pool in self.images.items():
             h.update(name.encode())
-            for img in pool:
-                h.update(np.ascontiguousarray(img.pixels, dtype="<f8").tobytes())
+            h.update(np.ascontiguousarray(pool, dtype="<f8"))  # the digest of hashing it image by image
         return h.hexdigest()
 
 
@@ -64,18 +87,18 @@ class LabeledDataset:
 class Episode:
     """One N-way K-shot task: support, guarded real query, pseudo query.
 
-    `build_pseudo_query` fills the pseudo query set: `pseudo_sources[i]` is
-    the index into `support_images` of the image that pseudo image i
-    augments, and its label is that image's.
+    Each image set is one (count, C, H, W) array. `build_pseudo_query` fills the pseudo
+    query set: `pseudo_sources[i]` is the index into `support_images` of the image that
+    pseudo image i augments, and its label is that image's.
     """
 
     class_names: tuple[str, ...]
     k_shot: int
-    support_images: list[Image] = field(repr=False)
+    support_images: np.ndarray = field(repr=False)
     support_labels: np.ndarray = field(repr=False)
-    _query_images: list[Image] = field(repr=False)
+    _query_images: np.ndarray = field(repr=False)
     _query_labels: np.ndarray = field(repr=False)
-    pseudo_images: list[Image] = field(default_factory=list, repr=False)
+    pseudo_images: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0, 0)), repr=False)
     pseudo_sources: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64), repr=False)
     query_reads: int = field(default=0, init=False)
     _query_locked: bool = field(default=False, init=False, repr=False)
@@ -94,7 +117,7 @@ class Episode:
         self.query_reads += 1
 
     @property
-    def query_images(self) -> list[Image]:
+    def query_images(self) -> np.ndarray:
         self._query_access()
         return self._query_images
 
@@ -125,44 +148,39 @@ def pqs_rule(n_way: int, k_shot: int) -> tuple[int, int | None]:
     return PQS_RULES.get(k_shot, (min(4, ceil(100 / (n_way * k_shot))), None))
 
 
-def sample_episode(
-    ds: LabeledDataset, n: int, k: int, m: int, rng: RngStream
-) -> Episode:
+def sample_episode(ds: LabeledDataset, n: int, k: int, m: int, rng: RngStream) -> Episode:
     """Draw n classes, then k+m images per class, all without replacement;
-    the first k of each class's draw are support, the rest query."""
+    the first k of each class's draw are support, the rest query. Each set is
+    gathered into one array, one copy of each image."""
     classes = ds.classes
     if len(classes) < n:
-        raise CapacityError(
-            f"dataset '{ds.domain}' has {len(classes)} classes, episode needs {n}"
-        )
+        raise CapacityError(f"dataset '{ds.domain}' has {len(classes)} classes, episode needs {n}")
     gen = rng.generator()
     class_ids = gen.choice(len(classes), size=n, replace=False)
     names = tuple(classes[int(class_id)] for class_id in class_ids)
 
-    support_images: list[Image] = []
-    query_images: list[Image] = []
-    for name in names:
+    shape = next(iter(ds.images.values())).shape[1:]  # every class's (C, H, W)
+    support, query = np.empty((n * k, *shape)), np.empty((n * m, *shape))
+    for i, name in enumerate(names):
         pool = ds.images[name]
         if len(pool) < k + m:
-            raise CapacityError(
-                f"class '{name}' has {len(pool)} images, episode needs {k + m}"
-            )
+            raise CapacityError(f"class '{name}' has {len(pool)} images, episode needs {k + m}")
         picks = gen.choice(len(pool), size=k + m, replace=False)
-        support_images += [pool[int(j)] for j in picks[:k]]
-        query_images += [pool[int(j)] for j in picks[k:]]
+        np.take(pool, picks[:k], axis=0, out=support[i * k : (i + 1) * k])
+        np.take(pool, picks[k:], axis=0, out=query[i * m : (i + 1) * m])
 
     labels = np.arange(n, dtype=np.int64)
-    return Episode(names, k, support_images, np.repeat(labels, k), query_images, np.repeat(labels, m))
+    return Episode(names, k, support, np.repeat(labels, k), query, np.repeat(labels, m))
 
 
 def build_pseudo_query(ep: Episode, rng: RngStream) -> Episode:
-    """Fill ep.pseudo_images and ep.pseudo_sources by augmenting support
-    images per `pqs_rule`. Mutates and returns ep.
+    """Fill ep.pseudo_images, one stacked array, and ep.pseudo_sources by
+    augmenting support images per `pqs_rule`. Mutates and returns ep.
 
     With a subsample rule, each class's sources are drawn from `rng.child(0)`;
     pseudo image i is drawn from `rng.child(1).child(i)`.
     """
-    if not ep.support_images:
+    if not len(ep.support_images):
         raise ContractError("episode has no support set")
     per_support, subsample = pqs_rule(ep.n_way, ep.k_shot)
 
@@ -173,9 +191,8 @@ def build_pseudo_query(ep: Episode, rng: RngStream) -> Episode:
         sources = np.concatenate([m[gen.choice(len(m), size=subsample, replace=False)] for m in members])
 
     ep.pseudo_sources = np.repeat(sources, per_support)
-    ep.pseudo_images = [
-        augment(ep.support_images[src], rng.child(1).child(draw)) for draw, src in enumerate(ep.pseudo_sources)
-    ]
+    augmented = [augment(ep.support_images[src], rng.child(1).child(draw)) for draw, src in enumerate(ep.pseudo_sources)]
+    ep.pseudo_images = np.stack(augmented)
     return ep
 
 
@@ -190,40 +207,44 @@ def write_dataset(ds: LabeledDataset, root: str | Path) -> Path:
     return root
 
 
-def load_dataset(path: str | Path) -> LabeledDataset:
-    """Load `root/<class_name>/<image>.ppm` with lexicographic ordering.
-
-    Non-square images are rejected up front, since the pseudo-query recipe
-    rotates by 90 and 270 degrees. The domain tag is the directory name.
-    """
+def dataset_files(path: str | Path) -> dict[str, list[Path]]:
+    """Each class directory's `.ppm` files under `path`, by class name, both
+    in lexicographic order. A directory whose images would hold more than
+    MAX_DATASET_BYTES, 8 bytes per file byte, is refused before any is read."""
     root = Path(path)
     if not root.is_dir():
         raise DataLoadError(f"dataset directory not found: {root}")
     class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
     if not class_dirs:
         raise DataLoadError(f"no class subdirectories under {root}")
+    files = {d.name: sorted(d.glob("*.ppm")) for d in class_dirs}
+    if empty := next((d for d in class_dirs if not files[d.name]), None):
+        raise DataLoadError(f"class directory {empty} holds no .ppm files")
+    held = 8 * sum(f.stat().st_size for pool in files.values() for f in pool)
+    if held > MAX_DATASET_BYTES:
+        raise DataLoadError(f"dataset directory {root} would hold about {held} bytes of pixels, "
+                            f"above the cap of {MAX_DATASET_BYTES}")
+    return files
 
-    images: dict[str, tuple[Image, ...]] = {}
+
+def load_dataset(path: str | Path) -> LabeledDataset:
+    """Load `root/<class_name>/<image>.ppm` in `dataset_files` order, stacking
+    each class into one array as it is read. Non-square images are rejected up
+    front, since the pseudo-query recipe rotates by 90 and 270 degrees. The
+    domain tag is the directory name."""
+    images: dict[str, np.ndarray] = {}
     shape_seen: tuple[int, ...] | None = None
-    for class_dir in class_dirs:
-        files = sorted(class_dir.glob("*.ppm"))
-        if not files:
-            raise DataLoadError(f"class directory {class_dir} holds no .ppm files")
+    for name, files in dataset_files(path).items():
         loaded = []
         for f in files:
             img = read_ppm(f)
-            if not img.is_square:
-                raise DataLoadError(
-                    f"{f}: non-square image ({img.height}x{img.width}); the pseudo-query recipe "
-                    "rotates by 90 and 270 degrees"
-                )
-            if shape_seen is None:
-                shape_seen = img.pixels.shape
-            elif img.pixels.shape != shape_seen:
-                raise DataLoadError(
-                    f"{f}: shape {img.pixels.shape} differs from dataset shape {shape_seen}"
-                )
+            shape_seen = shape_seen or img.shape
+            if img.shape[1] != img.shape[2]:
+                raise DataLoadError(f"{f}: non-square image ({img.shape[1]}x{img.shape[2]}); the pseudo-query "
+                                    "recipe rotates by 90 and 270 degrees")
+            if img.shape != shape_seen:
+                raise DataLoadError(f"{f}: shape {img.shape} differs from dataset shape {shape_seen}")
             loaded.append(img)
-        images[class_dir.name] = tuple(loaded)
+        images[name] = np.stack(loaded)
 
-    return LabeledDataset(domain=root.name, images=images)
+    return LabeledDataset(domain=Path(path).name, images=images)

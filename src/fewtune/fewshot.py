@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -40,7 +41,6 @@ from . import diffcore as dc
 from .diffcore import BatchNormState, DiffTensor
 from .episodes import Episode, EpisodeShape, LabeledDataset, sample_episode
 from .errors import ContractError, DataLoadError, DivergenceError, ParameterError, ShapeError
-from .imageaug import Image
 from .losses import HyperParams, compute_prototypes, finetune_objective, proto_xent
 from .rng import RngStream
 
@@ -175,7 +175,7 @@ class Backbone:
                 if not np.isfinite(arrays[-1]).all():
                     raise DataLoadError(f"snapshot array {name} holds a NaN or infinite value")
                 pos = end
-        except (ValueError, KeyError, TypeError, ParameterError) as exc:
+        except (ValueError, KeyError, TypeError, ParameterError, RecursionError) as exc:
             raise DataLoadError(f"bad snapshot header: {type(exc).__name__}: {exc}") from exc
         if pos != len(blob):
             raise DataLoadError(f"{len(blob) - pos} stray bytes after the last snapshot array")
@@ -208,16 +208,16 @@ def _layout(spec: BackboneSpec) -> list[tuple[str, tuple[int, ...]]]:
     return dense + [(f"norm{i}.{name}", (1, width)) for i, width in enumerate(spec.hidden) for name in stats]
 
 
-def images_to_batch(images: list[Image], input_dim: int) -> DiffTensor:
-    """One row per image, its pixels flattened, built in a single copy."""
-    sizes = {img.pixels.size for img in images}
-    if sizes != {input_dim}:
-        raise ShapeError(f"images flatten to {sorted(sizes)}, backbone expects {input_dim}")
-    return dc.constant(np.concatenate([img.pixels for img in images], axis=None).reshape(len(images), input_dim))
+def images_to_batch(images: np.ndarray, input_dim: int) -> DiffTensor:
+    """An (n, C, H, W) image array as n rows of flattened pixels, a view that copies nothing."""
+    size = math.prod(images.shape[1:])
+    if size != input_dim:
+        raise ShapeError(f"images flatten to [{size}], backbone expects {input_dim}")
+    return dc.constant(images.reshape(len(images), input_dim))
 
 
-def embed(bk: Backbone, images: list[Image], mode: str) -> DiffTensor:
-    """Forward a batch of images to B x D embeddings."""
+def embed(bk: Backbone, images: np.ndarray, mode: str) -> DiffTensor:
+    """Forward an (n, C, H, W) image array to n x D embeddings."""
     return bk.forward(images_to_batch(images, bk.spec.input_dim), mode)
 
 
@@ -267,7 +267,7 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
     stacked images' row space, built on `bk`'s own arrays, whose
     first-layer change is mapped back once after the last step.
     """
-    if not ep.pseudo_images:
+    if not len(ep.pseudo_images):
         raise ContractError("episode has no pseudo query set; run build_pseudo_query first")
     state = FinetuneState(backbone=bk, head=None)
     params: list[DiffTensor] = []  # filled by steps() once the coordinate copy is built

@@ -1,12 +1,14 @@
 """Pixel operations and the stochastic pseudo-query augmentation pipeline.
 
-Images are channels-first float64 arrays with values in [0, 1]; every
-operation preserves both the value range and the image shape. The
-pipeline applies, in this fixed order: gamma correction, random erasing,
-channel shuffle, flip, rotation. Each op fires independently with its
-fixed probability, and one Bernoulli draw per op is consumed in
-pipeline order even when the op is skipped, so a given (seed, key)
-stream always yields the same plan.
+An image is a channels-first (C, H, W) float64 array with values in
+[0, 1]; `LabeledDataset` checks its class arrays once, and every
+operation here maps an image to an image of the same shape and range, so
+no image is checked again. An op returns a new array or a view of its
+input; none writes into its input. The pipeline applies, in this fixed
+order: gamma correction, random erasing, channel shuffle, flip, rotation.
+Each op fires independently with its fixed probability, and one Bernoulli
+draw per op is consumed in pipeline order even when the op is skipped, so
+a given (seed, key) stream always yields the same plan.
 """
 
 from __future__ import annotations
@@ -17,39 +19,6 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .rng import RngStream
-
-
-@dataclass(frozen=True)
-class Image:
-    """Channels-first pixel array, float64 in [0, 1]."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
-        if px.ndim != 3:
-            raise ShapeError(f"expected (channels, height, width), got shape {px.shape}")
-        if px.size == 0:
-            raise ShapeError("image has zero extent")
-        if px.min() < 0.0 or px.max() > 1.0:
-            raise ParameterError("pixel values must lie in [0, 1]")
-        object.__setattr__(self, "pixels", px)
-
-    @property
-    def channels(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[2]
-
-    @property
-    def is_square(self) -> bool:
-        return self.height == self.width
 
 
 # The fixed pseudo-query recipe: each op's firing probability and the
@@ -68,38 +37,36 @@ ROTATION_CHOICES = (90, 180, 270)
 # deterministic pixel ops
 # ---------------------------------------------------------------------------
 
-def gamma_correct(img: Image, gamma: float) -> Image:
+def gamma_correct(img: np.ndarray, gamma: float) -> np.ndarray:
     """Raise every pixel to the given power. gamma >= 1 darkens midtones."""
     if gamma <= 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
-    return Image(np.clip(np.power(img.pixels, gamma), 0.0, 1.0))
+    return np.clip(np.power(img, gamma), 0.0, 1.0)
 
 
-def channel_shuffle(img: Image, perm) -> Image:
+def channel_shuffle(img: np.ndarray, perm) -> np.ndarray:
     perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(img.channels)):
-        raise ParameterError(f"{perm} is not a permutation of {img.channels} channels")
-    return Image(img.pixels[list(perm)].copy())
+    if sorted(perm) != list(range(len(img))):
+        raise ParameterError(f"{perm} is not a permutation of {len(img)} channels")
+    return img[list(perm)]
 
 
-def flip(img: Image, axis: str) -> Image:
+def flip(img: np.ndarray, axis: str) -> np.ndarray:
     if axis == "horizontal":
-        return Image(img.pixels[:, :, ::-1].copy())
+        return img[:, :, ::-1]
     if axis == "vertical":
-        return Image(img.pixels[:, ::-1, :].copy())
+        return img[:, ::-1, :]
     raise ParameterError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
 
 
-def rotate(img: Image, degrees: int) -> Image:
+def rotate(img: np.ndarray, degrees: int) -> np.ndarray:
     """Lossless rotation by index remapping, counter-clockwise."""
     if degrees not in (90, 180, 270):
         raise ParameterError(f"degrees must be 90, 180 or 270, got {degrees}")
-    if degrees in (90, 270) and not img.is_square:
-        raise ShapeError(
-            f"{degrees} degree rotation needs a square image, got {img.height}x{img.width}"
-        )
-    k = degrees // 90
-    return Image(np.rot90(img.pixels, k=k, axes=(1, 2)).copy())
+    _, height, width = img.shape
+    if degrees in (90, 270) and height != width:
+        raise ShapeError(f"{degrees} degree rotation needs a square image, got {height}x{width}")
+    return np.rot90(img, k=degrees // 90, axes=(1, 2))
 
 
 def _draw_erase_box(rng: np.random.Generator, height: int, width: int):
@@ -111,13 +78,12 @@ def _draw_erase_box(rng: np.random.Generator, height: int, width: int):
     return top, left, block_h, block_w
 
 
-def erase_block(img: Image, top: int, left: int, block_h: int, block_w: int) -> Image:
+def erase_block(img: np.ndarray, top: int, left: int, block_h: int, block_w: int) -> np.ndarray:
     """Replace the block with its own per-channel mean."""
-    px = img.pixels.copy()
+    px = img.copy()
     block = px[:, top : top + block_h, left : left + block_w]
-    means = block.mean(axis=(1, 2), keepdims=True)
-    px[:, top : top + block_h, left : left + block_w] = np.clip(means, 0.0, 1.0)
-    return Image(px)
+    block[...] = np.clip(block.mean(axis=(1, 2), keepdims=True), 0.0, 1.0)
+    return px
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +99,6 @@ class AugmentationPlan:
     channel_perm: tuple[int, ...] | None = None
     flip_axis: str | None = None
     rotate_degrees: int | None = None
-
-    def applied_ops(self) -> tuple[str, ...]:
-        names = ("gamma", "erase", "shuffle", "flip", "rotate")
-        flags = (self.gamma, self.erase_box, self.channel_perm, self.flip_axis, self.rotate_degrees)
-        return tuple(n for n, f in zip(names, flags) if f is not None)
 
 
 def plan_augmentation(rng: RngStream, channels: int, height: int, width: int) -> AugmentationPlan:
@@ -167,7 +128,7 @@ def plan_augmentation(rng: RngStream, channels: int, height: int, width: int) ->
     return AugmentationPlan(gamma, erase_box, channel_perm, flip_axis, rotate_degrees)
 
 
-def apply_plan(img: Image, plan: AugmentationPlan) -> Image:
+def apply_plan(img: np.ndarray, plan: AugmentationPlan) -> np.ndarray:
     if plan.gamma is not None:
         img = gamma_correct(img, plan.gamma)
     if plan.erase_box is not None:
@@ -181,7 +142,6 @@ def apply_plan(img: Image, plan: AugmentationPlan) -> Image:
     return img
 
 
-def augment(img: Image, rng: RngStream) -> Image:
-    """One stochastic pipeline pass, bit-determined by (img, seed, key)."""
-    plan = plan_augmentation(rng, img.channels, img.height, img.width)
-    return apply_plan(img, plan)
+def augment(img: np.ndarray, rng: RngStream) -> np.ndarray:
+    """One stochastic pipeline pass over a (C, H, W) image, bit-determined by (img, seed, key)."""
+    return apply_plan(img, plan_augmentation(rng, *img.shape))

@@ -1,7 +1,7 @@
 """Binary P6 PPM encoding and decoding for dataset directories.
 
-8-bit, maxval 255, channels-first float images in [0, 1] on the Python
-side; quantization to bytes is round(v * 255).
+8-bit, maxval 255, on the Python side a channels-first (3, H, W) float64
+array in [0, 1]; quantization to bytes is round(v * 255).
 """
 
 from __future__ import annotations
@@ -11,15 +11,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataLoadError
-from .imageaug import Image
 
 
-def write_ppm(img: Image, path: str | Path) -> None:
-    if img.channels != 3:
-        raise DataLoadError(f"P6 PPM stores RGB; image has {img.channels} channels")
-    raw = np.round(img.pixels * 255.0).astype(np.uint8)
+def write_ppm(img: np.ndarray, path: str | Path) -> None:
+    channels, height, width = img.shape
+    if channels != 3:
+        raise DataLoadError(f"P6 PPM stores RGB; image has {channels} channels")
+    raw = np.round(img * 255.0).astype(np.uint8)
     body = raw.transpose(1, 2, 0).tobytes()  # interleave to row-major RGB
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
+    header = f"P6\n{width} {height}\n255\n".encode("ascii")
     Path(path).write_bytes(header + body)
 
 
@@ -42,8 +42,8 @@ def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def read_ppm(path: str | Path) -> Image:
-    path = Path(path)
+def _header(path: Path) -> tuple[bytes, int, int, int]:
+    """The file's bytes, its width and height, and where its raster starts."""
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -63,11 +63,21 @@ def read_ppm(path: str | Path) -> Image:
         raise DataLoadError(f"{path}: only maxval 255 supported, got {maxval}")
     if width <= 0 or height <= 0:
         raise DataLoadError(f"{path}: bad dimensions {width}x{height}")
+    return data, width, height, pos + 1  # single whitespace byte separates header from raster
 
-    pos += 1  # single whitespace byte separates header from raster
+
+def ppm_shape(path: str | Path) -> tuple[int, int, int]:
+    """The (3, H, W) shape of the image in `path`, read from its header; no raster is decoded."""
+    _, width, height, _ = _header(Path(path))
+    return 3, height, width
+
+
+def read_ppm(path: str | Path) -> np.ndarray:
+    path = Path(path)
+    data, width, height, pos = _header(path)
     expected = width * height * 3
     raster = data[pos : pos + expected]
     if len(raster) != expected:
         raise DataLoadError(f"{path}: raster has {len(raster)} bytes, expected {expected}")
     arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
-    return Image(arr.transpose(2, 0, 1).astype(np.float64) / 255.0)
+    return arr.transpose(2, 0, 1).astype(np.float64) / 255.0

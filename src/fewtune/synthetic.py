@@ -15,14 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
-from .imageaug import Image
-from .episodes import LabeledDataset
+from .episodes import MAX_DATASET_BYTES, LabeledDataset
 from .rng import RngStream
 
 GOLDEN_ANGLE = 2.399963229728653
-# cap on the bytes generate_synthetic holds: n_classes x images_per_class x 3 x
-# image_size^2 float64 pixels, plus _pattern's two image_size^2 float64 meshgrids
-MAX_DATASET_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -50,6 +46,7 @@ class DomainSpec:
             raise ParameterError(f"background must be in [0, 1], got {self.background}")
         if self.noise_sigma < 0:
             raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        # n_classes x images_per_class x 3 x image_size^2 float64 pixels, plus _pattern's two meshgrids
         held = (self.n_classes * self.images_per_class * 3 + 2) * self.image_size**2 * 8
         if held > MAX_DATASET_BYTES:
             raise ParameterError(f"image_size {self.image_size} with {self.n_classes} classes x "
@@ -112,12 +109,12 @@ def _pattern(
 def generate_synthetic(spec: DomainSpec, rng: RngStream) -> LabeledDataset:
     """Render the dataset described by `spec`, determined by (spec, rng)."""
     rot = _gray_axis_rotation(spec.palette_angle)
-    images: dict[str, tuple[Image, ...]] = {}
+    images: dict[str, np.ndarray] = {}
     for c in range(spec.n_classes):
         pattern_id = c + spec.pattern_offset
         color = _class_color(pattern_id)
         class_rng = rng.child(c)
-        rendered = []
+        rendered = np.empty((spec.images_per_class, 3, spec.image_size, spec.image_size))
         for i in range(spec.images_per_class):
             gen = class_rng.child(i).generator()
             phase = gen.uniform(0.0, 2.0 * np.pi)
@@ -127,7 +124,7 @@ def generate_synthetic(spec: DomainSpec, rng: RngStream) -> LabeledDataset:
             px = np.einsum("ij,jhw->ihw", rot, px)
             if spec.noise_sigma > 0:
                 px = px + gen.normal(0.0, spec.noise_sigma, size=px.shape)
-            rendered.append(Image(np.clip(px, 0.0, 1.0)))
-        images[f"class_{c:02d}"] = tuple(rendered)
+            np.clip(px, 0.0, 1.0, out=rendered[i])
+        images[f"class_{c:02d}"] = rendered
 
     return LabeledDataset(domain=spec.tag, images=images)

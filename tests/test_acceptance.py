@@ -15,7 +15,6 @@ from fewtune.episodes import EpisodeShape, build_pseudo_query, sample_episode
 from fewtune.evalharness import EvalPlan, ablate, emit_report, run_eval
 from fewtune.fewshot import Backbone, BackboneSpec, finetune, meta_train
 from fewtune.imageaug import (
-    Image,
     augment,
     channel_shuffle,
     flip,
@@ -33,6 +32,7 @@ from fewtune.losses import (
 from fewtune.rng import RngStream
 from fewtune.synthetic import generate_synthetic, source_domain, target_domain
 
+from helpers import applied_ops, gradient_check
 from test_losses import ptloss_bruteforce, scaled_cosine_xent
 
 
@@ -91,7 +91,7 @@ def test_criterion_2_gradient_suite():
 
     for _ in range(20):
         support, labels = _nondegenerate_support(rng, 3, 2, 4, 1.0)
-        err = dc.gradient_check(
+        err = gradient_check(
             lambda t: ptloss(t, labels, compute_prototypes(t, labels), 1.0),
             dc.param(support.copy()),
         )
@@ -101,7 +101,7 @@ def test_criterion_2_gradient_suite():
         emb = rng.normal(size=(5, 4))
         weights = dc.constant(rng.normal(size=(3, 4)))
         y = rng.integers(0, 3, size=5)
-        err = dc.gradient_check(
+        err = gradient_check(
             lambda t: cosface_loss(t, y, weights, 30.0, 0.35), dc.param(emb)
         )
         worst = max(worst, err)
@@ -109,7 +109,7 @@ def test_criterion_2_gradient_suite():
     for _ in range(20):
         protos = compute_prototypes(dc.constant(rng.normal(size=(4, 3))), np.arange(4))
         y = rng.integers(0, 4, size=5)
-        err = dc.gradient_check(lambda t: proto_xent(t, y, protos), dc.param(rng.normal(size=(5, 3))))
+        err = gradient_check(lambda t: proto_xent(t, y, protos), dc.param(rng.normal(size=(5, 3))))
         worst = max(worst, err)
 
     hp = HyperParams()
@@ -127,7 +127,7 @@ def test_criterion_2_gradient_suite():
             sup = dc.constant(support)
             fn = lambda t: finetune_objective(sup, s_labels, t, p_labels, weights, hp)
             point = dc.param(pseudo.copy())
-        worst = max(worst, dc.gradient_check(fn, point))
+        worst = max(worst, gradient_check(fn, point))
 
     elapsed = time.monotonic() - start
     report(
@@ -180,9 +180,9 @@ def test_criterion_4_pseudo_query_sizing():
         from fewtune.episodes import LabeledDataset
 
         images = {
-            name: tuple(
-                Image(rng.uniform(size=(3, 4, 4))) for _ in range(k + 3)
-            )
+            name: np.stack([
+                rng.uniform(size=(3, 4, 4)) for _ in range(k + 3)
+            ])
             for name in names
         }
         ds = LabeledDataset(domain="toy", images=images)
@@ -202,7 +202,7 @@ def test_criterion_5_augmentation_statistics():
     counts = {"gamma": 0, "erase": 0, "shuffle": 0, "flip": 0, "rotate": 0}
     root = RngStream(1005)
     for i in range(n):
-        for op in plan_augmentation(root.child(i), 3, 16, 16).applied_ops():
+        for op in applied_ops(plan_augmentation(root.child(i), 3, 16, 16)):
             counts[op] += 1
     rates_ok = True
     for op, p in (("gamma", 0.3), ("shuffle", 0.3), ("flip", 0.5), ("rotate", 0.5), ("erase", 0.5)):
@@ -210,25 +210,25 @@ def test_criterion_5_augmentation_statistics():
         rates_ok &= abs(counts[op] - n * p) < 5 * sigma
 
     rng = np.random.default_rng(5005)
-    img = Image(rng.uniform(size=(3, 8, 8)))
+    img = rng.uniform(size=(3, 8, 8))
     out = img
     for _ in range(4):
         out = rotate(out, 90)
-    identities_ok = np.array_equal(out.pixels, img.pixels)
-    identities_ok &= np.array_equal(rotate(rotate(img, 180), 180).pixels, img.pixels)
+    identities_ok = np.array_equal(out, img)
+    identities_ok &= np.array_equal(rotate(rotate(img, 180), 180), img)
     for axis in ("horizontal", "vertical"):
-        identities_ok &= np.array_equal(flip(flip(img, axis), axis).pixels, img.pixels)
+        identities_ok &= np.array_equal(flip(flip(img, axis), axis), img)
     perm = (2, 0, 1)
     inv = tuple(int(i) for i in np.argsort(perm))
     identities_ok &= np.array_equal(
-        channel_shuffle(channel_shuffle(img, perm), inv).pixels, img.pixels
+        channel_shuffle(channel_shuffle(img, perm), inv), img
     )
 
     range_ok = True
     for i in range(1000):
-        sample = Image(rng.uniform(size=(3, 8, 8)))
+        sample = rng.uniform(size=(3, 8, 8))
         result = augment(sample, root.child(n + i))
-        range_ok &= 0.0 <= result.pixels.min() and result.pixels.max() <= 1.0
+        range_ok &= 0.0 <= result.min() and result.max() <= 1.0
 
     report(
         5,

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import fewtune.cli as cli
+from fewtune import episodes
 from fewtune.cli import RunConfig, _config_from_args, build_parser, main
 from fewtune.episodes import load_dataset
 from fewtune.errors import DivergenceError
@@ -204,7 +205,7 @@ class TestSynth:
         ds = generate_synthetic(spec, RngStream(9))
         emitted = read_ppm(tmp_path / "d" / ds.classes[0] / "img_000.ppm")
         original = ds.images[ds.classes[0]][0]
-        assert np.abs(emitted.pixels - original.pixels).max() <= 0.5 / 255.0 + 1e-12
+        assert np.abs(emitted - original).max() <= 0.5 / 255.0 + 1e-12
 
     def test_loadable(self, tmp_path):
         run_synth(tmp_path / "d")
@@ -632,6 +633,56 @@ class TestExitCodes:
         code = main(["eval", "--snapshot", str(short), "--data", str(data), "--out", str(out / "o")])
         assert code == 3
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_nested_snapshot_header_is_data_error(self, trained, capsys):
+        # json.loads raises RecursionError on arrays nested 5000 deep
+        _, data, root = trained
+        head = b"[" * 5000 + b"]" * 5000
+        bad, out = root / "nested.snap", root / "nested-eval"
+        bad.write_bytes(b"FTBK" + struct.pack("<II", 1, len(head)) + head)
+        assert main(["eval", "--snapshot", str(bad), "--data", str(data), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("data error: bad snapshot header: RecursionError: ")
+        assert not out.exists()
+
+    def test_nested_run_config_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "run_config.json"
+        path.write_text("[" * 5000 + "]" * 5000)
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("usage error: run config is not JSON: ")
+
+    @pytest.mark.parametrize("flag", ["--hidden", "--embed-dim"])
+    def test_over_cap_width_is_refused_before_the_data_is_read(self, tmp_path, monkeypatch, capsys, flag):
+        # the input width comes from the first image's header
+        run_synth(tmp_path / "d", extra=["--classes", "2"])
+        capsys.readouterr()
+        reads = []
+        monkeypatch.setattr(episodes, "read_ppm", lambda path: reads.append(path) or read_ppm(path))
+        out = tmp_path / "o"
+        assert main(["metatrain", "--data", str(tmp_path / "d"), "--out", str(out), flag, "100000000"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith(f"usage error: {flag} ")
+        assert len(reads) <= 1 and not out.exists()
+
+    @pytest.mark.parametrize("command", ["metatrain", "eval"])
+    def test_too_big_a_dataset_is_data_error(self, trained, tmp_path, monkeypatch, capsys, command):
+        # sparse files, so nothing is written: 8 bytes per file byte, 8 x 2 x 80 MiB, is above the cap
+        snap, _, _ = trained
+        root = tmp_path / "big"
+        for name in ("a", "b"):
+            (root / name).mkdir(parents=True)
+            with open(root / name / "i.ppm", "wb") as f:
+                os.truncate(f.fileno(), 80 << 20)
+        monkeypatch.setattr(episodes, "read_ppm", lambda path: pytest.fail(f"read {path}"))
+        out = tmp_path / "o"
+        argv = [command, "--data", str(root), "--out", str(out)]
+        assert main(argv + (["--snapshot", str(snap)] if command == "eval" else [])) == 3
+        assert capsys.readouterr().err == (f"data error: dataset directory {root} would hold about 1342177280 "
+                                           "bytes of pixels, above the cap of 1073741824\n")
+        assert not out.exists()
 
     def test_non_finite_snapshot_is_data_error(self, trained, capsys):
         snap, data, root = trained

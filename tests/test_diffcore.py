@@ -9,6 +9,8 @@ from hypothesis.extra import numpy as hnp
 import fewtune.diffcore as dc
 from fewtune.errors import ContractError, DegenerateBatchError, ParameterError, ShapeError
 
+from helpers import gradient_check
+
 
 class TestMatmul:
     def test_identity(self):
@@ -24,7 +26,7 @@ class TestMatmul:
         a = dc.param([[1.0, 2.0]])
         dc.backward(dc.tensor_sum(dc.matmul(a, b)))
         np.testing.assert_allclose(a.grad, [[3.0, 4.0]], atol=1e-9)
-        err = dc.gradient_check(lambda t: dc.tensor_sum(dc.matmul(t, b)), dc.param([[1.0, 2.0]]), 1e-6)
+        err = gradient_check(lambda t: dc.tensor_sum(dc.matmul(t, b)), dc.param([[1.0, 2.0]]), 1e-6)
         assert err < 1e-6
 
     def test_constant_operand_gets_no_gradient(self):
@@ -44,7 +46,7 @@ class TestMatmul:
         rng = np.random.default_rng(4)
         const = dc.constant(rng.normal(size=(3, 3)))
         chain = (lambda t: dc.matmul(const, t)) if constant_side == "left" else (lambda t: dc.matmul(t, const))
-        err = dc.gradient_check(lambda t: dc.tensor_sum(dc.mul(chain(t), chain(t))), dc.param(rng.normal(size=(3, 3))))
+        err = gradient_check(lambda t: dc.tensor_sum(dc.mul(chain(t), chain(t))), dc.param(rng.normal(size=(3, 3))))
         assert err < 1e-6
 
     def test_shape_mismatch_names_both_shapes(self):
@@ -349,12 +351,12 @@ class TestSgd:
 class TestGradientCheck:
     def test_quadratic(self):
         x = dc.param([1.0, -2.0, 0.5])
-        assert dc.gradient_check(lambda t: dc.tensor_sum(dc.mul(t, t)), x, 1e-5) < 1e-6
+        assert gradient_check(lambda t: dc.tensor_sum(dc.mul(t, t)), x, 1e-5) < 1e-6
 
     def test_linear_is_nearly_exact(self):
         c = dc.constant([2.0, -3.0, 0.25])
         x = dc.param([1.0, 1.0, 1.0])
-        assert dc.gradient_check(lambda t: dc.tensor_sum(dc.mul(t, c)), x, 1e-5) < 1e-9
+        assert gradient_check(lambda t: dc.tensor_sum(dc.mul(t, c)), x, 1e-5) < 1e-9
 
 
 def _away_from_zero(rng, shape, floor=0.05):
@@ -374,20 +376,20 @@ class TestRandomPointGradients:
             b = dc.constant(rng.normal(size=(3, 2)))
             w = dc.constant(rng.normal(size=(4, 2)))
             x = dc.param(rng.normal(size=(4, 3)))
-            assert dc.gradient_check(lambda t: dc.tensor_sum(dc.mul(dc.matmul(t, b), w)), x) < self.TOL
+            assert gradient_check(lambda t: dc.tensor_sum(dc.mul(dc.matmul(t, b), w)), x) < self.TOL
 
     def test_relu(self):
         rng = np.random.default_rng(11)
         for _ in range(self.N_POINTS):
             x = dc.param(_away_from_zero(rng, (3, 4)))  # keep off the kink
-            assert dc.gradient_check(lambda t: dc.tensor_sum(dc.mul(dc.relu(t), dc.relu(t))), x) < self.TOL
+            assert gradient_check(lambda t: dc.tensor_sum(dc.mul(dc.relu(t), dc.relu(t))), x) < self.TOL
 
     def test_l2_normalize(self):
         rng = np.random.default_rng(12)
         for _ in range(self.N_POINTS):
             c = dc.constant(rng.normal(size=(3, 5)))
             x = dc.param(rng.normal(size=(3, 5)) + 0.5)
-            assert dc.gradient_check(lambda t: dc.tensor_sum(dc.mul(dc.l2_normalize(t), c)), x) < self.TOL
+            assert gradient_check(lambda t: dc.tensor_sum(dc.mul(dc.l2_normalize(t), c)), x) < self.TOL
 
     def test_cosine_matrix(self):
         rng = np.random.default_rng(13)
@@ -395,10 +397,10 @@ class TestRandomPointGradients:
             p = dc.constant(rng.normal(size=(4, 5)))
             c = dc.constant(rng.normal(size=(3, 4)))
             x = dc.param(rng.normal(size=(3, 5)))
-            assert dc.gradient_check(lambda t: dc.tensor_sum(dc.mul(dc.cosine_matrix(t, p), c)), x) < self.TOL
+            assert gradient_check(lambda t: dc.tensor_sum(dc.mul(dc.cosine_matrix(t, p), c)), x) < self.TOL
             w = dc.param(rng.normal(size=(4, 5)))
             q = dc.constant(rng.normal(size=(3, 5)))
-            assert dc.gradient_check(lambda t: dc.tensor_sum(dc.mul(dc.cosine_matrix(q, t), c)), w) < self.TOL
+            assert gradient_check(lambda t: dc.tensor_sum(dc.mul(dc.cosine_matrix(q, t), c)), w) < self.TOL
 
     def test_squared_euclidean(self):
         rng = np.random.default_rng(14)
@@ -406,7 +408,7 @@ class TestRandomPointGradients:
             p = dc.constant(rng.normal(size=(4, 3)))
             c = dc.constant(rng.normal(size=(2, 4)))
             x = dc.param(rng.normal(size=(2, 3)))
-            assert dc.gradient_check(
+            assert gradient_check(
                 lambda t: dc.tensor_sum(dc.mul(dc.squared_euclidean_matrix(t, p), c)), x
             ) < self.TOL
 
@@ -416,7 +418,7 @@ class TestRandomPointGradients:
             state = dc.BatchNormState.create(3)
             c = dc.constant(rng.normal(size=(5, 3)))
             x = dc.param(rng.normal(size=(5, 3)) * 2.0)
-            assert dc.gradient_check(
+            assert gradient_check(
                 lambda t: dc.tensor_sum(dc.mul(dc.batch_norm(t, state, "transductive"), c)), x
             ) < self.TOL
 
@@ -448,7 +450,7 @@ class TestGradientProperties:
     TOL = 1e-4
 
     def check(self, fn, values, seed):
-        return dc.gradient_check(lambda t: _weighted_sum(fn(t), seed), dc.param(values)) < self.TOL
+        return gradient_check(lambda t: _weighted_sum(fn(t), seed), dc.param(values)) < self.TOL
 
     @pytest.mark.parametrize("op", sorted(BINARY))
     @given(rows=dims, cols=dims, broadcast=st.sampled_from([None, "left", "right"]), seed=seeds)

@@ -1,6 +1,7 @@
 """Episode sampling, pseudo-query sizing, PPM round-trip, synthetic data."""
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fewtune import episodes
 from fewtune.episodes import (
     PQS_RULES,
     LabeledDataset,
@@ -17,8 +19,7 @@ from fewtune.episodes import (
     sample_episode,
     write_dataset,
 )
-from fewtune.errors import CapacityError, DataLoadError, ParameterError, QueryIsolationError
-from fewtune.imageaug import Image
+from fewtune.errors import CapacityError, DataLoadError, ParameterError, QueryIsolationError, ShapeError
 from fewtune.ppm import read_ppm, write_ppm
 from fewtune.rng import RngStream
 from fewtune.synthetic import DomainSpec, generate_synthetic, source_domain, target_domain
@@ -28,7 +29,7 @@ def toy_dataset(n_classes=6, per_class=30, size=8, seed=0):
     rng = np.random.default_rng(seed)
     names = tuple(f"c{i}" for i in range(n_classes))
     images = {
-        name: tuple(Image(rng.uniform(size=(3, size, size))) for _ in range(per_class))
+        name: tuple(rng.uniform(size=(3, size, size)) for _ in range(per_class))
         for name in names
     }
     return LabeledDataset(domain="toy", images=images)
@@ -45,24 +46,24 @@ class TestSampleEpisode:
         ds = toy_dataset(n_classes=3, per_class=10)
         ep = sample_episode(ds, 2, 4, 6, RngStream(1))
         for label, name in enumerate(ep.class_names):
-            used = [img for img, y in zip(ep.support_images, ep.support_labels) if y == label]
-            used += [img for img, y in zip(ep.query_images, ep.query_labels) if y == label]
-            assert sorted(map(id, used)) == sorted(map(id, ds.images[name]))
+            used = [img.tobytes() for img, y in zip(ep.support_images, ep.support_labels) if y == label]
+            used += [img.tobytes() for img, y in zip(ep.query_images, ep.query_labels) if y == label]
+            assert sorted(used) == sorted(img.tobytes() for img in ds.images[name])
 
     def test_support_query_disjoint(self):
         ds = toy_dataset()
         ep = sample_episode(ds, 5, 5, 15, RngStream(2))
         for images, labels in ((ep.support_images, ep.support_labels), (ep.query_images, ep.query_labels)):
             for img, y in zip(images, labels):
-                assert any(img is x for x in ds.images[ep.class_names[y]])
-        assert not set(map(id, ep.support_images)) & set(map(id, ep.query_images))
+                assert any(np.array_equal(img, x) for x in ds.images[ep.class_names[y]])
+        assert not {img.tobytes() for img in ep.support_images} & {img.tobytes() for img in ep.query_images}
 
     def test_same_stream_same_episode(self):
         ds = toy_dataset()
         a = sample_episode(ds, 5, 5, 15, RngStream(3, (9,)))
         b = sample_episode(ds, 5, 5, 15, RngStream(3, (9,)))
-        assert list(map(id, a.support_images)) == list(map(id, b.support_images))
-        assert list(map(id, a.query_images)) == list(map(id, b.query_images))
+        assert np.array_equal(a.support_images, b.support_images)
+        assert np.array_equal(a.query_images, b.query_images)
 
     def test_insufficient_classes(self):
         with pytest.raises(CapacityError, match="3 classes"):
@@ -123,7 +124,7 @@ class TestPqsPolicy:
             build_pseudo_query(ep, RngStream(16))
             eps.append(ep)
         for a, b in zip(eps[0].pseudo_images, eps[1].pseudo_images):
-            assert np.array_equal(a.pixels, b.pixels)
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("k, digest", [
         (5, "49f530320c082bb0725e7fa849d8c64abebf7091c92efc196d8dcabc57040fb2"),
@@ -142,7 +143,7 @@ class TestPqsPolicy:
             (ep.pseudo_images, ep.pseudo_labels),
         ):
             for img in images:
-                h.update(np.ascontiguousarray(img.pixels, dtype="<f8").tobytes())
+                h.update(np.ascontiguousarray(img, dtype="<f8").tobytes())
             h.update(np.asarray(labels, dtype="<i8").tobytes())
         h.update(np.asarray(ep.pseudo_sources, dtype="<i8").tobytes())
         assert h.hexdigest() == digest
@@ -150,24 +151,24 @@ class TestPqsPolicy:
 
 class TestPpm:
     def test_round_trip_quantization(self, tmp_path):
-        img = Image(np.random.default_rng(17).uniform(size=(3, 8, 8)))
+        img = np.random.default_rng(17).uniform(size=(3, 8, 8))
         path = tmp_path / "img.ppm"
         write_ppm(img, path)
         back = read_ppm(path)
-        assert np.abs(back.pixels - img.pixels).max() <= 0.5 / 255.0 + 1e-12
+        assert np.abs(back - img).max() <= 0.5 / 255.0 + 1e-12
 
     def test_byte_values_exact_round_trip(self, tmp_path):
         raw = np.random.default_rng(18).integers(0, 256, size=(3, 4, 4))
-        img = Image(raw / 255.0)
+        img = raw / 255.0
         write_ppm(img, tmp_path / "x.ppm")
         back = read_ppm(tmp_path / "x.ppm")
-        np.testing.assert_array_equal(back.pixels, img.pixels)
+        np.testing.assert_array_equal(back, img)
 
     def test_comment_in_header(self, tmp_path):
         path = tmp_path / "c.ppm"
         path.write_bytes(b"P6\n# a comment\n2 1\n255\n" + bytes(6))
         img = read_ppm(path)
-        assert (img.height, img.width) == (1, 2)
+        assert img.shape[1:] == (1, 2)
 
     def test_rejects_non_p6(self, tmp_path):
         path = tmp_path / "bad.ppm"
@@ -182,9 +183,9 @@ class TestPpm:
     ))
     def test_round_trip_quantizes_to_bytes(self, tmp_path_factory, pixels):
         path = tmp_path_factory.mktemp("ppm") / "img.ppm"
-        write_ppm(Image(pixels), path)
+        write_ppm(pixels, path)
         back = read_ppm(path)
-        np.testing.assert_array_equal(back.pixels, np.round(pixels * 255.0) / 255.0)
+        np.testing.assert_array_equal(back, np.round(pixels * 255.0) / 255.0)
         first = path.read_bytes()
         write_ppm(back, path)
         assert path.read_bytes() == first
@@ -208,7 +209,7 @@ class TestLoadDataset:
         root = tmp_path / "data"
         for name in ("zebra", "apple", "mango"):
             (root / name).mkdir(parents=True)
-            write_ppm(Image(np.zeros((3, 2, 2))), root / name / "i.ppm")
+            write_ppm(np.zeros((3, 2, 2)), root / name / "i.ppm")
         assert load_dataset(root).classes == ("apple", "mango", "zebra")
 
     def test_empty_class_dir(self, tmp_path):
@@ -220,7 +221,7 @@ class TestLoadDataset:
     def test_non_square_rejected_by_default(self, tmp_path):
         root = tmp_path / "data" / "c"
         root.mkdir(parents=True)
-        write_ppm(Image(np.zeros((3, 2, 4))), root / "i.ppm")
+        write_ppm(np.zeros((3, 2, 4)), root / "i.ppm")
         with pytest.raises(DataLoadError, match="non-square"):
             load_dataset(tmp_path / "data")
 
@@ -231,10 +232,52 @@ class TestLoadDataset:
     def test_mixed_sizes_rejected(self, tmp_path):
         root = tmp_path / "data" / "c"
         root.mkdir(parents=True)
-        write_ppm(Image(np.zeros((3, 2, 2))), root / "a.ppm")
-        write_ppm(Image(np.zeros((3, 4, 4))), root / "b.ppm")
+        write_ppm(np.zeros((3, 2, 2)), root / "a.ppm")
+        write_ppm(np.zeros((3, 4, 4)), root / "b.ppm")
         with pytest.raises(DataLoadError, match="differs"):
             load_dataset(tmp_path / "data")
+
+
+class TestLabeledDataset:
+    """Each class is checked once, as one (n, C, H, W) array; no image is checked again."""
+
+    @pytest.mark.parametrize("images, error, fragment", [
+        ({"a": np.zeros((3, 2, 2))}, ShapeError, r"^class 'a': expected non-empty \(images, channels, height, width\), got \(3, 2, 2\)$"),
+        ({"a": np.zeros((1, 3, 2, 2)), "b": np.zeros((0, 3, 2, 2))}, ShapeError, r"^class 'b': expected non-empty \(images, channels, height, width\), got \(0, 3, 2, 2\)$"),
+        ({"a": np.zeros((1, 3, 2, 2)), "b": np.zeros((1, 3, 4, 4))}, ShapeError,
+         r"^class 'b': image shape \(3, 4, 4\) differs from dataset shape \(3, 2, 2\)$"),
+        ({"a": np.full((1, 3, 2, 2), 1.5)}, ParameterError, r"^class 'a': pixel values must lie in \[0, 1\]$"),
+        ({"a": np.array([[[[0.5, np.nan]]]])}, ParameterError, r"^class 'a': pixel values must lie in \[0, 1\]$"),
+    ], ids=["three-axes", "empty-class", "mixed-shapes", "above-one", "nan"])
+    def test_rejects(self, images, error, fragment):
+        with pytest.raises(error, match=fragment):
+            LabeledDataset(domain="toy", images=images)
+
+    def test_classes_are_read_only_views(self):
+        given = np.zeros((2, 3, 2, 2))
+        ds = LabeledDataset(domain="toy", images={"a": given})
+        assert np.shares_memory(ds.images["a"], given) and given.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ds.images["a"][0, 0, 0, 0] = 1.0
+
+    def test_loaded_and_generated_classes_are_read_only(self, tmp_path):
+        generated = generate_synthetic(source_domain(n_classes=2, images_per_class=2, image_size=4), RngStream(1))
+        loaded = load_dataset(write_dataset(generated, tmp_path / "data"))
+        for ds in (generated, loaded):
+            for pool in ds.images.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    pool[0] = 0.5
+
+    def test_too_big_a_directory_is_refused_before_any_read(self, tmp_path, monkeypatch):
+        # sparse files: 8 x 2 x 80 MiB is above the 1 GiB cap, and nothing is written
+        root = tmp_path / "data"
+        for name in ("a", "b"):
+            (root / name).mkdir(parents=True)
+            with open(root / name / "i.ppm", "wb") as f:
+                os.truncate(f.fileno(), 80 << 20)
+        monkeypatch.setattr(episodes, "read_ppm", lambda path: pytest.fail(f"read {path}"))
+        with pytest.raises(DataLoadError, match=f"^dataset directory {root} would hold about 1342177280 bytes"):
+            load_dataset(root)
 
 
 class TestSynthetic:
@@ -249,7 +292,7 @@ class TestSynthetic:
         b = generate_synthetic(spec, RngStream(20))
         for name in a.classes:
             for x, y in zip(a.images[name], b.images[name]):
-                assert np.array_equal(x.pixels, y.pixels)
+                assert np.array_equal(x, y)
 
     def test_distinct_domains_distinct_data(self):
         a = generate_synthetic(source_domain(), RngStream(21))
@@ -277,7 +320,7 @@ class TestSynthetic:
     def test_pixels_in_range_and_square(self):
         ds = generate_synthetic(target_domain(), RngStream(22))
         img = ds.images[ds.classes[0]][0]
-        assert img.is_square and img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0
+        assert img.shape[1] == img.shape[2] and img.min() >= 0.0 and img.max() <= 1.0
 
     def test_domain_shift_degrades_linear_classifier(self):
         # least-squares one-vs-rest probe trained on domain A pixels
@@ -292,7 +335,7 @@ class TestSynthetic:
             xs, ys = [], []
             for label, name in enumerate(ds.classes):
                 for img in ds.images[name][lo:hi]:
-                    xs.append(img.pixels.reshape(-1))
+                    xs.append(img.reshape(-1))
                     ys.append(label)
             return np.stack(xs), np.asarray(ys)
 
@@ -304,6 +347,16 @@ class TestSynthetic:
         acc_a = np.mean((x_test_a @ w).argmax(axis=1) == y_test_a)
         acc_b = np.mean((x_test_b @ w).argmax(axis=1) == y_test_b)
         assert acc_b < acc_a - 0.1
+
+    @pytest.mark.parametrize("spec, seed, digest", [
+        (source_domain(n_classes=2, images_per_class=2), 25,
+         "7099118f12b0c5a1b1f874061861d8d7b35fbf9c53fd108f8b2e72b3f5585b64"),
+        (target_domain(n_classes=3, images_per_class=4, image_size=4), 7,
+         "771aefffcdcf8b46feee5d174c13f1ac30ec22e682ea9d86e98e7dd3a343b1a4"),
+    ], ids=["source", "target"])
+    def test_fingerprint_pinned(self, spec, seed, digest):
+        # the digests of hashing the images one by one, from before each class became one array
+        assert generate_synthetic(spec, RngStream(seed)).fingerprint() == digest
 
     def test_dataset_fingerprint_sensitive_to_pixels(self):
         ds = generate_synthetic(source_domain(n_classes=2, images_per_class=2), RngStream(25))

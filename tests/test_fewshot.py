@@ -36,7 +36,6 @@ from fewtune.fewshot import (
     meta_train,
     pristine_state,
 )
-from fewtune.imageaug import Image
 from fewtune.losses import HyperParams, compute_prototypes, finetune_objective
 from fewtune.rng import RngStream
 from fewtune.synthetic import generate_synthetic, source_domain
@@ -85,13 +84,13 @@ class TestBackbone:
 
     def test_embedding_shape(self):
         bk = small_backbone()
-        imgs = [Image(np.random.default_rng(i).uniform(size=(3, 4, 4))) for i in range(7)]
+        imgs = np.stack([np.random.default_rng(i).uniform(size=(3, 4, 4)) for i in range(7)])
         out = embed(bk, imgs, "eval")
         assert out.shape == (7, 8)
 
     def test_eval_mode_deterministic(self):
         bk = small_backbone()
-        imgs = [Image(np.random.default_rng(0).uniform(size=(3, 4, 4)))] * 3
+        imgs = np.stack([np.random.default_rng(0).uniform(size=(3, 4, 4))] * 3)
         a = embed(bk, imgs, "eval").values
         b = embed(bk, imgs, "eval").values
         assert np.array_equal(a, b)
@@ -100,8 +99,8 @@ class TestBackbone:
     def test_eval_independent_of_batch_transductive_not(self):
         bk = small_backbone()
         rng = np.random.default_rng(1)
-        base = [Image(rng.uniform(size=(3, 4, 4))) for _ in range(4)]
-        shifted = base[:2] + [Image(np.clip(i.pixels * 0.3 + 0.5, 0, 1)) for i in base[2:]]
+        base = np.stack([rng.uniform(size=(3, 4, 4)) for _ in range(4)])
+        shifted = np.concatenate([base[:2], np.clip(base[2:] * 0.3 + 0.5, 0, 1)])
         eval_a = embed(bk, base, "eval").values[:2]
         eval_b = embed(bk, shifted, "eval").values[:2]
         assert np.array_equal(eval_a, eval_b)
@@ -112,20 +111,20 @@ class TestBackbone:
     def test_wrong_input_size(self):
         bk = small_backbone()
         with pytest.raises(ShapeError):
-            embed(bk, [Image(np.zeros((3, 5, 5)))], "eval")
+            embed(bk, np.zeros((1, 3, 5, 5)), "eval")
 
     def test_batch_rows_are_the_flattened_images(self):
         rng = np.random.default_rng(4)
-        images = [Image(rng.uniform(size=(3, 4, 4))) for _ in range(7)]
+        images = np.stack([rng.uniform(size=(3, 4, 4)) for _ in range(7)])
         batch = images_to_batch(images, 48).values
         assert batch.shape == (7, 48) and batch.dtype == np.float64
         for row, img in zip(batch, images):
-            assert row.tobytes() == img.pixels.reshape(-1).tobytes()
+            assert row.tobytes() == img.reshape(-1).tobytes()
 
     def test_batch_of_mismatched_shapes(self):
-        # 16 + 48 values fill a 2 x 32 batch, but neither image has 32
-        with pytest.raises(ShapeError, match=r"flatten to \[16, 48\], backbone expects 32"):
-            images_to_batch([Image(np.zeros((1, 4, 4))), Image(np.zeros((3, 4, 4)))], 32)
+        # 4 x 16 values fill a 2 x 32 batch, but no image has 32
+        with pytest.raises(ShapeError, match=r"flatten to \[16\], backbone expects 32"):
+            images_to_batch(np.zeros((4, 1, 4, 4)), 32)
 
     def test_clone_is_deep(self):
         bk = small_backbone()
@@ -142,7 +141,7 @@ class TestBackbone:
     def test_snapshot_round_trip_bit_exact(self, tmp_path):
         bk = small_backbone(3)
         # dirty the running stats so they are non-trivial
-        imgs = [Image(np.random.default_rng(i).uniform(size=(3, 4, 4))) for i in range(4)]
+        imgs = np.stack([np.random.default_rng(i).uniform(size=(3, 4, 4)) for i in range(4)])
         embed(bk, imgs, "train")
         path = tmp_path / "bk.snap"
         bk.save(path)
@@ -539,7 +538,7 @@ class TestRowSpaceFinetune:
     def test_first_layer_moves_in_the_row_space(self):
         bk, ep = Backbone.create(BackboneSpec(), RngStream(5)), paper_shape_episode(5)
         state = finetune(bk, ep, HyperParams(finetune_epochs=10))
-        images = images_to_batch(ep.support_images + ep.pseudo_images, bk.spec.input_dim).values
+        images = images_to_batch(np.concatenate([ep.support_images, ep.pseudo_images]), bk.spec.input_dim).values
         delta = state.backbone.dense[0].weight.values - bk.dense[0].weight.values
         coeffs, *_ = np.linalg.lstsq(images.T, delta, rcond=None)
         assert images.shape[0] < images.shape[1]
@@ -636,7 +635,7 @@ class TestInfer:
         full_preds, _ = classify_cosine(embed(state.backbone, ep.query_images, "eval"), protos)
         singles = []
         for img in ep.query_images:
-            p, _ = classify_cosine(embed(state.backbone, [img], "eval"), protos)
+            p, _ = classify_cosine(embed(state.backbone, img[None], "eval"), protos)
             singles.append(p[0])
         assert np.array_equal(full_preds, np.asarray(singles))
 
@@ -644,7 +643,7 @@ class TestInfer:
         # query set equal to the support set on a fitted episode
         bk = small_backbone()
         ep = small_episode(seed=9, with_pqs=False)
-        ep._query_images = list(ep.support_images)
+        ep._query_images = ep.support_images.copy()
         ep._query_labels = ep.support_labels.copy()
         state = pristine_state(bk)
         support_emb = embed(state.backbone, ep.support_images, "eval")
@@ -680,8 +679,7 @@ class TestSharedArrays:
         for _, a in bk._arrays():
             a.flags.writeable = False
         for pool in ds.images.values():
-            for img in pool:
-                img.pixels.flags.writeable = False
+            pool.flags.writeable = False
         before = bk.to_bytes()
         ep = build_pseudo_query(sample_episode(ds, 5, 5, 5, RngStream(0, (1,))), RngStream(0, (2,)))
         for epochs in (0, 3):
