@@ -235,6 +235,11 @@ def _check_batch_rows(cfg: RunConfig, shape: EpisodeShape) -> None:
         raise ParameterError(f"--n-way must be >= 2 when --lambda-pt is above 0, got {shape.n_way}")
 
 
+def _first_image_shape(data: str) -> tuple[int, int, int]:
+    """The (C, H, W) of the first image under `data`, read from its header alone."""
+    return ppm_shape(next(iter(dataset_files(data).values()))[0])
+
+
 def cmd_synth(cfg: RunConfig) -> int:
     spec = _call(PRESETS[cfg.preset], cfg, SYNTH_FIELDS)
     _check_paths(cfg)
@@ -251,9 +256,8 @@ def cmd_metatrain(cfg: RunConfig) -> int:
     _call(check_meta_train, cfg, META_ARGS)
     _check_batch_rows(cfg, shape)
     _check_paths(cfg)
-    # the width comes from the first image's header, so an over-cap width is refused before --data is read
-    first = next(iter(dataset_files(cfg.data).values()))[0]
-    spec = _call(BackboneSpec, cfg, SPEC_FIELDS, input_dim=math.prod(ppm_shape(first)))
+    # an over-cap width is refused before --data is read
+    spec = _call(BackboneSpec, cfg, SPEC_FIELDS, input_dim=math.prod(_first_image_shape(cfg.data)))
     ds = load_dataset(cfg.data)
     bk = Backbone.create(spec, RngStream(cfg.seed, (0,)))
 
@@ -273,9 +277,7 @@ def cmd_metatrain(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     trained.save(out / "backbone.snap")
-    (out / "metatrain_log.txt").write_text(
-        "".join(f"{i} {loss!r}\n" for i, loss in enumerate(losses))
-    )
+    (out / "metatrain_log.txt").write_text("".join(f"{i} {loss!r}\n" for i, loss in enumerate(losses)))
     (out / "run_config.json").write_text(cfg.to_json())
     log.info("snapshot written to %s", out / "backbone.snap")
     return 0
@@ -293,17 +295,14 @@ def cmd_eval(cfg: RunConfig) -> int:
         log.info("--workers %d is above the %d usable cores; starting at most %d", cfg.workers, cores, workers)
     _check_paths(cfg)
     bk = Backbone.load(cfg.snapshot)
-    ds = load_dataset(cfg.data)
-    sample = next(iter(ds.images.values()))[0]
-    if sample.size != bk.spec.input_dim:
+    shape = _first_image_shape(cfg.data)  # a snapshot of another width is refused before --data is read
+    if math.prod(shape) != bk.spec.input_dim:
         raise DataError(f"snapshot {cfg.snapshot} takes {bk.spec.input_dim} values per image, "
-                        f"but the images in {cfg.data} are {'x'.join(map(str, sample.shape))}")
+                        f"but the images in {cfg.data} are {'x'.join(map(str, shape))}")
+    ds = load_dataset(cfg.data)
     if cfg.mode != "no_finetune" and cfg.k_shot not in PQS_RULES:
-        log.warning(
-            "no sizing rule for k=%d; falling back to %d pseudo images per support sample",
-            cfg.k_shot,
-            pqs_rule(cfg.n_way, cfg.k_shot)[0],
-        )
+        log.warning("no sizing rule for k=%d; falling back to %d pseudo images per support sample",
+                    cfg.k_shot, pqs_rule(cfg.n_way, cfg.k_shot)[0])
 
     start = time.perf_counter()
     if cfg.mode == "ablate":

@@ -57,7 +57,10 @@ class LabeledDataset:
         images: dict[str, np.ndarray] = {}
         shape = None
         for name, pool in self.images.items():
-            arr = np.asarray(pool, dtype=np.float64).view()
+            try:
+                arr = np.asarray(pool, dtype=np.float64).view()
+            except ValueError as exc:  # images of different shapes, say
+                raise ShapeError(f"class {name!r}: images do not stack into one array: {exc}") from exc
             if arr.ndim != 4 or arr.size == 0:
                 raise ShapeError(f"class {name!r}: expected non-empty (images, channels, height, width), got {arr.shape}")
             shape = shape or arr.shape[1:]

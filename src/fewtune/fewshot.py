@@ -23,13 +23,14 @@ fine-tune up to rounding, on the same tape with a first-layer matmul of
 min(B, D) instead of D rows.
 
 `finetune` and `meta_train` feed their step losses to one SGD loop, `_train`, which
-alone checks for a non-finite loss and, after the last step, a non-finite array.
+alone checks for a non-finite loss, a finite blow-up and, after the last step, a non-finite array.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import logging
 import math
 import struct
 from dataclasses import asdict, dataclass, field, replace
@@ -44,6 +45,7 @@ from .errors import ContractError, DataLoadError, DivergenceError, ParameterErro
 from .losses import HyperParams, compute_prototypes, finetune_objective, proto_xent
 from .rng import RngStream
 
+log = logging.getLogger("fewtune")
 SNAPSHOT_MAGIC = b"FTBK"
 SNAPSHOT_VERSION = 1
 
@@ -52,6 +54,10 @@ META_EPOCHS = 5
 META_TASKS_PER_EPOCH = 300
 META_LEARNING_RATE = 0.01
 META_MOMENTUM = 0.9
+
+# a fine-tune, or a meta-training epoch, whose loss peaks above this many times the first loss
+# blew up: the benchmark's runs peak at up to 2.6 times it, blow-ups at 1e20 times and more
+BLOWUP_RATIO = 1e3
 
 # cap on a spec's snapshot arrays, `_layout`'s shapes x 8 bytes; the default spec holds about 0.9 MB
 MAX_BACKBONE_BYTES = 1 << 28
@@ -66,8 +72,8 @@ class BackboneSpec:
     def __post_init__(self):
         widths = {"input_dim": (self.input_dim,), "hidden": self.hidden, "embed_dim": (self.embed_dim,)}
         for name, values in widths.items():
-            if any(w < 1 for w in values):
-                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+            if any(type(w) is not int or w < 1 for w in values):  # a snapshot header may hold 12.0
+                raise ParameterError(f"{name} must be whole and >= 1, got {getattr(self, name)}")
         held = 8 * sum(rows * cols for _, (rows, cols) in _layout(self))
         if held > MAX_BACKBONE_BYTES:
             widest = max(widths, key=lambda name: max(widths[name], default=0))
@@ -242,21 +248,27 @@ def _normalized_rows(values: np.ndarray) -> np.ndarray:
 
 
 def _train(params, steps, learning_rate, momentum, history, state) -> None:
-    """Momentum SGD on `params`, one step per `(where, loss)` that `steps` yields, each loss
-    appended to `history`; `steps` resumes only after its step's update. DivergenceError names
-    the `where` of a non-finite loss, or of the last step if it leaves an array of `state()` non-finite."""
-    where = None
+    """Momentum SGD on `params`, one step per `(run, step, loss)` that `steps` yields, each loss appended to
+    `history`; `steps` resumes only after its step's update. DivergenceError names the "run step" of a non-finite
+    loss, or of the last step if it leaves an array of `state()` non-finite. Then each run whose loss peaked
+    above BLOWUP_RATIO times the first loss logs one warning."""
+    start, peaks = len(history), {}  # run -> its peak loss and that step
     # a diverging run ends in DivergenceError, not in numpy warnings on the way
     with np.errstate(all="ignore"):
-        for where, loss in steps:
+        for run, step, loss in steps:
             if not np.isfinite(loss.values):
-                raise DivergenceError(f"{where}: loss diverged to {float(loss.values)} at learning rate {learning_rate}")
+                raise DivergenceError(f"{run} {step}: loss diverged to {float(loss.values)} at learning rate {learning_rate}")
             dc.backward(loss)
             dc.sgd_step(params, learning_rate, momentum)
             dc.zero_grads(params)
             history.append(float(loss.values))
-        if where and (bad := next((name for name, a in state() if not np.isfinite(a).all()), None)):
-            raise DivergenceError(f"{where}: {bad} diverged to a non-finite value at learning rate {learning_rate}")
+            if history[-1] > peaks.get(run, (-np.inf,))[0]:
+                peaks[run] = history[-1], step
+        if peaks and (bad := next((name for name, a in state() if not np.isfinite(a).all()), None)):
+            raise DivergenceError(f"{run} {step}: {bad} diverged to a non-finite value at learning rate {learning_rate}")
+    for run, (peak, step) in peaks.items():
+        if peak > BLOWUP_RATIO * history[start]:
+            log.warning("%s: loss peaked at %.3g at %s, %.3g times the first loss", run, peak, step, peak / history[start])
 
 
 def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
@@ -293,7 +305,7 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
         for epoch in range(hp.finetune_epochs):
             support_emb = work.forward(support_batch, "train")
             pseudo_emb = work.forward(pseudo_batch, "train")
-            yield f"fine-tuning epoch {epoch}", finetune_objective(
+            yield "fine-tuning", f"epoch {epoch}", finetune_objective(
                 support_emb, ep.support_labels, pseudo_emb, pseudo_labels, head, hp
             )
             head.values = _normalized_rows(head.values)
@@ -369,7 +381,7 @@ def meta_train(
                 support_emb = embed(work, ep.support_images, "train")
                 query_emb = embed(work, ep.query_images, "train")
                 protos = compute_prototypes(support_emb, ep.support_labels, ep.n_way)
-                yield f"meta-training epoch {epoch} task {task}", proto_xent(query_emb, ep.query_labels, protos)
+                yield f"meta-training epoch {epoch}", f"task {task}", proto_xent(query_emb, ep.query_labels, protos)
             if on_epoch is not None:
                 on_epoch(epoch, float(np.mean(history[-episodes_per_epoch:])))
 

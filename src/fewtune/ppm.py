@@ -6,11 +6,17 @@ array in [0, 1]; quantization to bytes is round(v * 255).
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataLoadError
+
+# after the magic number, width, height and maxval: each follows whitespace and
+# '#' comments that end in a newline, and is a maximal run of non-whitespace that
+# a '#' does not start; one whitespace byte, or the end of the data, ends maxval
+_HEADER = re.compile(rb"P6" + 3 * rb"\s(?:\s|#[^\n]*\n)*([^\s#]\S*)" + rb"(?:\s|\Z)")
 
 
 def write_ppm(img: np.ndarray, path: str | Path) -> None:
@@ -23,25 +29,6 @@ def write_ppm(img: np.ndarray, path: str | Path) -> None:
     Path(path).write_bytes(header + body)
 
 
-def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # skip whitespace and '#' comments between header tokens
-    while pos < len(data):
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < len(data) and not data[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise DataLoadError("truncated PPM header")
-    return data[start:pos], pos
-
-
 def _header(path: Path) -> tuple[bytes, int, int, int]:
     """The file's bytes, its width and height, and where its raster starts."""
     try:
@@ -51,19 +38,18 @@ def _header(path: Path) -> tuple[bytes, int, int, int]:
 
     if data[:2] != b"P6" or not data[2:3].isspace():
         raise DataLoadError(f"{path}: not a binary P6 PPM")
-    pos = 2
+    header = _HEADER.match(data)
+    if header is None:
+        raise DataLoadError(f"{path}: malformed PPM header")
     try:
-        w_tok, pos = _read_token(data, pos)
-        h_tok, pos = _read_token(data, pos)
-        max_tok, pos = _read_token(data, pos)
-        width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
-    except (ValueError, DataLoadError) as exc:
+        width, height, maxval = map(int, header.groups())
+    except ValueError as exc:
         raise DataLoadError(f"{path}: malformed PPM header") from exc
     if maxval != 255:
         raise DataLoadError(f"{path}: only maxval 255 supported, got {maxval}")
     if width <= 0 or height <= 0:
         raise DataLoadError(f"{path}: bad dimensions {width}x{height}")
-    return data, width, height, pos + 1  # single whitespace byte separates header from raster
+    return data, width, height, header.end()
 
 
 def ppm_shape(path: str | Path) -> tuple[int, int, int]:
@@ -76,8 +62,7 @@ def read_ppm(path: str | Path) -> np.ndarray:
     path = Path(path)
     data, width, height, pos = _header(path)
     expected = width * height * 3
-    raster = data[pos : pos + expected]
-    if len(raster) != expected:
-        raise DataLoadError(f"{path}: raster has {len(raster)} bytes, expected {expected}")
-    arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
+    if len(data) - pos < expected:
+        raise DataLoadError(f"{path}: raster has {len(data) - pos} bytes, expected {expected}")
+    arr = np.frombuffer(data, np.uint8, count=expected, offset=pos).reshape(height, width, 3)
     return arr.transpose(2, 0, 1).astype(np.float64) / 255.0

@@ -1,8 +1,10 @@
 """Command-line interface: wiring, exit codes, reproducibility."""
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -16,14 +18,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fewtune.cli as cli
+import fewtune.fewshot as fewshot
 from fewtune import episodes
 from fewtune.cli import RunConfig, _config_from_args, build_parser, main
 from fewtune.episodes import load_dataset
 from fewtune.errors import DivergenceError
 from fewtune.evalharness import pass_blas_threads
-from fewtune.fewshot import META_EPOCHS, META_LEARNING_RATE, META_MOMENTUM, Backbone
+from fewtune.fewshot import META_EPOCHS, META_LEARNING_RATE, META_MOMENTUM, Backbone, BackboneSpec
 from fewtune.losses import HyperParams
 from fewtune.ppm import read_ppm
 from fewtune.synthetic import generate_synthetic, source_domain
@@ -318,6 +323,20 @@ class TestEval:
             for name in names:
                 assert (w1 / name).read_bytes() == (w2 / name).read_bytes()
 
+    def test_blow_up_warnings_leave_the_report_alone(self, pipeline, monkeypatch, caplog):
+        # at --lr 10 each episode's fine-tune blows up but stays finite
+        tmp_path, snap, data = pipeline
+        extra = ["--lr", "10", "--epochs", "20"]
+        with caplog.at_level("WARNING", logger="fewtune"):
+            assert run_eval(snap, data, tmp_path / "warned", extra=extra) == 0
+            assert len([m for m in caplog.messages if m.startswith("fine-tuning: loss peaked at ")]) == 3
+            caplog.clear()
+            monkeypatch.setattr(fewshot, "BLOWUP_RATIO", float("inf"))
+            assert run_eval(snap, data, tmp_path / "quiet", extra=extra) == 0
+            assert not [m for m in caplog.messages if m.startswith("fine-tuning: ")]
+        for name in ("report.json", "report.txt"):
+            assert (tmp_path / "warned" / name).read_bytes() == (tmp_path / "quiet" / name).read_bytes()
+
     def test_throughput_line_names_the_blas_threads(self, pipeline, caplog):
         tmp_path, snap, data = pipeline
         with caplog.at_level("INFO", logger="fewtune"):
@@ -560,6 +579,18 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and "--workers" in err
         assert not out.exists()
 
+    def test_snapshot_width_mismatch_is_refused_before_the_data_is_decoded(self, tmp_path, monkeypatch, capsys):
+        snap, data = tmp_path / "wide.snap", tmp_path / "d"
+        Backbone.create(BackboneSpec(input_dim=768), RngStream(0)).save(snap)  # for 16x16 images
+        run_synth(data)  # 4x4 images
+        capsys.readouterr()
+        monkeypatch.setattr(episodes, "read_ppm", lambda path: pytest.fail(f"decoded {path}"))
+        out = tmp_path / "o"
+        assert main(["eval", "--snapshot", str(snap), "--data", str(data), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (f"data error: snapshot {snap} takes 768 values per image, "
+                                           f"but the images in {data} are 3x4x4\n")
+        assert not out.exists()
+
     def test_snapshot_width_mismatch_is_data_error(self, trained, tmp_path, capsys):
         snap, _, _ = trained  # trained on 4x4 images
         run_synth(tmp_path / "wide", extra=["--size", "16"])
@@ -765,3 +796,94 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"usage error: {flag} ") and "BackboneSpec(" not in err
         assert not out.exists()
+
+
+def ends_in_one_line(argv: list[str]) -> None:
+    """`main(argv)` succeeds, or fails with a documented exit code and one stderr line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or (code in (2, 3, 4) and len(err.getvalue().splitlines()) == 1), (code, err.getvalue())
+
+
+# bytes that mean something in a PPM header, a snapshot's JSON header or its arrays
+SIGNIFICANT = b"0123456789 \t\n#+-_.eP6[]{}\":,\x00\xff"
+
+
+@st.composite
+def edited(draw, blob: bytes, keep: int) -> bytes:
+    """`blob` after one to three edits past its first `keep` bytes: each replaces, inserts or deletes
+    a few bytes, or truncates there."""
+    for _ in range(draw(st.integers(1, 3))):
+        i = keep + draw(st.integers(0, 1 << 16)) % (len(blob) + 1 - keep)  # spread out, unlike a short range
+        new = draw(st.binary(min_size=1, max_size=4)
+                   | st.lists(st.sampled_from(SIGNIFICANT), min_size=1, max_size=4).map(bytes))
+        blob = draw(st.sampled_from([blob[:i] + new + blob[i + len(new):], blob[:i] + new + blob[i:],
+                                     blob[:i] + blob[i + len(new):], blob[:i]]))
+    return blob
+
+
+# JSON values of every type; strings that name no file in any working directory
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text("xyz", max_size=3)
+    | st.sampled_from(["eval", "metatrain", "synth", "replay", "source", "target", "with_pqs", "ablate"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("xyz", max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+CONFIG_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(sorted(f.name for f in dataclasses.fields(RunConfig)))),
+    st.tuples(st.just("set"), st.sampled_from([*(f.name for f in dataclasses.fields(RunConfig)), "tag", "timing", "x"]),
+              JSON_VALUES),
+    st.tuples(st.just("nest"), st.sampled_from([1, 5000])),
+), min_size=1, max_size=3)
+
+
+class TestMutatedInputs:
+    """Mutated PPMs, snapshots and run configs through `main`, in this process: each run
+    succeeds or ends in exit 2, 3 or 4 with one stderr line."""
+
+    SHAPE = ["--n-way", "2", "--k-shot", "1", "--m-query", "1"]
+
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        # two classes of two 2x2 images, a snapshot for them and the synth run's config
+        root = tmp_path_factory.mktemp("valid")
+        assert main(["synth", "--out", str(root / "d"), "--classes", "2", "--images-per-class", "2", "--size", "2"]) == 0
+        assert main(["metatrain", "--data", str(root / "d"), "--out", str(root / "m"), "--epochs", "0",
+                     "--hidden", "4", "--embed-dim", "2", *self.SHAPE]) == 0
+        return root / "d", root / "m" / "backbone.snap"
+
+    # edits keep the magic numbers, which TestPpm and TestSnapshotErrors cover
+    @given(st.integers(0, 3), st.data())
+    def test_ppm(self, valid, tmp_path_factory, index, draws):
+        data = tmp_path_factory.mktemp("ppm") / "d"
+        shutil.copytree(valid[0], data)
+        image = sorted(data.glob("*/*.ppm"))[index]
+        image.write_bytes(draws.draw(edited(image.read_bytes(), keep=3)))
+        ends_in_one_line(["metatrain", "--data", str(data), "--out", str(data.parent / "o"), "--epochs", "0",
+                          "--hidden", "4", "--embed-dim", "2", *self.SHAPE])
+
+    @given(st.data())
+    def test_snapshot(self, valid, tmp_path_factory, draws):
+        root = tmp_path_factory.mktemp("snap")
+        (root / "backbone.snap").write_bytes(draws.draw(edited(valid[1].read_bytes(), keep=4)))
+        ends_in_one_line(["eval", "--snapshot", str(root / "backbone.snap"), "--data", str(valid[0]),
+                          "--out", str(root / "o"), "--mode", "no_finetune", "--episodes", "1", "--workers", "1",
+                          *self.SHAPE])
+
+    @given(CONFIG_EDITS)
+    def test_run_config(self, valid, tmp_path_factory, edits):
+        root = tmp_path_factory.mktemp("config")
+        config = json.loads((valid[0] / "run_config.json").read_text())
+        depth = 0
+        for edit in edits:
+            if edit[0] == "drop":
+                config.pop(edit[1], None)
+            elif edit[0] == "set":
+                config[edit[1]] = edit[2]
+            else:
+                depth += edit[1]
+        (root / "run_config.json").write_text("[" * depth + json.dumps(config) + "]" * depth)
+        # --out is always given, so no mutated value chooses where a run writes
+        ends_in_one_line(["replay", str(root / "run_config.json"), "--out", str(root / "o")])

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from fewtune.episodes import (
     write_dataset,
 )
 from fewtune.errors import CapacityError, DataLoadError, ParameterError, QueryIsolationError, ShapeError
-from fewtune.ppm import read_ppm, write_ppm
+from fewtune.ppm import ppm_shape, read_ppm, write_ppm
 from fewtune.rng import RngStream
 from fewtune.synthetic import DomainSpec, generate_synthetic, source_domain, target_domain
 
@@ -149,6 +150,28 @@ class TestPqsPolicy:
         assert h.hexdigest() == digest
 
 
+WHITESPACE = b" \t\n\r\x0b\x0c"  # the bytes bytes.isspace() accepts
+SPACES = st.lists(st.sampled_from(WHITESPACE), max_size=3).map(bytes)
+COMMENTS = st.binary(max_size=6).map(lambda text: b"#" + text.replace(b"\n", b"") + b"\n")
+
+
+@st.composite
+def gaps(draw):
+    """What may stand before a header token: whitespace, then '#' comments, each followed by more."""
+    comments = draw(st.lists(COMMENTS, max_size=2))
+    return draw(SPACES.filter(len)) + b"".join(comment + draw(SPACES) for comment in comments)
+
+
+@st.composite
+def int_tokens(draw, value):
+    """`value` spelled as int() also reads it: leading zeros, a '_' between two digits, a '+'."""
+    digits = "0" * draw(st.integers(0, 2)) + str(value)
+    cut = draw(st.integers(0, len(digits) - 1))
+    if cut:
+        digits = digits[:cut] + "_" + digits[cut:]
+    return (draw(st.sampled_from(["", "+"])) + digits).encode()
+
+
 class TestPpm:
     def test_round_trip_quantization(self, tmp_path):
         img = np.random.default_rng(17).uniform(size=(3, 8, 8))
@@ -194,6 +217,29 @@ class TestPpm:
         path = tmp_path / "short.ppm"
         path.write_bytes(b"P6\n4 4\n255\n" + bytes(10))
         with pytest.raises(DataLoadError, match="raster"):
+            read_ppm(path)
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_header_grammar(self, tmp_path_factory, height, width, data):
+        header = b"P6" + b"".join(data.draw(gaps()) + data.draw(int_tokens(value)) for value in (width, height, 255))
+        raster = data.draw(st.binary(min_size=3 * height * width, max_size=3 * height * width))
+        path = tmp_path_factory.mktemp("ppm") / "img.ppm"
+        path.write_bytes(header + bytes([data.draw(st.sampled_from(WHITESPACE))]) + raster)
+        assert ppm_shape(path) == (3, height, width)
+        pixels = np.frombuffer(raster, np.uint8).reshape(height, width, 3).transpose(2, 0, 1)
+        np.testing.assert_array_equal(read_ppm(path), pixels / 255.0)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P6\n2#c\n1\n255\n" + bytes(6), "malformed PPM header"),  # a '#' glued to a token is part of it
+        (b"P6\n1 1\n# the data ends in a comment", "malformed PPM header"),
+        (b"P61 1 255\n" + bytes(3), "not a binary P6 PPM"),
+        (b"P6\n1 1\n65535\n" + bytes(6), "only maxval 255 supported, got 65535"),
+        (b"P6\n0 1\n255\n", "bad dimensions 0x1"),
+    ], ids=["glued-comment", "comment-at-end", "magic-run-into-width", "maxval-65535", "zero-width"])
+    def test_header_refusals(self, tmp_path, data, message):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(data)
+        with pytest.raises(DataLoadError, match=f"^{re.escape(str(path))}: {message}$"):
             read_ppm(path)
 
 
@@ -248,7 +294,9 @@ class TestLabeledDataset:
          r"^class 'b': image shape \(3, 4, 4\) differs from dataset shape \(3, 2, 2\)$"),
         ({"a": np.full((1, 3, 2, 2), 1.5)}, ParameterError, r"^class 'a': pixel values must lie in \[0, 1\]$"),
         ({"a": np.array([[[[0.5, np.nan]]]])}, ParameterError, r"^class 'a': pixel values must lie in \[0, 1\]$"),
-    ], ids=["three-axes", "empty-class", "mixed-shapes", "above-one", "nan"])
+        ({"a": (np.zeros((3, 2, 2)), np.zeros((3, 4, 4)))}, ShapeError,
+         r"^class 'a': images do not stack into one array: .*inhomogeneous shape"),
+    ], ids=["three-axes", "empty-class", "mixed-shapes", "above-one", "nan", "ragged-class"])
     def test_rejects(self, images, error, fragment):
         with pytest.raises(error, match=fragment):
             LabeledDataset(domain="toy", images=images)

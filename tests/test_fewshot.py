@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import struct
 import warnings
 from dataclasses import replace
@@ -68,6 +69,7 @@ def snapshot_equal(a: Backbone, b: Backbone) -> bool:
 class TestBackbone:
     @pytest.mark.parametrize("kwargs, name", [
         ({"input_dim": 0}, "input_dim"), ({"hidden": (4, 0)}, "hidden"), ({"embed_dim": 0}, "embed_dim"),
+        ({"input_dim": 12.0}, "input_dim"), ({"hidden": (4, True)}, "hidden"),
     ])
     def test_bad_width_names_the_field(self, kwargs, name):
         with pytest.raises(ParameterError, match=f"^{name} "):
@@ -200,9 +202,10 @@ class TestSnapshotErrors:
         lambda h: dict(h, spec=dict(h["spec"], bn_momentum=0.2)),
         lambda h: dict(h, spec=dict(h["spec"], bn_eps="1e-05")),
         lambda h: dict(h, spec=dict(h["spec"], hidden=[1 << 40])),
+        lambda h: dict(h, spec=dict(h["spec"], input_dim=3.0)),
     ], ids=["not-utf8", "not-json", "not-object", "no-spec", "no-arrays", "hidden-not-list",
             "zero-width", "array-missing", "array-renamed", "array-reshaped",
-            "other-bn-eps", "other-bn-momentum", "bn-eps-as-text", "over-the-byte-cap"])
+            "other-bn-eps", "other-bn-momentum", "bn-eps-as-text", "over-the-byte-cap", "width-as-float"])
     def test_bad_header_is_a_data_error(self, edit):
         blob = tiny_snapshot()
         with pytest.raises(DataLoadError):
@@ -593,6 +596,39 @@ class TestDivergence:
             layer.weight.values = layer.weight.values * 1e150
         with pytest.raises(DivergenceError, match=r"^inference: a query score is not finite$"):
             infer(state, small_episode(with_pqs=False), HyperParams(transductive=transductive))
+
+
+class TestBlowUpWarning:
+    """A run whose loss peaks above BLOWUP_RATIO times the first loss, but stays finite, logs one warning."""
+
+    PEAKED = r"^{run}: loss peaked at (\S+) at {step}, (\S+) times the first loss$"
+
+    def test_large_learning_rate_warns_once(self, caplog):
+        with caplog.at_level("WARNING", logger="fewtune"):
+            state = finetune(small_backbone(), small_episode(), HyperParams(finetune_epochs=20, learning_rate=1.0))
+        [message] = caplog.messages
+        peak, epoch, ratio = re.fullmatch(self.PEAKED.format(run="fine-tuning", step=r"epoch (\d+)"), message).groups()
+        history = state.loss_history
+        assert float(peak) == pytest.approx(max(history), rel=1e-2) and float(ratio) > fewshot.BLOWUP_RATIO
+        assert history[int(epoch)] == max(history)
+
+    def test_default_runs_never_warn(self, caplog):
+        with caplog.at_level("WARNING", logger="fewtune"):
+            for seed in range(3):
+                finetune(small_backbone(), small_episode(seed=seed), HyperParams())
+            meta_train(small_backbone(), small_dataset(), episodes_per_epoch=20, epochs=3, rng=RngStream(1))
+        assert caplog.messages == []
+
+    def test_one_warning_per_run(self, caplog):
+        # three meta-training epochs of scripted losses; only epoch 1 peaks above the ratio times the first loss
+        losses = {0: [2.0, 1.0, 3.0], 1: [0.5, 2e3 + 1, 1e4, 1.0], 2: [1.5, 1.9e3]}
+        steps = ((f"meta-training epoch {e}", f"task {t}", dc.param(np.array(loss)))
+                 for e, curve in losses.items() for t, loss in enumerate(curve))
+        history = []
+        with caplog.at_level("WARNING", logger="fewtune"):
+            fewshot._train([], steps, 0.1, 0.9, history, list)
+        assert history == [loss for curve in losses.values() for loss in curve]
+        assert caplog.messages == ["meta-training epoch 1: loss peaked at 1e+04 at task 2, 5e+03 times the first loss"]
 
 
 class TestInfer:
