@@ -29,16 +29,7 @@ from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 from .episodes import PQS_RULES, EpisodeShape, dataset_files, load_dataset, pqs_rule, write_dataset
 from .errors import ContractError, DataError, ParameterError
 from .evalharness import MODES, EvalPlan, ablate, emit_report, pass_blas, pass_blas_threads, pin_allocator, run_eval
-from .fewshot import (
-    META_EPOCHS,
-    META_LEARNING_RATE,
-    META_MOMENTUM,
-    META_TASKS_PER_EPOCH,
-    Backbone,
-    BackboneSpec,
-    check_meta_train,
-    meta_train,
-)
+from .fewshot import Backbone, BackboneSpec, MetaParams, meta_train
 from .losses import HyperParams
 from .ppm import ppm_shape
 from .rng import RngStream
@@ -72,9 +63,9 @@ SPEC_FIELDS = {"hidden": "hidden", "embed_dim": "embed_dim"}
 SYNTH_FIELDS = {"classes": "n_classes", "images_per_class": "images_per_class", "size": "image_size"}
 SHAPE_FIELDS = {"n_way": "n_way", "k_shot": "k_shot", "m_query": "m_query"}
 
-# epochs, lr and momentum set meta_train for `metatrain` and HyperParams for the
+# epochs, lr and momentum set MetaParams for `metatrain` and HyperParams for the
 # other commands; left as None, they take that owner's default
-META_DEFAULTS = {"epochs": META_EPOCHS, "lr": META_LEARNING_RATE, "momentum": META_MOMENTUM}
+META_DEFAULTS = {key: getattr(MetaParams, META_ARGS[key]) for key in ("epochs", "lr", "momentum")}
 HP_DEFAULTS = {key: getattr(HyperParams, HP_FIELDS[key]) for key in META_DEFAULTS}
 
 
@@ -83,7 +74,7 @@ class RunConfig:
     """Everything needed to reproduce a run; serialized next to outputs.
 
     Defaults come from the dataclasses that own them: EpisodeShape,
-    HyperParams, BackboneSpec and meta_train's constants. `epochs`, `lr`
+    HyperParams, BackboneSpec and MetaParams. `epochs`, `lr`
     and `momentum` are resolved per command in __post_init__.
     """
 
@@ -107,7 +98,7 @@ class RunConfig:
     momentum: float | None = None
     transductive: bool = HyperParams.transductive
     # metatrain extras
-    tasks_per_epoch: int = META_TASKS_PER_EPOCH
+    tasks_per_epoch: int = MetaParams.episodes_per_epoch
     hidden: tuple[int, ...] = BackboneSpec.hidden
     embed_dim: int = BackboneSpec.embed_dim
     # synth extras
@@ -126,6 +117,8 @@ class RunConfig:
         for key in ("out", "data", "snapshot"):
             if getattr(self, key) == "":  # a path that names the working directory
                 raise ParameterError(f"--{key} must not be empty")
+            if "\0" in (getattr(self, key) or ""):  # no file system call takes one
+                raise ParameterError(f"--{key} must not hold a NUL byte")
         defaults = META_DEFAULTS if self.command == "metatrain" else HP_DEFAULTS
         for key, value in defaults.items():
             if getattr(self, key) is None:
@@ -182,13 +175,13 @@ def _typed(field: dataclasses.Field, hint, value):
     raise ParameterError(f"run config key {field.name!r} must be {field.type}, got {value!r}")
 
 
-def _call(fn, cfg: RunConfig, names: dict[str, str], *args, **kwargs):
-    """`fn(*args, **kwargs)` with each library name in `names` set from its RunConfig
+def _call(fn, cfg: RunConfig, names: dict[str, str], **kwargs):
+    """`fn(**kwargs)` with each library name in `names` set from its RunConfig
     field, unless the field is None; a ParameterError about one of them is
     re-raised naming the field's flag."""
     given = {name: getattr(cfg, key) for key, name in names.items() if getattr(cfg, key) is not None}
     try:
-        return fn(*args, **kwargs, **given)
+        return fn(**kwargs, **given)
     except ParameterError as exc:
         name, _, rest = str(exc).partition(" ")
         flags = {lib: "--" + key.replace("_", "-") for key, lib in names.items()}
@@ -253,7 +246,7 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 def cmd_metatrain(cfg: RunConfig) -> int:
     shape = cfg.shape()
-    _call(check_meta_train, cfg, META_ARGS)
+    params = _call(MetaParams, cfg, META_ARGS)
     _check_batch_rows(cfg, shape)
     _check_paths(cfg)
     # an over-cap width is refused before --data is read
@@ -270,9 +263,7 @@ def cmd_metatrain(cfg: RunConfig) -> int:
     # --out is created only after meta_train succeeds
     start = time.perf_counter()
     with pass_blas():
-        trained = _call(
-            meta_train, cfg, META_ARGS, bk, ds, shape, rng=RngStream(cfg.seed, (1,)), on_epoch=on_epoch
-        )
+        trained = meta_train(bk, ds, shape, params, rng=RngStream(cfg.seed, (1,)), on_epoch=on_epoch)
     _log_rate(cfg.epochs * cfg.tasks_per_epoch, "tasks", time.perf_counter() - start)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityError, ContractError, DataLoadError, ParameterError, QueryIsolationError, ShapeError
+from .errors import CapacityError, ContractError, DataError, DataLoadError, ParameterError, QueryIsolationError, ShapeError
 from .imageaug import augment
 from .ppm import read_ppm, write_ppm
 from .rng import RngStream
@@ -151,23 +151,25 @@ def pqs_rule(n_way: int, k_shot: int) -> tuple[int, int | None]:
     return PQS_RULES.get(k_shot, (min(4, ceil(100 / (n_way * k_shot))), None))
 
 
-def sample_episode(ds: LabeledDataset, n: int, k: int, m: int, rng: RngStream) -> Episode:
+def sample_episode(ds: LabeledDataset, shape: EpisodeShape, rng: RngStream) -> Episode:
     """Draw n classes, then k+m images per class, all without replacement;
     the first k of each class's draw are support, the rest query. Each set is
     gathered into one array, one copy of each image."""
+    n, k, m = shape.n_way, shape.k_shot, shape.m_query
     classes = ds.classes
     if len(classes) < n:
         raise CapacityError(f"dataset '{ds.domain}' has {len(classes)} classes, episode needs {n}")
     gen = rng.generator()
     class_ids = gen.choice(len(classes), size=n, replace=False)
     names = tuple(classes[int(class_id)] for class_id in class_ids)
+    # every drawn class is checked before the sets, which grow with the shape, are allocated
+    if short := next((name for name in names if len(ds.images[name]) < k + m), None):
+        raise CapacityError(f"class '{short}' has {len(ds.images[short])} images, episode needs {k + m}")
 
-    shape = next(iter(ds.images.values())).shape[1:]  # every class's (C, H, W)
-    support, query = np.empty((n * k, *shape)), np.empty((n * m, *shape))
+    image_shape = next(iter(ds.images.values())).shape[1:]  # every class's (C, H, W)
+    support, query = np.empty((n * k, *image_shape)), np.empty((n * m, *image_shape))
     for i, name in enumerate(names):
         pool = ds.images[name]
-        if len(pool) < k + m:
-            raise CapacityError(f"class '{name}' has {len(pool)} images, episode needs {k + m}")
         picks = gen.choice(len(pool), size=k + m, replace=False)
         np.take(pool, picks[:k], axis=0, out=support[i * k : (i + 1) * k])
         np.take(pool, picks[k:], axis=0, out=query[i * m : (i + 1) * m])
@@ -200,13 +202,18 @@ def build_pseudo_query(ep: Episode, rng: RngStream) -> Episode:
 
 
 def write_dataset(ds: LabeledDataset, root: str | Path) -> Path:
-    """Emit `root/<class_name>/img_<i>.ppm` for every image in the dataset."""
+    """Emit `root/<class_name>/img_<i>.ppm` for every image in the dataset. A class
+    directory or `.ppm` under `root` that it would not write is refused first:
+    `load_dataset` would read it as part of this dataset."""
     root = Path(root)
-    for name, pool in ds.images.items():
-        class_dir = root / name
-        class_dir.mkdir(parents=True, exist_ok=True)
-        for i, img in enumerate(pool):
-            write_ppm(img, class_dir / f"img_{i:03d}.ppm")
+    files = {root / name / f"img_{i:03d}.ppm": img for name, pool in ds.images.items() for i, img in enumerate(pool)}
+    written = {*files, *(path.parent for path in files)}
+    dirs = [d for d in root.iterdir() if d.is_dir()] if root.is_dir() else []
+    if stale := sorted(p for d in dirs for p in (d, *d.glob("*.ppm")) if p not in written):
+        raise DataError(f"{root} holds {stale[0]}, which is not part of the dataset being written")
+    for path, img in files.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_ppm(img, path)
     return root
 
 

@@ -3,7 +3,7 @@
 Exit-code mapping in the CLI relies on these base classes: ParameterError
 maps to 2, like argparse's own usage errors, DataError to 3 and
 ContractError to 4. The checks of HyperParams, EpisodeShape, BackboneSpec,
-DomainSpec, check_meta_train and diffcore.check_sgd start each ParameterError
+DomainSpec, MetaParams and diffcore.check_sgd start each ParameterError
 message with the name of the offending field or argument, which the CLI
 swaps for the flag that sets it.
 """

@@ -135,8 +135,7 @@ def run_episode(
 ) -> tuple[float, ...]:
     """Accuracy in each of `modes` of episode `index`, sampled once; pure in (plan, index)."""
     stream = RngStream(plan.master_seed, (index,))
-    shape = plan.shape
-    ep = sample_episode(dataset, shape.n_way, shape.k_shot, shape.m_query, stream.child(0))
+    ep = sample_episode(dataset, plan.shape, stream.child(0))
     accuracies = []
     try:
         for mode in modes:

@@ -49,11 +49,24 @@ log = logging.getLogger("fewtune")
 SNAPSHOT_MAGIC = b"FTBK"
 SNAPSHOT_VERSION = 1
 
-# meta_train's defaults, which the `metatrain` command shares
-META_EPOCHS = 5
-META_TASKS_PER_EPOCH = 300
-META_LEARNING_RATE = 0.01
-META_MOMENTUM = 0.9
+
+@dataclass(frozen=True)
+class MetaParams:
+    """`meta_train`'s settings, which the `metatrain` command shares; each
+    ParameterError message starts with the field's name."""
+
+    epochs: int = 5
+    episodes_per_epoch: int = 300
+    learning_rate: float = 0.01
+    momentum: float = 0.9
+
+    def __post_init__(self):
+        if self.episodes_per_epoch < 1:
+            raise ParameterError(f"episodes_per_epoch must be >= 1, got {self.episodes_per_epoch}")
+        if self.epochs < 0:
+            raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
+        dc.check_sgd(self.learning_rate, self.momentum)
+
 
 # a fine-tune, or a meta-training epoch, whose loss peaks above this many times the first loss
 # blew up: the benchmark's runs peak at up to 2.6 times it, blow-ups at 1e20 times and more
@@ -343,25 +356,13 @@ def pristine_state(bk: Backbone) -> FinetuneState:
     return FinetuneState(backbone=bk, head=None)
 
 
-def check_meta_train(episodes_per_epoch: int, epochs: int, learning_rate: float, momentum: float) -> None:
-    """`meta_train`'s argument checks; each message starts with the argument's name."""
-    if episodes_per_epoch < 1:
-        raise ParameterError(f"episodes_per_epoch must be >= 1, got {episodes_per_epoch}")
-    if epochs < 0:
-        raise ParameterError(f"epochs must be >= 0, got {epochs}")
-    dc.check_sgd(learning_rate, momentum)
-
-
 def meta_train(
     bk: Backbone,
     ds: LabeledDataset,
     shape: EpisodeShape = EpisodeShape(),
+    params: MetaParams = MetaParams(),
     *,
     rng: RngStream,
-    episodes_per_epoch: int = META_TASKS_PER_EPOCH,
-    epochs: int = META_EPOCHS,
-    learning_rate: float = META_LEARNING_RATE,
-    momentum: float = META_MOMENTUM,
     on_epoch=None,
 ) -> Backbone:
     """Episodic training on prototype cross-entropy; returns a trained clone.
@@ -369,21 +370,20 @@ def meta_train(
     Desk-scale stand-in for large-scale meta-training; `on_epoch(epoch,
     mean_loss)` is invoked after each epoch when given.
     """
-    check_meta_train(episodes_per_epoch, epochs, learning_rate, momentum)
     work = bk.clone()
     history: list[float] = []
 
     def steps():
-        for epoch in range(epochs):
-            for task in range(episodes_per_epoch):
-                stream = rng.child(epoch * episodes_per_epoch + task)
-                ep = sample_episode(ds, shape.n_way, shape.k_shot, shape.m_query, stream)
+        for epoch in range(params.epochs):
+            for task in range(params.episodes_per_epoch):
+                stream = rng.child(epoch * params.episodes_per_epoch + task)
+                ep = sample_episode(ds, shape, stream)
                 support_emb = embed(work, ep.support_images, "train")
                 query_emb = embed(work, ep.query_images, "train")
                 protos = compute_prototypes(support_emb, ep.support_labels, ep.n_way)
                 yield f"meta-training epoch {epoch}", f"task {task}", proto_xent(query_emb, ep.query_labels, protos)
             if on_epoch is not None:
-                on_epoch(epoch, float(np.mean(history[-episodes_per_epoch:])))
+                on_epoch(epoch, float(np.mean(history[-params.episodes_per_epoch:])))
 
-    _train(work.parameters(), steps(), learning_rate, momentum, history, work._arrays)
+    _train(work.parameters(), steps(), params.learning_rate, params.momentum, history, work._arrays)
     return work

@@ -13,7 +13,7 @@ import fewtune.diffcore as dc
 from fewtune.cli import _config_from_args, build_parser
 from fewtune.episodes import EpisodeShape, build_pseudo_query, sample_episode
 from fewtune.evalharness import EvalPlan, ablate, emit_report, run_eval
-from fewtune.fewshot import Backbone, BackboneSpec, finetune, meta_train
+from fewtune.fewshot import Backbone, BackboneSpec, MetaParams, finetune, meta_train
 from fewtune.imageaug import (
     augment,
     channel_shuffle,
@@ -186,7 +186,7 @@ def test_criterion_4_pseudo_query_sizing():
             for name in names
         }
         ds = LabeledDataset(domain="toy", images=images)
-        ep = sample_episode(ds, 5, k, 3, RngStream(4000 + k))
+        ep = sample_episode(ds, EpisodeShape(5, k, 3), RngStream(4000 + k))
         build_pseudo_query(ep, RngStream(5000 + k))
         sizes[k] = len(ep.pseudo_images)
         traced &= all(
@@ -248,7 +248,7 @@ def test_criterion_6_query_isolation():
     total_reads = 0
     for i in range(100):
         stream = RngStream(1006, (i,))
-        ep = sample_episode(ds, 5, 5, 5, stream.child(0))
+        ep = sample_episode(ds, EpisodeShape(5, 5, 5), stream.child(0))
         build_pseudo_query(ep, rng=stream.child(1))
         finetune(bk, ep, hp)
         total_reads += ep.query_reads
@@ -276,7 +276,7 @@ def test_criterion_8_directional_ablation():
     target = generate_synthetic(target_domain(), RngStream(82))
     backbone = Backbone.create(BackboneSpec(), RngStream(83))
     trained = meta_train(
-        backbone, source, episodes_per_epoch=300, epochs=5, rng=RngStream(84)
+        backbone, source, params=MetaParams(episodes_per_epoch=300, epochs=5), rng=RngStream(84)
     )
     # 100 fine-tune epochs, transductive inference; two pool workers give the
     # same bits as one (criterion 7) and run the pool at paper width

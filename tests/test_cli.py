@@ -28,7 +28,7 @@ from fewtune.cli import RunConfig, _config_from_args, build_parser, main
 from fewtune.episodes import load_dataset
 from fewtune.errors import DivergenceError
 from fewtune.evalharness import pass_blas_threads
-from fewtune.fewshot import META_EPOCHS, META_LEARNING_RATE, META_MOMENTUM, Backbone, BackboneSpec
+from fewtune.fewshot import Backbone, BackboneSpec, MetaParams
 from fewtune.losses import HyperParams
 from fewtune.ppm import read_ppm
 from fewtune.synthetic import generate_synthetic, source_domain
@@ -113,7 +113,7 @@ class TestRunConfigDefaults:
         from_json = RunConfig.from_json('{"command": "metatrain", "data": "d", "out": "o"}')
         assert from_json == from_argv
         assert (from_argv.epochs, from_argv.lr, from_argv.momentum) == (
-            META_EPOCHS, META_LEARNING_RATE, META_MOMENTUM
+            MetaParams.epochs, MetaParams.learning_rate, MetaParams.momentum
         ) == (5, 0.01, 0.9)
 
 
@@ -238,6 +238,30 @@ class TestSynth:
         assert len(err.splitlines()) == 1
         assert err.startswith("usage error: --size ") and f"holds {held} bytes, above the cap of 1073741824" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("second, stale", [
+        (["--classes", "3", "--images-per-class", "5", "--seed", "9"], "class_00/img_005.ppm"),
+        (["--classes", "3", "--images-per-class", "12"], "class_03"),
+    ], ids=["fewer-classes-and-images", "fewer-classes"])
+    def test_stale_dataset_is_refused(self, tmp_path, capsys, second, stale):
+        # load_dataset would read the first render's leftovers as part of the second
+        out = tmp_path / "st"
+        assert main(["synth", "--out", str(out), "--classes", "6", "--images-per-class", "12", "--size", "4"]) == 0
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        capsys.readouterr()
+        assert main(["synth", "--out", str(out), "--size", "4", *second]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {out} holds {out / stale}, which is not part of the dataset being written\n"
+        )
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+
+    def test_same_or_larger_render_in_place(self, tmp_path):
+        out, fresh = tmp_path / "st", tmp_path / "fresh"
+        for flags in (["--classes", "3"], ["--classes", "3"], ["--classes", "4", "--images-per-class", "12"]):
+            assert main(["synth", "--out", str(out), "--size", "4", "--images-per-class", "5", *flags]) == 0
+        assert main(["replay", str(out / "run_config.json")]) == 0
+        assert main(["replay", str(out / "run_config.json"), "--out", str(fresh)]) == 0
+        assert tree_hash(out) == tree_hash(fresh) and len(load_dataset(out).images["class_03"]) == 12
 
 
 class TestMetatrain:
@@ -425,29 +449,43 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"usage error: {message}\n"
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["synth", "--out", "", *SYNTH_SMALL], "--out"),
-        (["metatrain", "--data", "", "--out", "o"], "--data"),
-        (["eval", "--snapshot", "SNAP", "--data", "DATA", "--out", ""], "--out"),
-        (["eval", "--snapshot", "SNAP", "--data", "", "--out", "o"], "--data"),
-        (["eval", "--snapshot", "", "--data", "DATA", "--out", "o"], "--snapshot"),
-        (["replay", "CONFIG", "--out", ""], "--out"),
-        (["replay", "EMPTY_DATA_CONFIG"], "--data"),
-    ], ids=["synth-out", "metatrain-data", "eval-out", "eval-data", "eval-snapshot", "replay-out", "replay-data"])
-    def test_empty_path_is_usage_error(self, trained, tmp_path, monkeypatch, capsys, argv, flag):
-        # an empty path names the working directory; nothing is read from it or written to it
+    EMPTY, NUL = "must not be empty", "must not hold a NUL byte"
+
+    @pytest.mark.parametrize("argv, flag, problem", [
+        (["synth", "--out", "", *SYNTH_SMALL], "--out", EMPTY),
+        (["metatrain", "--data", "", "--out", "o"], "--data", EMPTY),
+        (["eval", "--snapshot", "SNAP", "--data", "DATA", "--out", ""], "--out", EMPTY),
+        (["eval", "--snapshot", "SNAP", "--data", "", "--out", "o"], "--data", EMPTY),
+        (["eval", "--snapshot", "", "--data", "DATA", "--out", "o"], "--snapshot", EMPTY),
+        (["replay", "CONFIG", "--out", ""], "--out", EMPTY),
+        (["replay", "EMPTY_DATA_CONFIG"], "--data", EMPTY),
+        (["synth", "--out", "a\0b", *SYNTH_SMALL], "--out", NUL),
+        (["metatrain", "--data", "DATA\0", "--out", "o"], "--data", NUL),
+        (["metatrain", "--data", "DATA", "--out", "a\0b", "--epochs", "0"], "--out", NUL),
+        (["eval", "--snapshot", "SNAP", "--data", "DATA", "--out", "a\0b"], "--out", NUL),
+        (["eval", "--snapshot", "SNAP\0", "--data", "DATA", "--out", "o"], "--snapshot", NUL),
+        (["replay", "CONFIG", "--out", "a\0b"], "--out", NUL),
+        (["replay", "NUL_OUT_CONFIG"], "--out", NUL),
+    ], ids=["synth-out", "metatrain-data", "eval-out", "eval-data", "eval-snapshot", "replay-out", "replay-data",
+            "synth-out-nul", "metatrain-data-nul", "metatrain-out-nul", "eval-out-nul", "eval-snapshot-nul",
+            "replay-out-nul", "replay-synth-out-nul"])
+    def test_empty_path_is_usage_error(self, trained, tmp_path, monkeypatch, capsys, argv, flag, problem):
+        # an empty path names the working directory and no file system call takes a NUL byte;
+        # nothing is read from either or written to it
         snap, data, _ = trained
         config = {"command": "eval", "snapshot": str(snap), "data": str(data), "out": "o", "episodes": 1, "epochs": 0}
         (tmp_path / "config.json").write_text(json.dumps(config))
         (tmp_path / "empty_data.json").write_text(json.dumps(dict(config, data="")))
+        (tmp_path / "nul_out.json").write_text(json.dumps({"command": "synth", "out": "a\0b", "classes": 5, "size": 4}))
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)
         names = {"SNAP": str(snap), "DATA": str(data), "CONFIG": str(tmp_path / "config.json"),
-                 "EMPTY_DATA_CONFIG": str(tmp_path / "empty_data.json")}
+                 "EMPTY_DATA_CONFIG": str(tmp_path / "empty_data.json"), "NUL_OUT_CONFIG": str(tmp_path / "nul_out.json"),
+                 "SNAP\0": f"{snap}\0", "DATA\0": f"{data}\0"}
         extra = ["--episodes", "1", "--epochs", "0"] if argv[0] == "eval" else []
         assert main([names.get(arg, arg) for arg in argv] + extra) == 2
-        assert capsys.readouterr().err == f"usage error: {flag} must not be empty\n"
+        assert capsys.readouterr().err == f"usage error: {flag} {problem}\n"
         assert list(work.iterdir()) == []
 
     def test_data_error(self, tmp_path, capsys):
@@ -467,6 +505,22 @@ class TestExitCodes:
             "--out", str(tmp_path / "o"), "--episodes", "1", "--n-way", "30",
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--snapshot", "SNAP", "--data", "DATA", "--episodes", "1", "--epochs", "0", "--workers", "1",
+         "--k-shot", "1000000000", "--m-query", "3"],
+        ["metatrain", "--data", "DATA", "--hidden", "12,10", "--embed-dim", "8",
+         "--n-way", "3", "--k-shot", "2", "--m-query", "1000000001"],
+    ], ids=["eval-k-shot", "metatrain-m-query"])
+    def test_oversized_shape_is_a_data_error(self, trained, tmp_path, capsys, argv):
+        # each drawn class's size is checked before the episode's image arrays, here terabytes, are allocated
+        snap, data, _ = trained
+        out = tmp_path / "o"
+        names = {"SNAP": str(snap), "DATA": str(data)}
+        assert main([names.get(arg, arg) for arg in argv] + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"data error: class 'class_0\d' has 10 images, episode needs 1000000003\n", err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_divergence_is_contract_error(self, tmp_path, capsys, workers):

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from fewtune import episodes
 from fewtune.episodes import (
     PQS_RULES,
+    EpisodeShape,
     LabeledDataset,
     build_pseudo_query,
     load_dataset,
@@ -38,14 +39,14 @@ def toy_dataset(n_classes=6, per_class=30, size=8, seed=0):
 
 class TestSampleEpisode:
     def test_cardinalities(self):
-        ep = sample_episode(toy_dataset(), 5, 5, 15, RngStream(0))
+        ep = sample_episode(toy_dataset(), EpisodeShape(5, 5, 15), RngStream(0))
         assert len(ep.support_images) == 25
         assert len(ep._query_images) == 75
         assert len(set(ep.class_names)) == 5
 
     def test_partition_when_class_exhausted(self):
         ds = toy_dataset(n_classes=3, per_class=10)
-        ep = sample_episode(ds, 2, 4, 6, RngStream(1))
+        ep = sample_episode(ds, EpisodeShape(2, 4, 6), RngStream(1))
         for label, name in enumerate(ep.class_names):
             used = [img.tobytes() for img, y in zip(ep.support_images, ep.support_labels) if y == label]
             used += [img.tobytes() for img, y in zip(ep.query_images, ep.query_labels) if y == label]
@@ -53,7 +54,7 @@ class TestSampleEpisode:
 
     def test_support_query_disjoint(self):
         ds = toy_dataset()
-        ep = sample_episode(ds, 5, 5, 15, RngStream(2))
+        ep = sample_episode(ds, EpisodeShape(5, 5, 15), RngStream(2))
         for images, labels in ((ep.support_images, ep.support_labels), (ep.query_images, ep.query_labels)):
             for img, y in zip(images, labels):
                 assert any(np.array_equal(img, x) for x in ds.images[ep.class_names[y]])
@@ -61,34 +62,38 @@ class TestSampleEpisode:
 
     def test_same_stream_same_episode(self):
         ds = toy_dataset()
-        a = sample_episode(ds, 5, 5, 15, RngStream(3, (9,)))
-        b = sample_episode(ds, 5, 5, 15, RngStream(3, (9,)))
+        a = sample_episode(ds, EpisodeShape(5, 5, 15), RngStream(3, (9,)))
+        b = sample_episode(ds, EpisodeShape(5, 5, 15), RngStream(3, (9,)))
         assert np.array_equal(a.support_images, b.support_images)
         assert np.array_equal(a.query_images, b.query_images)
 
     def test_insufficient_classes(self):
         with pytest.raises(CapacityError, match="3 classes"):
-            sample_episode(toy_dataset(n_classes=3), 5, 5, 15, RngStream(4))
+            sample_episode(toy_dataset(n_classes=3), EpisodeShape(5, 5, 15), RngStream(4))
 
     def test_insufficient_images(self):
-        with pytest.raises(CapacityError, match="needs 40"):
-            sample_episode(toy_dataset(per_class=30), 5, 20, 20, RngStream(5))
+        with pytest.raises(CapacityError, match="needs 40") as small:
+            sample_episode(toy_dataset(per_class=30), EpisodeShape(5, 20, 20), RngStream(5))
+        # a shape whose image arrays could not be allocated names the same class
+        with pytest.raises(CapacityError, match=r"^class 'c\d' has 30 images, episode needs 1000000015$") as huge:
+            sample_episode(toy_dataset(per_class=30), EpisodeShape(5, 10**9, 15), RngStream(5))
+        assert str(huge.value).split(" has ")[0] == str(small.value).split(" has ")[0]
 
     def test_labels_relabelled_zero_based(self):
-        ep = sample_episode(toy_dataset(), 4, 3, 2, RngStream(6))
+        ep = sample_episode(toy_dataset(), EpisodeShape(4, 3, 2), RngStream(6))
         assert sorted(set(ep.support_labels.tolist())) == [0, 1, 2, 3]
 
 
 class TestQueryGuard:
     def test_locked_read_raises(self):
-        ep = sample_episode(toy_dataset(), 3, 2, 2, RngStream(7))
+        ep = sample_episode(toy_dataset(), EpisodeShape(3, 2, 2), RngStream(7))
         with ep.query_guard():
             with pytest.raises(QueryIsolationError):
                 _ = ep.query_images
         _ = ep.query_images  # unlocked again
 
     def test_read_counter(self):
-        ep = sample_episode(toy_dataset(), 3, 2, 2, RngStream(8))
+        ep = sample_episode(toy_dataset(), EpisodeShape(3, 2, 2), RngStream(8))
         assert ep.query_reads == 0
         _ = ep.query_images
         _ = ep.query_labels
@@ -99,7 +104,7 @@ class TestPqsPolicy:
     @pytest.mark.parametrize("k,expected", [(5, 100), (20, 200), (50, 200)])
     def test_published_sizes(self, k, expected):
         ds = toy_dataset(n_classes=6, per_class=k + 5)
-        ep = sample_episode(ds, 5, k, 5, RngStream(9))
+        ep = sample_episode(ds, EpisodeShape(5, k, 5), RngStream(9))
         build_pseudo_query(ep, RngStream(10))
         assert len(ep.pseudo_images) == expected
         per_class = np.bincount(ep.pseudo_labels, minlength=5)
@@ -107,7 +112,7 @@ class TestPqsPolicy:
 
     def test_labels_trace_to_sources(self):
         ds = toy_dataset()
-        ep = sample_episode(ds, 5, 5, 5, RngStream(11))
+        ep = sample_episode(ds, EpisodeShape(5, 5, 5), RngStream(11))
         build_pseudo_query(ep, RngStream(12))
         for label, src in zip(ep.pseudo_labels, ep.pseudo_sources):
             assert label == ep.support_labels[src]
@@ -121,7 +126,7 @@ class TestPqsPolicy:
         ds = toy_dataset()
         eps = []
         for _ in range(2):
-            ep = sample_episode(ds, 5, 5, 5, RngStream(15))
+            ep = sample_episode(ds, EpisodeShape(5, 5, 5), RngStream(15))
             build_pseudo_query(ep, RngStream(16))
             eps.append(ep)
         for a, b in zip(eps[0].pseudo_images, eps[1].pseudo_images):
@@ -136,7 +141,7 @@ class TestPqsPolicy:
         # every draw of sampling and of the pseudo-query recipe, at each
         # published shot count (50-shot takes the subsample path)
         ds = toy_dataset(n_classes=7, per_class=k + 4, size=4, seed=k)
-        ep = build_pseudo_query(sample_episode(ds, 5, k, 3, RngStream(31, (k,))), RngStream(32, (k,)))
+        ep = build_pseudo_query(sample_episode(ds, EpisodeShape(5, k, 3), RngStream(31, (k,))), RngStream(32, (k,)))
         h = hashlib.sha256("\0".join(ep.class_names).encode())
         for images, labels in (
             (ep.support_images, ep.support_labels),

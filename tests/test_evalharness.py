@@ -314,9 +314,9 @@ class TestAblate:
         bk, ds = tiny_setup()
         streams = []
 
-        def counted(ds, n, k, m, rng):
+        def counted(ds, shape, rng):
             streams.append(rng)
-            return sample_episode(ds, n, k, m, rng)
+            return sample_episode(ds, shape, rng)
 
         monkeypatch.setattr(evalharness, "sample_episode", counted)
         ablate(bk, ds, plan(13, 5, 2))

@@ -28,6 +28,7 @@ from fewtune.fewshot import (
     Backbone,
     BackboneSpec,
     FinetuneState,
+    MetaParams,
     _normalized_rows,
     classify_cosine,
     embed,
@@ -56,7 +57,7 @@ def small_dataset(seed=0, n_classes=6, per_class=24):
 
 
 def small_episode(seed=0, n=5, k=5, m=5, with_pqs=True):
-    ep = sample_episode(small_dataset(), n, k, m, RngStream(seed, (1,)))
+    ep = sample_episode(small_dataset(), EpisodeShape(n, k, m), RngStream(seed, (1,)))
     if with_pqs:
         build_pseudo_query(ep, rng=RngStream(seed, (2,)))
     return ep
@@ -512,7 +513,7 @@ def finetune_digest(state):
 
 def paper_shape_episode(seed):
     ds = generate_synthetic(source_domain(n_classes=5, images_per_class=8), RngStream(seed))
-    ep = sample_episode(ds, 5, 5, 3, RngStream(seed, (1,)))
+    ep = sample_episode(ds, EpisodeShape(5, 5, 3), RngStream(seed, (1,)))
     build_pseudo_query(ep, rng=RngStream(seed, (2,)))
     return ep
 
@@ -574,8 +575,8 @@ class TestDivergence:
 
     def test_meta_train(self):
         with pytest.raises(DivergenceError, match=r"^meta-training epoch 0 task \d+: .* at learning rate 1000.0$"):
-            meta_train(small_backbone(), small_dataset(), episodes_per_epoch=10, epochs=1,
-                       rng=RngStream(1), learning_rate=1e3)
+            meta_train(small_backbone(), small_dataset(), params=MetaParams(episodes_per_epoch=10, epochs=1,
+                       learning_rate=1e3), rng=RngStream(1))
 
     # at this learning rate the one step's loss is finite but its update overflows
     def test_finetune_last_step(self):
@@ -584,8 +585,8 @@ class TestDivergence:
 
     def test_meta_train_last_step(self):
         with pytest.raises(DivergenceError, match=LAST_STEP.format(where="meta-training epoch 0 task 0")):
-            meta_train(small_backbone(), small_dataset(), episodes_per_epoch=1, epochs=1,
-                       rng=RngStream(1), learning_rate=1.7e308)
+            meta_train(small_backbone(), small_dataset(), params=MetaParams(episodes_per_epoch=1, epochs=1,
+                       learning_rate=1.7e308), rng=RngStream(1))
 
     # finite weights too large for the forward pass: the query scores are
     # NaN, which argmax used to read as class 0
@@ -616,7 +617,8 @@ class TestBlowUpWarning:
         with caplog.at_level("WARNING", logger="fewtune"):
             for seed in range(3):
                 finetune(small_backbone(), small_episode(seed=seed), HyperParams())
-            meta_train(small_backbone(), small_dataset(), episodes_per_epoch=20, epochs=3, rng=RngStream(1))
+            meta_train(small_backbone(), small_dataset(), params=MetaParams(episodes_per_epoch=20, epochs=3),
+                       rng=RngStream(1))
         assert caplog.messages == []
 
     def test_one_warning_per_run(self, caplog):
@@ -717,20 +719,20 @@ class TestSharedArrays:
         for pool in ds.images.values():
             pool.flags.writeable = False
         before = bk.to_bytes()
-        ep = build_pseudo_query(sample_episode(ds, 5, 5, 5, RngStream(0, (1,))), RngStream(0, (2,)))
+        ep = build_pseudo_query(sample_episode(ds, EpisodeShape(5, 5, 5), RngStream(0, (1,))), RngStream(0, (2,)))
         for epochs in (0, 3):
             hp = HyperParams(finetune_epochs=epochs)
             for state in (finetune(bk, ep, hp), pristine_state(bk)):
                 for transductive in (True, False):
                     infer(state, ep, replace(hp, transductive=transductive))
-        meta_train(bk, ds, episodes_per_epoch=5, epochs=1, rng=RngStream(3))
+        meta_train(bk, ds, params=MetaParams(episodes_per_epoch=5, epochs=1), rng=RngStream(3))
         assert bk.to_bytes() == before
 
 
 class TestMetaTrain:
     def test_zero_epochs_unchanged(self):
         bk = small_backbone()
-        out = meta_train(bk, small_dataset(), episodes_per_epoch=5, epochs=0, rng=RngStream(1))
+        out = meta_train(bk, small_dataset(), params=MetaParams(episodes_per_epoch=5, epochs=0), rng=RngStream(1))
         assert snapshot_equal(out, bk)
 
     def test_loss_decreases(self):
@@ -741,8 +743,7 @@ class TestMetaTrain:
             meta_train(
                 bk,
                 small_dataset(seed),
-                episodes_per_epoch=40,
-                epochs=3,
+                params=MetaParams(episodes_per_epoch=40, epochs=3),
                 rng=RngStream(seed),
                 on_epoch=lambda e, loss: history.append(loss),
             )
@@ -758,16 +759,17 @@ class TestMetaTrain:
         ds = generate_synthetic(source_domain(n_classes=6, images_per_class=12, image_size=8), RngStream(1))
         bk = Backbone.create(BackboneSpec(192, (32, 16), 8), RngStream(2))
         means = []
-        out = meta_train(bk, ds, EpisodeShape(3, 2, 3), rng=RngStream(3), episodes_per_epoch=20, epochs=3,
-                         on_epoch=lambda epoch, loss: means.append(loss))
+        out = meta_train(bk, ds, EpisodeShape(3, 2, 3), MetaParams(episodes_per_epoch=20, epochs=3),
+                         rng=RngStream(3), on_epoch=lambda epoch, loss: means.append(loss))
         assert hashlib.sha256(out.to_bytes()).hexdigest() == (
             "025602b494c8bc580cd8a7205d06a021f4eba3d7bdf0239cc73195d9f0aea56b"
         )
         assert means == [0.5221960650442077, 0.1270878076411695, 0.1060681450697388]
 
     def test_deterministic(self):
-        a = meta_train(small_backbone(), small_dataset(), episodes_per_epoch=8, epochs=1, rng=RngStream(2))
-        b = meta_train(small_backbone(), small_dataset(), episodes_per_epoch=8, epochs=1, rng=RngStream(2))
+        params = MetaParams(episodes_per_epoch=8, epochs=1)
+        a = meta_train(small_backbone(), small_dataset(), params=params, rng=RngStream(2))
+        b = meta_train(small_backbone(), small_dataset(), params=params, rng=RngStream(2))
         assert snapshot_equal(a, b)
 
     @pytest.mark.parametrize("name, value", [
@@ -775,13 +777,12 @@ class TestMetaTrain:
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
     ])
     def test_bad_argument_rejected_before_training(self, name, value):
-        # the message starts with the argument's name, which the CLI swaps for its flag
-        kwargs = dict(episodes_per_epoch=5, epochs=1, rng=RngStream(4), on_epoch=pytest.fail)
+        # the message starts with the field's name, which the CLI swaps for its flag
         with pytest.raises(ParameterError, match=f"^{name} "):
-            meta_train(small_backbone(), small_dataset(), **dict(kwargs, **{name: value}))
+            MetaParams(**{"episodes_per_epoch": 5, "epochs": 1, name: value})
 
     def test_input_backbone_untouched(self):
         bk = small_backbone()
         before = bk.to_bytes()
-        meta_train(bk, small_dataset(), episodes_per_epoch=5, epochs=1, rng=RngStream(3))
+        meta_train(bk, small_dataset(), params=MetaParams(episodes_per_epoch=5, epochs=1), rng=RngStream(3))
         assert bk.to_bytes() == before
