@@ -420,6 +420,29 @@ class TestEval:
         ).read_bytes()
 
 
+def test_outputs_pinned(tmp_path, monkeypatch):
+    # every byte every command writes, run by run, at tiny sizes; relative
+    # paths keep the temporary directory out of each run_config.json
+    monkeypatch.chdir(tmp_path)
+    assert run_synth("source") == 0
+    assert run_synth("target", seed=6, preset="target") == 0
+    assert run_metatrain("source", "meta") == 0
+    snap = Path("meta", "backbone.snap")
+    for out, mode, extra in (
+        ("pqs_w1", "with_pqs", ["--workers", "1", "--k-shot", "5"]),
+        ("pqs_w2", "with_pqs", ["--workers", "2", "--k-shot", "5"]),
+        ("plain", "no_finetune", []),
+        ("ablate", "ablate", ["--workers", "2"]),
+    ):
+        assert run_eval(snap, "target", out, mode, extra) == 0
+    h = hashlib.sha256()
+    files = sorted(p for p in Path().rglob("*") if p.is_file())
+    for path in files:
+        h.update(str(path).encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    assert len(files) == 119
+    assert h.hexdigest() == "81756653ca8754be8afb9ee04aca29f6fc23f8046bd20f8801ccde603c3730e4"
+
+
 class TestExitCodes:
     @pytest.fixture(scope="class")
     def trained(self, tmp_path_factory):

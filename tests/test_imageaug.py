@@ -1,5 +1,7 @@
 """Pixel ops: identities, range preservation, pipeline statistics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -204,6 +206,19 @@ class TestAugmentPipeline:
             out = augment(img, root.child(i))
             assert out.min() >= 0.0 and out.max() <= 1.0
             assert out.shape == img.shape
+
+    def test_bytes_pinned(self):
+        # every draw and op of the recipe, over channel counts and sizes
+        # where the erase box, the permutation and the quarter turns differ
+        h = hashlib.sha256()
+        root = RngStream(25)
+        for c in (1, 3, 4):
+            for size in (1, 2, 5, 16):
+                img = random_image(100 * c + size, c, size, size)
+                for i in range(40):
+                    out = augment(img, root.child(c).child(size).child(i))
+                    h.update(np.ascontiguousarray(out, dtype="<f8").tobytes())
+        assert h.hexdigest() == "25b4ff5dca3516edfc710e8fd94c31f1905cd8ff1562f8e1994f3c4075ecf147"
 
     def test_apply_plan_order_is_fixed(self):
         # a plan with gamma and erase set must run gamma first: the erased
