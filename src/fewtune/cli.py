@@ -67,6 +67,8 @@ SHAPE_FIELDS = {"n_way": "n_way", "k_shot": "k_shot", "m_query": "m_query"}
 # other commands; left as None, they take that owner's default
 META_DEFAULTS = {key: getattr(MetaParams, META_ARGS[key]) for key in ("epochs", "lr", "momentum")}
 HP_DEFAULTS = {key: getattr(HyperParams, HP_FIELDS[key]) for key in META_DEFAULTS}
+# cap on what `replay` reads; the largest config the CLI writes, 65 536 --hidden widths, is about 460 KB
+MAX_CONFIG_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -387,7 +389,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "replay":
-            cfg = RunConfig.from_json(Path(args.config).read_bytes())
+            with open(args.config, "rb") as f:  # a pipe has no size to check first
+                text = f.read(MAX_CONFIG_BYTES + 1)
+            if len(text) > MAX_CONFIG_BYTES:
+                raise ParameterError(f"run config {args.config} is longer than {MAX_CONFIG_BYTES} bytes")
+            cfg = RunConfig.from_json(text)
             if args.out is not None:
                 cfg = dataclasses.replace(cfg, out=args.out)
         else:

@@ -219,8 +219,9 @@ def write_dataset(ds: LabeledDataset, root: str | Path) -> Path:
 
 def dataset_files(path: str | Path) -> dict[str, list[Path]]:
     """Each class directory's `.ppm` files under `path`, by class name, both
-    in lexicographic order. A directory whose images would hold more than
-    MAX_DATASET_BYTES, 8 bytes per file byte, is refused before any is read."""
+    in lexicographic order. A `.ppm` that is not a regular file, or a directory
+    whose images would hold more than MAX_DATASET_BYTES, 8 bytes per file
+    byte, is refused before any is read."""
     root = Path(path)
     if not root.is_dir():
         raise DataLoadError(f"dataset directory not found: {root}")
@@ -230,6 +231,8 @@ def dataset_files(path: str | Path) -> dict[str, list[Path]]:
     files = {d.name: sorted(d.glob("*.ppm")) for d in class_dirs}
     if empty := next((d for d in class_dirs if not files[d.name]), None):
         raise DataLoadError(f"class directory {empty} holds no .ppm files")
+    if odd := next((f for pool in files.values() for f in pool if not f.is_file()), None):
+        raise DataLoadError(f"{odd} is not a regular file")  # a device or FIFO stats as 0 bytes
     held = 8 * sum(f.stat().st_size for pool in files.values() for f in pool)
     if held > MAX_DATASET_BYTES:
         raise DataLoadError(f"dataset directory {root} would hold about {held} bytes of pixels, "

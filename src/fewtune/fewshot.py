@@ -32,6 +32,7 @@ import io
 import json
 import logging
 import math
+import stat
 import struct
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -205,8 +206,22 @@ class Backbone:
 
     @classmethod
     def load(cls, path: str | Path) -> "Backbone":
+        """`from_bytes` of a regular file, whose size is checked against the
+        header length and MAX_BACKBONE_BYTES before its body is read."""
         try:
-            return cls.from_bytes(Path(path).read_bytes())
+            info = Path(path).stat()
+            if not stat.S_ISREG(info.st_mode):
+                raise DataLoadError(f"snapshot {path} is not a regular file")
+            with open(path, "rb") as f:
+                prefix = f.read(12)
+                if len(prefix) < 12 or prefix[:4] != SNAPSHOT_MAGIC:
+                    return cls.from_bytes(prefix)  # which names the fault
+                limit = 12 + struct.unpack("<I", prefix[8:])[0] + MAX_BACKBONE_BYTES
+                if info.st_size > limit:
+                    raise DataLoadError(f"snapshot {path} is larger than {limit} bytes, its header and "
+                                        f"the cap of {MAX_BACKBONE_BYTES} on its arrays")
+                f.seek(0)  # one buffer for the whole file, not the prefix plus a copy
+                return cls.from_bytes(f.read())
         except OSError as exc:
             raise DataLoadError(f"cannot read snapshot {path}: {exc}") from exc
 

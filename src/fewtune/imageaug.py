@@ -7,13 +7,12 @@ no image is checked again. An op returns a new array or a view of its
 input; none writes into its input. The pipeline applies, in this fixed
 order: gamma correction, random erasing, channel shuffle, flip, rotation.
 Each op fires independently with its fixed probability, and one Bernoulli
-draw per op is consumed in pipeline order even when the op is skipped, so
-a given (seed, key) stream always yields the same plan.
+draw per op is consumed in pipeline order even when the op is skipped; an
+op that fires draws its parameters right after its Bernoulli. So a given
+(seed, key) stream always applies the same ops with the same parameters.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,58 +89,20 @@ def erase_block(img: np.ndarray, top: int, left: int, block_h: int, block_w: int
 # stochastic pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AugmentationPlan:
-    """Fully drawn parameters for one pipeline pass; None means skipped."""
-
-    gamma: float | None = None
-    erase_box: tuple[int, int, int, int] | None = None
-    channel_perm: tuple[int, ...] | None = None
-    flip_axis: str | None = None
-    rotate_degrees: int | None = None
-
-
-def plan_augmentation(rng: RngStream, channels: int, height: int, width: int) -> AugmentationPlan:
-    """Draw one pipeline plan. Draw order is part of the stream contract."""
-    gen = rng.generator()
-
-    gamma = None
-    if gen.random() < P_GAMMA:
-        gamma = float(gen.uniform(*GAMMA_RANGE))
-
-    erase_box = None
-    if gen.random() < P_ERASE:
-        erase_box = _draw_erase_box(gen, height, width)
-
-    channel_perm = None
-    if gen.random() < P_SHUFFLE:
-        channel_perm = tuple(int(i) for i in gen.permutation(channels))
-
-    flip_axis = None
-    if gen.random() < P_FLIP:
-        flip_axis = "horizontal" if gen.random() < 0.5 else "vertical"
-
-    rotate_degrees = None
-    if gen.random() < P_ROTATE:
-        rotate_degrees = int(ROTATION_CHOICES[gen.integers(0, len(ROTATION_CHOICES))])
-
-    return AugmentationPlan(gamma, erase_box, channel_perm, flip_axis, rotate_degrees)
-
-
-def apply_plan(img: np.ndarray, plan: AugmentationPlan) -> np.ndarray:
-    if plan.gamma is not None:
-        img = gamma_correct(img, plan.gamma)
-    if plan.erase_box is not None:
-        img = erase_block(img, *plan.erase_box)
-    if plan.channel_perm is not None:
-        img = channel_shuffle(img, plan.channel_perm)
-    if plan.flip_axis is not None:
-        img = flip(img, plan.flip_axis)
-    if plan.rotate_degrees is not None:
-        img = rotate(img, plan.rotate_degrees)
-    return img
-
-
 def augment(img: np.ndarray, rng: RngStream) -> np.ndarray:
-    """One stochastic pipeline pass over a (C, H, W) image, bit-determined by (img, seed, key)."""
-    return apply_plan(img, plan_augmentation(rng, *img.shape))
+    """One stochastic pipeline pass over a (C, H, W) image, bit-determined by
+    (img, seed, key). Each op's Bernoulli is drawn in pipeline order, and its
+    parameters right after it when it fires; no draw reads a pixel."""
+    gen = rng.generator()
+    channels, height, width = img.shape
+    if gen.random() < P_GAMMA:
+        img = gamma_correct(img, float(gen.uniform(*GAMMA_RANGE)))
+    if gen.random() < P_ERASE:
+        img = erase_block(img, *_draw_erase_box(gen, height, width))
+    if gen.random() < P_SHUFFLE:
+        img = channel_shuffle(img, gen.permutation(channels))
+    if gen.random() < P_FLIP:
+        img = flip(img, "horizontal" if gen.random() < 0.5 else "vertical")
+    if gen.random() < P_ROTATE:
+        img = rotate(img, int(ROTATION_CHOICES[gen.integers(0, len(ROTATION_CHOICES))]))
+    return img

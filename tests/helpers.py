@@ -1,11 +1,11 @@
 """Checks shared by the test modules: the finite-difference gradient check
-and the names of the ops an augmentation plan applies."""
+and the ops one augmentation pass applies."""
 
 import numpy as np
 
 import fewtune.diffcore as dc
+from fewtune import imageaug
 from fewtune.errors import ParameterError
-from fewtune.imageaug import AugmentationPlan
 
 
 def gradient_check(f, x: dc.DiffTensor, h: float = 1e-5) -> float:
@@ -38,8 +38,29 @@ def gradient_check(f, x: dc.DiffTensor, h: float = 1e-5) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def applied_ops(plan: AugmentationPlan) -> tuple[str, ...]:
-    """The names of the ops `plan` applies, in pipeline order."""
-    names = ("gamma", "erase", "shuffle", "flip", "rotate")
-    flags = (plan.gamma, plan.erase_box, plan.channel_perm, plan.flip_axis, plan.rotate_degrees)
-    return tuple(n for n, f in zip(names, flags) if f is not None)
+# each pipeline op's name -> the imageaug function that applies it, in pipeline order
+PIPELINE = {"gamma": "gamma_correct", "erase": "erase_block", "shuffle": "channel_shuffle",
+            "flip": "flip", "rotate": "rotate"}
+
+
+def applied_ops(img: np.ndarray, rng) -> list[tuple[str, tuple]]:
+    """The ops the real `augment(img, rng)` applies, in order, each as its
+    name and its arguments after the image. The five ops are swapped for
+    recorders that call through, and restored afterwards."""
+    calls = []
+    originals = {name: getattr(imageaug, fn) for name, fn in PIPELINE.items()}
+
+    def recorder(name, op):
+        def record(image, *args):
+            calls.append((name, args))
+            return op(image, *args)
+        return record
+
+    try:
+        for name, op in originals.items():
+            setattr(imageaug, PIPELINE[name], recorder(name, op))
+        imageaug.augment(img, rng)
+    finally:
+        for name, op in originals.items():
+            setattr(imageaug, PIPELINE[name], op)
+    return calls

@@ -34,6 +34,11 @@ from fewtune.ppm import read_ppm
 from fewtune.synthetic import generate_synthetic, source_domain
 from fewtune.rng import RngStream
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 SYNTH_SMALL = ["--classes", "5", "--images-per-class", "10", "--size", "4"]
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -441,6 +446,32 @@ def test_outputs_pinned(tmp_path, monkeypatch):
         h.update(str(path).encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
     assert len(files) == 119
     assert h.hexdigest() == "81756653ca8754be8afb9ee04aca29f6fc23f8046bd20f8801ccde603c3730e4"
+
+
+# main(argv) in a process whose address space is capped at 2 GiB: an unbounded read
+# of a device or a huge file fails there fast, without taking the test machine's memory
+LIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from fewtune.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+needs_limit = pytest.mark.skipif(resource is None or not hasattr(resource, "RLIMIT_AS")
+                                 or not os.path.exists("/dev/zero"), reason="needs RLIMIT_AS and /dev/zero")
+
+
+def run_limited(argv: list[str], cwd: Path, stdin: str | None = None) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv], cwd=cwd, env=env, input=stdin,
+                          capture_output=True, text=True, timeout=30)
+
+
+def sparse_file(path: Path, head: bytes = b"", size: int = 4 << 30) -> Path:
+    """`head`, then zeros up to `size` bytes, written without filling the disk."""
+    with open(path, "wb") as f:
+        f.write(head)
+        os.truncate(f.fileno(), size)
+    return path
 
 
 class TestExitCodes:
@@ -873,6 +904,63 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"usage error: {flag} ") and "BackboneSpec(" not in err
         assert not out.exists()
+
+    @needs_limit
+    @pytest.mark.parametrize("kind", ["device", "fifo"])
+    def test_non_regular_ppm_is_data_error(self, tmp_path, kind):
+        run_synth(tmp_path / "d")
+        if kind == "device":
+            (tmp_path / "d" / "class_04" / "img_999.ppm").symlink_to("/dev/zero")
+        else:
+            os.mkfifo(tmp_path / "d" / "class_04" / "img_999.ppm")
+        result = run_limited(["metatrain", "--data", "d", "--out", "o"], tmp_path)
+        odd = Path("d", "class_04", "img_999.ppm")
+        assert (result.returncode, result.stderr) == (3, f"data error: {odd} is not a regular file\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_symlinked_ppm_still_loads(self, tmp_path):
+        run_synth(tmp_path / "d")
+        before = load_dataset(tmp_path / "d")
+        last = tmp_path / "d" / "class_04" / "img_009.ppm"
+        last.rename(tmp_path / "elsewhere.ppm")
+        last.symlink_to(tmp_path / "elsewhere.ppm")
+        after = load_dataset(tmp_path / "d")
+        assert all(np.array_equal(before.images[name], after.images[name]) for name in before.classes)
+
+    @needs_limit
+    @pytest.mark.parametrize("kind", ["device", "sparse", "sparse-with-magic"])
+    def test_unbounded_snapshot_is_data_error(self, trained, tmp_path, kind):
+        # a 4 GiB file of zeros, or a valid prefix and header followed by zeros up to 4 GiB
+        snap, data, _ = trained
+        blob, cap = snap.read_bytes(), fewshot.MAX_BACKBONE_BYTES
+        head = blob[:12 + struct.unpack("<I", blob[8:12])[0]]
+        if kind == "device":
+            path, message = Path("/dev/zero"), "snapshot /dev/zero is not a regular file"
+        elif kind == "sparse":
+            path, message = sparse_file(tmp_path / "big.snap"), "not a backbone snapshot (bad magic)"
+        else:
+            path = sparse_file(tmp_path / "big.snap", head)
+            message = (f"snapshot {path} is larger than {len(head) + cap} bytes, its header and the cap of {cap} "
+                       "on its arrays")
+        result = run_limited(["eval", "--snapshot", str(path), "--data", str(data), "--out", "o"], tmp_path)
+        assert (result.returncode, result.stderr) == (3, f"data error: {message}\n")
+        assert not (tmp_path / "o").exists()
+
+    @needs_limit
+    @pytest.mark.parametrize("kind", ["device", "sparse"])
+    def test_unbounded_run_config_is_usage_error(self, tmp_path, kind):
+        path = Path("/dev/zero") if kind == "device" else sparse_file(tmp_path / "run_config.json")
+        result = run_limited(["replay", str(path), "--out", "o"], tmp_path)
+        message = f"run config {path} is longer than {cli.MAX_CONFIG_BYTES} bytes"
+        assert (result.returncode, result.stderr) == (2, f"usage error: {message}\n")
+        assert not (tmp_path / "o").exists()
+
+    @needs_limit
+    def test_run_config_replays_from_a_pipe(self, tmp_path):
+        config = RunConfig(command="synth", out="o", classes=2, images_per_class=2, size=2).to_json()
+        result = run_limited(["replay", "/dev/stdin"], tmp_path, stdin=config)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "o" / "run_config.json").read_text() == config
 
 
 def ends_in_one_line(argv: list[str]) -> None:

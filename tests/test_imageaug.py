@@ -8,22 +8,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fewtune import imageaug
 from fewtune.errors import ParameterError, ShapeError
 from fewtune.imageaug import (
-    AugmentationPlan,
     _draw_erase_box,
-    apply_plan,
     augment,
     channel_shuffle,
     erase_block,
     flip,
     gamma_correct,
-    plan_augmentation,
     rotate,
 )
 from fewtune.rng import RngStream
 
-from helpers import applied_ops
+from helpers import PIPELINE, applied_ops
 
 
 def random_image(seed, c=3, h=8, w=8):
@@ -170,10 +168,10 @@ class TestRandomErase:
 
 class TestAugmentPipeline:
     def test_all_probabilities_zero_is_identity(self):
-        # the plan drawn when no op fires
+        # a stream on which no op fires; about 6% of streams are one
         img = random_image(19)
-        out = apply_plan(img, AugmentationPlan())
-        np.testing.assert_array_equal(out, img)
+        rng = next(RngStream(19, (i,)) for i in range(200) if not applied_ops(img, RngStream(19, (i,))))
+        np.testing.assert_array_equal(augment(img, rng), img)
 
     def test_same_stream_bit_identical(self):
         img = random_image(20)
@@ -191,9 +189,9 @@ class TestAugmentPipeline:
         n = 10_000
         counts = {"gamma": 0, "erase": 0, "shuffle": 0, "flip": 0, "rotate": 0}
         root = RngStream(99)
+        img = random_image(99, h=16, w=16)
         for i in range(n):
-            plan = plan_augmentation(root.child(i), 3, 16, 16)
-            for op in applied_ops(plan):
+            for op, _ in applied_ops(img, root.child(i)):
                 counts[op] += 1
         for op, p in (("gamma", 0.3), ("shuffle", 0.3), ("flip", 0.5), ("rotate", 0.5), ("erase", 0.5)):
             sigma = np.sqrt(n * p * (1 - p))
@@ -220,13 +218,21 @@ class TestAugmentPipeline:
                     h.update(np.ascontiguousarray(out, dtype="<f8").tobytes())
         assert h.hexdigest() == "25b4ff5dca3516edfc710e8fd94c31f1905cd8ff1562f8e1994f3c4075ecf147"
 
-    def test_apply_plan_order_is_fixed(self):
-        # a plan with gamma and erase set must run gamma first: the erased
-        # block's constant value is the mean of gamma-corrected pixels
-        img = random_image(24)
-        plan = AugmentationPlan(gamma=1.3, erase_box=(1, 2, 5, 4))
-        manual = erase_block(gamma_correct(img, plan.gamma), *plan.erase_box)
-        np.testing.assert_array_equal(apply_plan(img, plan), manual)
+    def test_ops_run_in_pipeline_order(self):
+        # the recorded ops, applied by hand in pipeline order, give augment's
+        # output bit for bit; gamma and erase together check that gamma runs
+        # first, since the erased block is the mean of gamma-corrected pixels
+        root = RngStream(24)
+        order = list(PIPELINE)
+        for i in range(300):
+            img = random_image(2400 + i)
+            ops = applied_ops(img, root.child(i))
+            names = [name for name, _ in ops]
+            assert names == sorted(names, key=order.index)
+            manual = img
+            for name, args in ops:
+                manual = getattr(imageaug, PIPELINE[name])(manual, *args)
+            np.testing.assert_array_equal(augment(img, root.child(i)), manual)
 
 
 class TestAugmentProperties:
