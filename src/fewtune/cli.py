@@ -251,7 +251,8 @@ def cmd_metatrain(cfg: RunConfig) -> int:
     params = _call(MetaParams, cfg, META_ARGS)
     _check_batch_rows(cfg, shape)
     _check_paths(cfg)
-    # an over-cap width is refused before --data is read
+    # an over-cap width is refused before --data is decoded; load_dataset lists --data again, so that
+    # its traced span covers the whole load
     spec = _call(BackboneSpec, cfg, SPEC_FIELDS, input_dim=math.prod(_first_image_shape(cfg.data)))
     ds = load_dataset(cfg.data)
     bk = Backbone.create(spec, RngStream(cfg.seed, (0,)))
@@ -288,7 +289,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         log.info("--workers %d is above the %d usable cores; starting at most %d", cfg.workers, cores, workers)
     _check_paths(cfg)
     bk = Backbone.load(cfg.snapshot)
-    shape = _first_image_shape(cfg.data)  # a snapshot of another width is refused before --data is read
+    shape = _first_image_shape(cfg.data)  # another width is refused before any decode; listed twice, see cmd_metatrain
     if math.prod(shape) != bk.spec.input_dim:
         raise DataError(f"snapshot {cfg.snapshot} takes {bk.spec.input_dim} values per image, "
                         f"but the images in {cfg.data} are {'x'.join(map(str, shape))}")

@@ -2,19 +2,17 @@
 
 Exit-code mapping in the CLI relies on these base classes: ParameterError
 maps to 2, like argparse's own usage errors, DataError to 3 and
-ContractError to 4. The checks of HyperParams, EpisodeShape, BackboneSpec,
-DomainSpec, MetaParams and diffcore.check_sgd start each ParameterError
-message with the name of the offending field or argument, which the CLI
-swaps for the flag that sets it.
+ContractError to 4; every other class derives from exactly one of them,
+so ShapeError, like DegenerateBatchError, is a ContractError. The checks
+of HyperParams, EpisodeShape, BackboneSpec, DomainSpec, MetaParams and
+diffcore.check_sgd start each ParameterError message with the name of
+the offending field or argument, which the CLI swaps for the flag that
+sets it.
 """
 
 
 class FewtuneError(Exception):
     """Base class for all package errors."""
-
-
-class ShapeError(FewtuneError):
-    """Operand shapes are incompatible with the requested operation."""
 
 
 class ParameterError(FewtuneError):
@@ -23,6 +21,10 @@ class ParameterError(FewtuneError):
 
 class ContractError(FewtuneError):
     """A caller violated an operation's contract."""
+
+
+class ShapeError(ContractError):
+    """Operand shapes are incompatible with the requested operation."""
 
 
 class DegenerateBatchError(ContractError):

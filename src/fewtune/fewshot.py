@@ -1,17 +1,16 @@
 """Backbone, cosine mean-centroid inference, per-episode fine-tuning, and
 toy episodic meta-training.
 
-The backbone is a dense stack (flatten -> dense -> norm -> relu, twice,
-then a final dense projection). Its state is the snapshot's arrays in
-`_layout` order, which `Backbone(spec, arrays)`, the one constructor,
-wraps for `create`, `clone`, `from_bytes` and `finetune`'s coordinate
-copy; a snapshot with a NaN, an infinity or other batch-norm constants
-does not load, and a loaded snapshot's arrays are read-only. No code
-writes into a backbone's arrays: an SGD step replaces a parameter's
-`values` and a train-mode batch norm replaces its running statistics.
-So episodes share the snapshot's arrays without copying them, and every
-episode starts from the same snapshot. During fine-tuning the real query
-set is locked; only support and pseudo-query images are read.
+The backbone is a dense stack (flatten -> dense -> norm -> relu, twice, then a final dense
+projection). Its state is the snapshot's arrays in `_layout` order, which `Backbone(spec, arrays)`,
+the one constructor, wraps for `create`, `clone`, `from_bytes` and `finetune`'s coordinate copy.
+`from_bytes` alone parses a snapshot; `load` hands it a regular file of at most MAX_SNAPSHOT_BYTES,
+read in one call. A snapshot with a NaN, an infinity or other batch-norm constants does not load,
+and a loaded snapshot's arrays are read-only. No code writes into a backbone's arrays: an SGD step
+replaces a parameter's `values` and a train-mode batch norm replaces its running statistics. So
+episodes share the snapshot's arrays without copying them, and every episode starts from the same
+snapshot. During fine-tuning the real query set is locked; only support and pseudo-query images
+are read.
 
 The first dense layer is fine-tuned in the row space of the episode's
 images. Its gradient X^T G lies in the span of the B stacked support and
@@ -28,7 +27,6 @@ alone checks for a non-finite loss, a finite blow-up and, after the last step, a
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import math
@@ -75,6 +73,9 @@ BLOWUP_RATIO = 1e3
 
 # cap on a spec's snapshot arrays, `_layout`'s shapes x 8 bytes; the default spec holds about 0.9 MB
 MAX_BACKBONE_BYTES = 1 << 28
+# cap on a snapshot file: the 12-byte prefix, 32 MiB of header and the arrays' cap; the header of
+# the largest spec one --hidden argument lists, 65 536 widths, takes 16.3 MiB
+MAX_SNAPSHOT_BYTES = 12 + (32 << 20) + MAX_BACKBONE_BYTES
 
 
 @dataclass(frozen=True)
@@ -156,13 +157,11 @@ class Backbone:
             "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
         }
         head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        buf = io.BytesIO()
-        buf.write(SNAPSHOT_MAGIC)
-        buf.write(struct.pack("<II", SNAPSHOT_VERSION, len(head)))
-        buf.write(head)
-        for _, arr in arrays:
-            buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        return buf.getvalue()
+        blob = b"".join([SNAPSHOT_MAGIC, struct.pack("<II", SNAPSHOT_VERSION, len(head)), head,
+                         *(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays)])
+        if len(blob) > MAX_SNAPSHOT_BYTES:  # which `load` would refuse
+            raise ParameterError(f"a snapshot of {len(blob)} bytes is above the cap of {MAX_SNAPSHOT_BYTES}")
+        return blob
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Backbone":
@@ -186,19 +185,19 @@ class Backbone:
             layout = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
             if layout != _layout(spec):
                 raise DataLoadError("snapshot arrays do not match its spec")
-            arrays: list[np.ndarray] = []
-            for name, shape in layout:
-                end = pos + 8 * shape[0] * shape[1]
-                if end > len(blob):
-                    raise DataLoadError("snapshot truncated")
-                arrays.append(np.frombuffer(blob[pos:end], dtype="<f8").reshape(shape))  # read-only; the slice is a copy
-                if not np.isfinite(arrays[-1]).all():
-                    raise DataLoadError(f"snapshot array {name} holds a NaN or infinite value")
-                pos = end
         except (ValueError, KeyError, TypeError, ParameterError, RecursionError) as exc:
             raise DataLoadError(f"bad snapshot header: {type(exc).__name__}: {exc}") from exc
-        if pos != len(blob):
-            raise DataLoadError(f"{len(blob) - pos} stray bytes after the last snapshot array")
+        expected = pos + 8 * sum(math.prod(shape) for _, shape in layout)  # the blob's length, checked once
+        if len(blob) != expected:
+            raise DataLoadError("snapshot truncated" if len(blob) < expected else
+                                f"{len(blob) - expected} stray bytes after the last snapshot array")
+        arrays: list[np.ndarray] = []
+        for name, shape in layout:
+            end = pos + 8 * math.prod(shape)
+            arrays.append(np.frombuffer(blob[pos:end], dtype="<f8").reshape(shape))  # read-only; the slice is a copy
+            if not np.isfinite(arrays[-1]).all():
+                raise DataLoadError(f"snapshot array {name} holds a NaN or infinite value")
+            pos = end
         return cls(spec, arrays)
 
     def save(self, path: str | Path) -> None:
@@ -206,24 +205,19 @@ class Backbone:
 
     @classmethod
     def load(cls, path: str | Path) -> "Backbone":
-        """`from_bytes` of a regular file, whose size is checked against the
-        header length and MAX_BACKBONE_BYTES before its body is read."""
+        """`from_bytes` of a regular file that `stat` finds no larger than MAX_SNAPSHOT_BYTES, read in
+        one call of at most one byte past the cap, so a file that grew after the check reads as stray bytes."""
         try:
             info = Path(path).stat()
             if not stat.S_ISREG(info.st_mode):
                 raise DataLoadError(f"snapshot {path} is not a regular file")
+            if info.st_size > MAX_SNAPSHOT_BYTES:
+                raise DataLoadError(f"snapshot {path} is larger than {MAX_SNAPSHOT_BYTES} bytes, the cap on a snapshot")
             with open(path, "rb") as f:
-                prefix = f.read(12)
-                if len(prefix) < 12 or prefix[:4] != SNAPSHOT_MAGIC:
-                    return cls.from_bytes(prefix)  # which names the fault
-                limit = 12 + struct.unpack("<I", prefix[8:])[0] + MAX_BACKBONE_BYTES
-                if info.st_size > limit:
-                    raise DataLoadError(f"snapshot {path} is larger than {limit} bytes, its header and "
-                                        f"the cap of {MAX_BACKBONE_BYTES} on its arrays")
-                f.seek(0)  # one buffer for the whole file, not the prefix plus a copy
-                return cls.from_bytes(f.read())
+                blob = f.read(MAX_SNAPSHOT_BYTES + 1)
         except OSError as exc:
             raise DataLoadError(f"cannot read snapshot {path}: {exc}") from exc
+        return cls.from_bytes(blob)
 
 
 def _norm_arrays(norm: BatchNormState) -> list[np.ndarray]:

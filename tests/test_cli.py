@@ -26,7 +26,7 @@ import fewtune.fewshot as fewshot
 from fewtune import episodes
 from fewtune.cli import RunConfig, _config_from_args, build_parser, main
 from fewtune.episodes import load_dataset
-from fewtune.errors import DivergenceError
+from fewtune.errors import ContractError, DataError, DivergenceError, FewtuneError, ParameterError
 from fewtune.evalharness import pass_blas_threads
 from fewtune.fewshot import Backbone, BackboneSpec, MetaParams
 from fewtune.losses import HyperParams
@@ -699,6 +699,34 @@ class TestExitCodes:
                                            f"but the images in {data} are 3x4x4\n")
         assert not out.exists()
 
+    def test_images_that_change_after_the_width_check_are_contract_error(self, trained, tmp_path, monkeypatch, capsys):
+        # as if --data changed between eval's header check and its decode: the header
+        # check sees the 4x4 images the snapshot takes, the decode reads 8x8 ones
+        snap, _, _ = trained
+        run_synth(tmp_path / "wide", extra=["--size", "8"])
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "ppm_shape", lambda path: (3, 4, 4))
+        out = tmp_path / "o"
+        argv = ["eval", "--snapshot", str(snap), "--data", str(tmp_path / "wide"), "--out", str(out),
+                "--k-shot", "2", "--m-query", "2", "--episodes", "1", "--workers", "1"]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == "contract violation: images flatten to [192], backbone expects 48\n"
+        assert not out.exists()
+
+    def test_every_error_class_maps_to_one_exit_code(self):
+        # main maps these three bases to exit 2, 3 and 4; a class under none of them is a traceback
+        bases = (ParameterError, DataError, ContractError)
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        found = list(subclasses(FewtuneError))
+        assert {"ShapeError", "DegenerateBatchError", "CapacityError"} <= {cls.__name__ for cls in found}
+        for cls in found:
+            assert sum(issubclass(cls, base) for base in bases) == 1, cls.__name__
+
     def test_snapshot_width_mismatch_is_data_error(self, trained, tmp_path, capsys):
         snap, _, _ = trained  # trained on 4x4 images
         run_synth(tmp_path / "wide", extra=["--size", "16"])
@@ -928,20 +956,19 @@ class TestExitCodes:
         assert all(np.array_equal(before.images[name], after.images[name]) for name in before.classes)
 
     @needs_limit
-    @pytest.mark.parametrize("kind", ["device", "sparse", "sparse-with-magic"])
+    @pytest.mark.parametrize("kind", ["device", "sparse", "sparse-with-magic", "huge-header"])
     def test_unbounded_snapshot_is_data_error(self, trained, tmp_path, kind):
-        # a 4 GiB file of zeros, or a valid prefix and header followed by zeros up to 4 GiB
+        # 4 GiB of zeros after nothing, after a valid prefix and header, or after a prefix whose
+        # header length is 0xFFFFFFFF
         snap, data, _ = trained
-        blob, cap = snap.read_bytes(), fewshot.MAX_BACKBONE_BYTES
-        head = blob[:12 + struct.unpack("<I", blob[8:12])[0]]
+        blob = snap.read_bytes()
+        heads = {"sparse": b"", "sparse-with-magic": blob[:12 + struct.unpack("<I", blob[8:12])[0]],
+                 "huge-header": blob[:8] + struct.pack("<I", 0xFFFFFFFF)}
         if kind == "device":
             path, message = Path("/dev/zero"), "snapshot /dev/zero is not a regular file"
-        elif kind == "sparse":
-            path, message = sparse_file(tmp_path / "big.snap"), "not a backbone snapshot (bad magic)"
         else:
-            path = sparse_file(tmp_path / "big.snap", head)
-            message = (f"snapshot {path} is larger than {len(head) + cap} bytes, its header and the cap of {cap} "
-                       "on its arrays")
+            path = sparse_file(tmp_path / "big.snap", heads[kind])
+            message = f"snapshot {path} is larger than {fewshot.MAX_SNAPSHOT_BYTES} bytes, the cap on a snapshot"
         result = run_limited(["eval", "--snapshot", str(path), "--data", str(data), "--out", "o"], tmp_path)
         assert (result.returncode, result.stderr) == (3, f"data error: {message}\n")
         assert not (tmp_path / "o").exists()

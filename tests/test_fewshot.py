@@ -262,6 +262,44 @@ class TestSnapshotRoundTrip:
             Backbone.from_bytes(blob[: int(cut * len(blob))])
 
 
+class TestSnapshotCap:
+    def test_widest_cli_spec_round_trips_under_the_cap(self, tmp_path):
+        # 65 536 widths of 1 fill one --hidden argument ("1," each, in the 128 KiB an argument
+        # may take); the arrays are built directly, which is faster than `create`'s draws
+        spec = BackboneSpec(input_dim=48, hidden=(1,) * 65536, embed_dim=32)
+        arrays = [np.full(shape, float(i)) for i, (_, shape) in enumerate(fewshot._layout(spec))]
+        path = tmp_path / "wide.snap"
+        Backbone(spec, arrays).save(path)
+        with open(path, "rb") as f:
+            assert struct.unpack("<I", f.read(12)[8:])[0] > 16 << 20  # a header of over 16 MiB
+        assert path.stat().st_size <= fewshot.MAX_SNAPSHOT_BYTES
+        back = Backbone.load(path)
+        assert back.spec == spec
+        assert all(np.array_equal(a, b) for (_, a), b in zip(back._arrays(), arrays, strict=True))
+
+    def test_to_bytes_refuses_a_snapshot_above_the_cap(self, monkeypatch):
+        blob = tiny_snapshot()
+        monkeypatch.setattr(fewshot, "MAX_SNAPSHOT_BYTES", len(blob))
+        assert Backbone.from_bytes(blob).to_bytes() == blob
+        monkeypatch.setattr(fewshot, "MAX_SNAPSHOT_BYTES", len(blob) - 1)
+        with pytest.raises(ParameterError, match=f"^a snapshot of {len(blob)} bytes is above the cap of {len(blob) - 1}$"):
+            Backbone.from_bytes(blob).to_bytes()
+
+    def test_a_file_that_grows_after_the_check_reads_as_stray_bytes(self, tmp_path, monkeypatch):
+        path = tmp_path / "b.snap"
+        path.write_bytes(tiny_snapshot())
+        monkeypatch.setattr(fewshot, "MAX_SNAPSHOT_BYTES", path.stat().st_size)
+
+        def grow_then_open(file, mode):
+            with open(file, "ab") as f:
+                f.write(bytes(100))
+            return open(file, mode)
+
+        monkeypatch.setattr(fewshot, "open", grow_then_open, raising=False)
+        with pytest.raises(DataLoadError, match="^1 stray bytes after the last snapshot array$"):
+            Backbone.load(path)
+
+
 class TestClassifyCosine:
     def test_query_at_prototype(self):
         protos = compute_prototypes(dc.constant([[1.0, 0.0], [0.0, 1.0]]), [0, 1])
