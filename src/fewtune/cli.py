@@ -67,7 +67,8 @@ SHAPE_FIELDS = {"n_way": "n_way", "k_shot": "k_shot", "m_query": "m_query"}
 # other commands; left as None, they take that owner's default
 META_DEFAULTS = {key: getattr(MetaParams, META_ARGS[key]) for key in ("epochs", "lr", "momentum")}
 HP_DEFAULTS = {key: getattr(HyperParams, HP_FIELDS[key]) for key in META_DEFAULTS}
-# cap on what `replay` reads; the largest config the CLI writes, 65 536 --hidden widths, is about 460 KB
+# cap on what `replay` reads, and on the run_config.json a RunConfig writes; the largest config one
+# --hidden argument lists, 65 536 widths, writes about 460 KB
 MAX_CONFIG_BYTES = 1 << 20
 
 
@@ -125,6 +126,9 @@ class RunConfig:
         for key, value in defaults.items():
             if getattr(self, key) is None:
                 object.__setattr__(self, key, value)
+        if (written := len(self.to_json().encode())) > MAX_CONFIG_BYTES:  # a replay of it would be refused
+            raise ParameterError(f"run config would write {written} bytes to run_config.json, "
+                                 f"above the {MAX_CONFIG_BYTES} that replay reads")
 
     def hyperparams(self) -> HyperParams:
         return _call(HyperParams, self, HP_FIELDS)

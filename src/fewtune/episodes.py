@@ -7,9 +7,14 @@ range, so no image is checked again. An `Episode` holds its class names,
 K, the support and real query images, each set one array fancy-indexed
 from the class arrays, with their labels, and the pseudo query images,
 stacked into one array, with their sources. An episode relabels its
-sampled classes to 0..N-1 in draw order. The real query set exists for
-evaluation only; `Episode.query_guard` lets the fine-tuning stage lock it
-so any read raises, and a read counter backs the isolation tests.
+sampled classes to 0..N-1 in draw order.
+
+`draw_episode` alone makes an episode's draws, and returns them as
+indices: `sample_episode` gathers images from them, and meta-training
+gathers the same images as rows of its stacked dataset, so a stream
+gives both the same episode. The real query set exists for evaluation
+only; `Episode.query_guard` lets the fine-tuning stage lock it so any
+read raises, and a read counter backs the isolation tests.
 """
 
 from __future__ import annotations
@@ -151,28 +156,35 @@ def pqs_rule(n_way: int, k_shot: int) -> tuple[int, int | None]:
     return PQS_RULES.get(k_shot, (min(4, ceil(100 / (n_way * k_shot))), None))
 
 
-def sample_episode(ds: LabeledDataset, shape: EpisodeShape, rng: RngStream) -> Episode:
-    """Draw n classes, then k+m images per class, all without replacement;
-    the first k of each class's draw are support, the rest query. Each set is
-    gathered into one array, one copy of each image."""
+def draw_episode(ds: LabeledDataset, shape: EpisodeShape, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """The draws behind one episode: n class indices into `ds.classes`, then,
+    for each drawn class in order, k+m indices into its images, all without
+    replacement. Row i of the (n, k+m) picks is class i's draw; its first k
+    are support, the rest query. Too few classes, or a drawn class with fewer
+    than k+m images, is a CapacityError before any pick is drawn."""
     n, k, m = shape.n_way, shape.k_shot, shape.m_query
     classes = ds.classes
     if len(classes) < n:
         raise CapacityError(f"dataset '{ds.domain}' has {len(classes)} classes, episode needs {n}")
     gen = rng.generator()
     class_ids = gen.choice(len(classes), size=n, replace=False)
-    names = tuple(classes[int(class_id)] for class_id in class_ids)
-    # every drawn class is checked before the sets, which grow with the shape, are allocated
+    names = [classes[i] for i in class_ids]
     if short := next((name for name in names if len(ds.images[name]) < k + m), None):
         raise CapacityError(f"class '{short}' has {len(ds.images[short])} images, episode needs {k + m}")
+    return class_ids, np.stack([gen.choice(len(ds.images[name]), size=k + m, replace=False) for name in names])
 
+
+def sample_episode(ds: LabeledDataset, shape: EpisodeShape, rng: RngStream) -> Episode:
+    """The episode of `draw_episode`'s draws: each set gathered into one
+    array, one copy of each image, after every capacity check."""
+    n, k, m = shape.n_way, shape.k_shot, shape.m_query
+    class_ids, picks = draw_episode(ds, shape, rng)
+    names = tuple(ds.classes[int(i)] for i in class_ids)
     image_shape = next(iter(ds.images.values())).shape[1:]  # every class's (C, H, W)
     support, query = np.empty((n * k, *image_shape)), np.empty((n * m, *image_shape))
-    for i, name in enumerate(names):
-        pool = ds.images[name]
-        picks = gen.choice(len(pool), size=k + m, replace=False)
-        np.take(pool, picks[:k], axis=0, out=support[i * k : (i + 1) * k])
-        np.take(pool, picks[k:], axis=0, out=query[i * m : (i + 1) * m])
+    for i, (name, draw) in enumerate(zip(names, picks)):
+        np.take(ds.images[name], draw[:k], axis=0, out=support[i * k : (i + 1) * k])
+        np.take(ds.images[name], draw[k:], axis=0, out=query[i * m : (i + 1) * m])
 
     labels = np.arange(n, dtype=np.int64)
     return Episode(names, k, support, np.repeat(labels, k), query, np.repeat(labels, m))

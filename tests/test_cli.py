@@ -192,6 +192,27 @@ class TestReplayConfigErrors:
         assert main(["replay", str(path), "--out", str(tmp_path / "again")]) == 0
         assert tree_hash(tmp_path / "again") == tree_hash(tmp_path / "d")
 
+    def test_config_whose_written_file_replay_would_refuse_is_refused(self, tmp_path, capsys):
+        # 160 000 widths fit a 480 418-byte compact config, but to_json writes one indented line per width
+        out = tmp_path / "o"
+        fields = {"command": "metatrain", "data": str(tmp_path / "missing"), "out": str(out), "epochs": 0,
+                  "hidden": [1] * 160000}
+        path = tmp_path / "run_config.json"
+        path.write_text(json.dumps(fields, separators=(",", ":")))
+        assert path.stat().st_size < cli.MAX_CONFIG_BYTES
+        assert main(["replay", str(path)]) == 2
+        message = capsys.readouterr().err
+        written = re.fullmatch(r"usage error: run config would write (\d+) bytes to run_config.json, "
+                               rf"above the {cli.MAX_CONFIG_BYTES} that replay reads\n", message)
+        assert written and int(written[1]) > 1120000
+        assert not out.exists()
+
+    def test_widest_cli_config_round_trips(self):
+        # the widths one --hidden argument can list
+        cfg = RunConfig(command="metatrain", hidden=(1,) * 65536)
+        text = cfg.to_json()
+        assert len(text.encode()) == 459232 and RunConfig.from_json(text) == cfg
+
     def test_integer_read_as_float_for_float_key(self):
         # an int would serialize as 30, not 30.0, and change the report fingerprint
         cfg = RunConfig.from_json('{"s": 30, "lr": 1}')

@@ -16,6 +16,7 @@ from fewtune.episodes import (
     EpisodeShape,
     LabeledDataset,
     build_pseudo_query,
+    draw_episode,
     load_dataset,
     pqs_rule,
     sample_episode,
@@ -82,6 +83,19 @@ class TestSampleEpisode:
     def test_labels_relabelled_zero_based(self):
         ep = sample_episode(toy_dataset(), EpisodeShape(4, 3, 2), RngStream(6))
         assert sorted(set(ep.support_labels.tolist())) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("stream", [RngStream(0), RngStream(7, (2,)), RngStream(31, (1, 4))])
+    def test_episode_is_the_gather_of_its_draws(self, stream):
+        # one copy of the draws: the episode's images are the class images that draw_episode picked
+        ds, shape = toy_dataset(per_class=12), EpisodeShape(4, 3, 5)
+        ep = sample_episode(ds, shape, stream)
+        class_ids, picks = draw_episode(ds, shape, stream)
+        assert picks.shape == (4, 8) and ep.class_names == tuple(ds.classes[i] for i in class_ids)
+        pools = [ds.images[name] for name in ep.class_names]
+        for images, labels, cols in ((ep.support_images, ep.support_labels, slice(0, 3)),
+                                     (ep.query_images, ep.query_labels, slice(3, 8))):
+            assert np.array_equal(images, np.concatenate([pool[draw[cols]] for pool, draw in zip(pools, picks)]))
+            assert np.array_equal(labels, np.repeat(np.arange(4), cols.stop - cols.start))
 
 
 class TestQueryGuard:

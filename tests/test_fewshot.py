@@ -38,7 +38,7 @@ from fewtune.fewshot import (
     meta_train,
     pristine_state,
 )
-from fewtune.losses import HyperParams, compute_prototypes, finetune_objective
+from fewtune.losses import HyperParams, compute_prototypes, finetune_objective, proto_xent
 from fewtune.rng import RngStream
 from fewtune.synthetic import generate_synthetic, source_domain
 
@@ -541,6 +541,27 @@ def full_space_finetune(bk, ep, hp):
     return FinetuneState(work, head, losses)
 
 
+def full_space_meta_train(bk, ds, shape, params, rng):
+    """`meta_train` as before it gathered rows by index and trained in the
+    row space: each task an episode from `sample_episode`, embedded at full
+    width. The trained backbone and the per-epoch mean losses."""
+    work = bk.clone()
+    trainable, means = work.parameters(), []
+    for epoch in range(params.epochs):
+        losses = []
+        for task in range(params.episodes_per_epoch):
+            ep = sample_episode(ds, shape, rng.child(epoch * params.episodes_per_epoch + task))
+            support_emb = embed(work, ep.support_images, "train")
+            query_emb = embed(work, ep.query_images, "train")
+            loss = proto_xent(query_emb, ep.query_labels, compute_prototypes(support_emb, ep.support_labels, ep.n_way))
+            dc.backward(loss)
+            dc.sgd_step(trainable, params.learning_rate, params.momentum)
+            dc.zero_grads(trainable)
+            losses.append(float(loss.values))
+        means.append(float(np.mean(losses)))
+    return work, means
+
+
 def finetune_digest(state):
     digest = hashlib.sha256()
     digest.update(np.asarray(state.loss_history, dtype="<f8").tobytes())
@@ -767,6 +788,13 @@ class TestSharedArrays:
         assert bk.to_bytes() == before
 
 
+def pinned_meta_train_inputs():
+    """The backbone, dataset, shape and settings of TestMetaTrain.test_bits_pinned."""
+    ds = generate_synthetic(source_domain(n_classes=6, images_per_class=12, image_size=8), RngStream(1))
+    bk = Backbone.create(BackboneSpec(192, (32, 16), 8), RngStream(2))
+    return bk, ds, EpisodeShape(3, 2, 3), MetaParams(episodes_per_epoch=20, epochs=3)
+
+
 class TestMetaTrain:
     def test_zero_epochs_unchanged(self):
         bk = small_backbone()
@@ -793,16 +821,16 @@ class TestMetaTrain:
         # sha256 of the trained snapshot and the per-epoch mean losses; a
         # change to the meta-training step that moves any bit fails here.
         # The digest was taken with numpy 2.4 on x86-64 OpenBLAS; another
-        # BLAS may round the matmuls differently.
-        ds = generate_synthetic(source_domain(n_classes=6, images_per_class=12, image_size=8), RngStream(1))
-        bk = Backbone.create(BackboneSpec(192, (32, 16), 8), RngStream(2))
+        # BLAS may round the matmuls differently. Its 72 images of 192
+        # values train in the row space; the digest it held before that is
+        # kept by the full-space reference loop (TestRowSpaceMetaTrain).
+        bk, ds, shape, params = pinned_meta_train_inputs()
         means = []
-        out = meta_train(bk, ds, EpisodeShape(3, 2, 3), MetaParams(episodes_per_epoch=20, epochs=3),
-                         rng=RngStream(3), on_epoch=lambda epoch, loss: means.append(loss))
+        out = meta_train(bk, ds, shape, params, rng=RngStream(3), on_epoch=lambda epoch, loss: means.append(loss))
         assert hashlib.sha256(out.to_bytes()).hexdigest() == (
-            "025602b494c8bc580cd8a7205d06a021f4eba3d7bdf0239cc73195d9f0aea56b"
+            "f9164936e28cecaef4f7a6605fbe34e687b24b32dfff57f28332433a67bb3a83"
         )
-        assert means == [0.5221960650442077, 0.1270878076411695, 0.1060681450697388]
+        assert means == [0.5221960650442075, 0.1270878076411695, 0.10606814506973153]
 
     def test_deterministic(self):
         params = MetaParams(episodes_per_epoch=8, epochs=1)
@@ -824,3 +852,95 @@ class TestMetaTrain:
         before = bk.to_bytes()
         meta_train(bk, small_dataset(), params=MetaParams(episodes_per_epoch=5, epochs=1), rng=RngStream(3))
         assert bk.to_bytes() == before
+
+
+def traced_meta_train(monkeypatch, bk, ds, shape, params, rng):
+    """`meta_train`'s backbone and per-epoch mean losses, and whether it trained a row-space coordinate copy."""
+    copies, coordinate_copy = [], fewshot._coordinate_copy
+    monkeypatch.setattr(fewshot, "_coordinate_copy", lambda *args: copies.append(args) or coordinate_copy(*args))
+    means = []
+    out = meta_train(bk, ds, shape, params, rng=rng, on_epoch=lambda epoch, loss: means.append(loss))
+    return out, means, bool(copies)
+
+
+# (classes, images per class, side) of a source-preset dataset, and the backbone widths
+PAPER = (8, 40, 16), BackboneSpec()
+AT_THE_RULE = (6, 16, 8), BackboneSpec(192, (32, 16), 8)  # 2n = D = 192
+PAST_THE_RULE = (6, 17, 8), BackboneSpec(192, (32, 16), 8)  # 2n = 204 > D
+SMALL = (6, 24, 4), SMALL_SPEC  # 2n = 288 > D = 48
+
+
+def rule_case(case, seed):
+    (classes, per_class, side), spec = case
+    ds = generate_synthetic(source_domain(n_classes=classes, images_per_class=per_class, image_size=side),
+                            RngStream(seed))
+    return Backbone.create(spec, RngStream(seed, (1,))), ds
+
+
+class TestRowSpaceMetaTrain:
+    """Meta-training gathers each task's rows from the stacked dataset; when
+    its n images of D values have 2n <= D, the first layer trains in their
+    row space, which is the full-space loop up to rounding."""
+
+    def test_reference_is_the_full_space_loop(self):
+        # the digest and means TestMetaTrain.test_bits_pinned held before the row-space meta-training
+        bk, ds, shape, params = pinned_meta_train_inputs()
+        out, means = full_space_meta_train(bk, ds, shape, params, RngStream(3))
+        assert hashlib.sha256(out.to_bytes()).hexdigest() == (
+            "025602b494c8bc580cd8a7205d06a021f4eba3d7bdf0239cc73195d9f0aea56b"
+        )
+        assert means == [0.5221960650442077, 0.1270878076411695, 0.1060681450697388]
+
+    @pytest.mark.parametrize("case", [PAPER, AT_THE_RULE], ids=["paper", "at-the-rule"])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_matches_full_space(self, monkeypatch, case, seed):
+        bk, ds = rule_case(case, seed)
+        shape, params = EpisodeShape(5, 5, 10), MetaParams(episodes_per_epoch=40, epochs=2)
+        out, means, row_space = traced_meta_train(monkeypatch, bk, ds, shape, params, RngStream(seed, (2,)))
+        ref, ref_means = full_space_meta_train(bk, ds, shape, params, RngStream(seed, (2,)))
+        assert row_space
+        np.testing.assert_allclose(means, ref_means, rtol=1e-9, atol=1e-12)
+        for (name, a), (_, b) in zip(out._arrays(), ref._arrays()):
+            # the pre-batch-norm and dense2 biases have a zero gradient and hold only roundoff
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("case", [PAST_THE_RULE, SMALL], ids=["past-the-rule", "small"])
+    def test_full_width_past_the_rule_is_bit_exact(self, monkeypatch, case):
+        bk, ds = rule_case(case, 4)
+        params = MetaParams(episodes_per_epoch=15, epochs=2)
+        out, means, row_space = traced_meta_train(monkeypatch, bk, ds, EpisodeShape(3, 3, 4), params, RngStream(5))
+        ref, ref_means = full_space_meta_train(bk, ds, EpisodeShape(3, 3, 4), params, RngStream(5))
+        assert not row_space
+        assert out.to_bytes() == ref.to_bytes() and means == ref_means
+
+    def test_first_layer_moves_in_the_row_space(self):
+        bk, ds = rule_case(PAPER, 5)
+        out = meta_train(bk, ds, params=MetaParams(episodes_per_epoch=30, epochs=1), rng=RngStream(6))
+        rows = images_to_batch(np.concatenate(list(ds.images.values())), bk.spec.input_dim).values
+        delta = out.dense[0].weight.values - bk.dense[0].weight.values
+        coeffs, *_ = np.linalg.lstsq(rows.T, delta, rcond=None)
+        assert 2 * rows.shape[0] <= rows.shape[1]
+        assert np.abs(delta).max() > 1e-3
+        assert np.abs(delta - rows.T @ coeffs).max() <= 1e-12 * np.abs(delta).max()
+
+    def test_zero_epochs_returns_the_input_arrays(self, monkeypatch):
+        bk, ds, shape, _ = pinned_meta_train_inputs()
+        out, means, row_space = traced_meta_train(monkeypatch, bk, ds, shape, MetaParams(epochs=0), RngStream(1))
+        assert means == [] and not row_space
+        for (name, a), (_, b) in zip(out._arrays(), bk._arrays()):
+            assert a.shape == b.shape and np.array_equal(a, b), name
+
+    def test_post_run_check_sees_the_returned_arrays(self, monkeypatch):
+        # as for finetune: the divergence check after the last step reads the mapped-back backbone
+        checked, train = [], fewshot._train
+
+        def spy(params, steps, learning_rate, momentum, history, state):
+            train(params, steps, learning_rate, momentum, history, state)
+            checked.extend(state())
+
+        monkeypatch.setattr(fewshot, "_train", spy)
+        bk, ds, shape, params = pinned_meta_train_inputs()
+        out, _, row_space = traced_meta_train(monkeypatch, bk, ds, shape, params, RngStream(3))
+        assert row_space and [name for name, _ in checked] == [name for name, _ in out._arrays()]
+        for (name, a), (_, b) in zip(checked, out._arrays()):
+            assert a.shape == b.shape and np.array_equal(a, b), name
