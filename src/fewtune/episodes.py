@@ -1,20 +1,18 @@
 """Dataset model, N-way K-shot episode sampling, and pseudo-query sizing.
 
-An image is a channels-first (C, H, W) float64 array in [0, 1]. A
-`LabeledDataset` holds each class as one read-only (n, C, H, W) array,
-checked once when the dataset is built; every image op keeps the value
-range, so no image is checked again. An `Episode` holds its class names,
-K, the support and real query images, each set one array fancy-indexed
-from the class arrays, with their labels, and the pseudo query images,
-stacked into one array, with their sources. An episode relabels its
-sampled classes to 0..N-1 in draw order.
+An image is a channels-first (C, H, W) float64 array in [0, 1]. A `LabeledDataset` holds every
+image, class after class, in one read-only C-ordered (n, C, H, W) buffer, checked once when the
+dataset is built; each class is a view of its rows. Every image op keeps the value range, so no
+image is checked again. An `Episode` holds its class names, K, the support and real query images,
+each set one array gathered from the buffer, with their labels, and the pseudo query images,
+stacked into one array, with their sources. An episode relabels its sampled classes to 0..N-1 in
+draw order.
 
-`draw_episode` alone makes an episode's draws, and returns them as
-indices: `sample_episode` gathers images from them, and meta-training
-gathers the same images as rows of its stacked dataset, so a stream
-gives both the same episode. The real query set exists for evaluation
-only; `Episode.query_guard` lets the fine-tuning stage lock it so any
-read raises, and a read counter backs the isolation tests.
+`draw_episode` alone makes an episode's draws, and returns them as rows of the buffer:
+`sample_episode` gathers images from them, and meta-training gathers the same images from a view
+of the buffer, so a stream gives both the same episode. The real query set exists for evaluation
+only; `Episode.query_guard` lets the fine-tuning stage lock it so any read raises, and a read
+counter backs the isolation tests.
 """
 
 from __future__ import annotations
@@ -22,17 +20,17 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from math import ceil
+from math import ceil, prod
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CapacityError, ContractError, DataError, DataLoadError, ParameterError, QueryIsolationError, ShapeError
 from .imageaug import augment
-from .ppm import read_ppm, write_ppm
+from .ppm import ppm_shape, read_ppm, write_ppm
 from .rng import RngStream
 
-# cap on a dataset's float64 pixel bytes, which `DomainSpec` and `dataset_files` estimate up front
+# cap on a dataset's float64 pixel bytes: `DomainSpec` and `dataset_files` estimate it, `load_dataset` checks it
 MAX_DATASET_BYTES = 1 << 30
 
 
@@ -52,34 +50,43 @@ class EpisodeShape:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """A domain tag and its class-name -> images mapping, in class order. Each
-    class is one read-only (n, C, H, W) float64 array, a view of the given one."""
+    """A domain tag, every image in one read-only C-ordered (n, C, H, W) float64 array, class after class
+    (a view of the given array if it is one already), and each class name's image count, in class order.
+    Class i is rows starts[i]:starts[i + 1] of `pixels`."""
 
     domain: str
-    images: dict[str, np.ndarray]
+    pixels: np.ndarray = field(repr=False)
+    counts: dict[str, int]
+    starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        images: dict[str, np.ndarray] = {}
-        shape = None
+        pixels, counts = np.ascontiguousarray(self.pixels, dtype=np.float64).view(), dict(self.counts)
+        if pixels.ndim != 4:
+            raise ShapeError(f"expected pixels of shape (images, channels, height, width), got {pixels.shape}")
+        if empty := next((name for name, count in counts.items() if count < 1), None):
+            raise ShapeError(f"class {empty!r}: expected non-empty (images, channels, height, width), "
+                             f"got {(counts[empty], *pixels.shape[1:])}")
+        if sum(counts.values()) != len(pixels):
+            raise ShapeError(f"the classes hold {sum(counts.values())} images, the pixels {len(pixels)}")
+        pixels.flags.writeable = False
+        for name, value in (("pixels", pixels), ("counts", counts), ("starts", np.cumsum([0, *counts.values()]))):
+            object.__setattr__(self, name, value)
         for name, pool in self.images.items():
-            try:
-                arr = np.asarray(pool, dtype=np.float64).view()
-            except ValueError as exc:  # images of different shapes, say
-                raise ShapeError(f"class {name!r}: images do not stack into one array: {exc}") from exc
-            if arr.ndim != 4 or arr.size == 0:
-                raise ShapeError(f"class {name!r}: expected non-empty (images, channels, height, width), got {arr.shape}")
-            shape = shape or arr.shape[1:]
-            if arr.shape[1:] != shape:
-                raise ShapeError(f"class {name!r}: image shape {arr.shape[1:]} differs from dataset shape {shape}")
-            if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # false for a NaN too
+            if not (pool.min() >= 0.0 and pool.max() <= 1.0):  # false for a NaN too
                 raise ParameterError(f"class {name!r}: pixel values must lie in [0, 1]")
-            arr.flags.writeable = False
-            images[name] = arr
-        object.__setattr__(self, "images", images)
+
+    def __reduce__(self):
+        # the buffer alone is pickled, and checked and made read-only again on the other side
+        return type(self), (self.domain, self.pixels, self.counts)
 
     @property
     def classes(self) -> tuple[str, ...]:
-        return tuple(self.images)
+        return tuple(self.counts)
+
+    @property
+    def images(self) -> dict[str, np.ndarray]:
+        """Each class name -> its images, a read-only (count, C, H, W) view of `pixels`, in class order."""
+        return {name: self.pixels[lo:hi] for name, lo, hi in zip(self.counts, self.starts, self.starts[1:])}
 
     def fingerprint(self) -> str:
         """Hash of the class names and pixels; the domain tag is left out, so a
@@ -158,36 +165,32 @@ def pqs_rule(n_way: int, k_shot: int) -> tuple[int, int | None]:
 
 def draw_episode(ds: LabeledDataset, shape: EpisodeShape, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """The draws behind one episode: n class indices into `ds.classes`, then,
-    for each drawn class in order, k+m indices into its images, all without
-    replacement. Row i of the (n, k+m) picks is class i's draw; its first k
-    are support, the rest query. Too few classes, or a drawn class with fewer
-    than k+m images, is a CapacityError before any pick is drawn."""
+    for each drawn class in order, k+m of its images, all without replacement,
+    as rows of `ds.pixels`. Row i of the (n, k+m) rows is class i's draw; its
+    first k are support, the rest query. Too few classes, or a drawn class with
+    fewer than k+m images, is a CapacityError before any image is drawn."""
     n, k, m = shape.n_way, shape.k_shot, shape.m_query
     classes = ds.classes
     if len(classes) < n:
         raise CapacityError(f"dataset '{ds.domain}' has {len(classes)} classes, episode needs {n}")
     gen = rng.generator()
     class_ids = gen.choice(len(classes), size=n, replace=False)
-    names = [classes[i] for i in class_ids]
-    if short := next((name for name in names if len(ds.images[name]) < k + m), None):
-        raise CapacityError(f"class '{short}' has {len(ds.images[short])} images, episode needs {k + m}")
-    return class_ids, np.stack([gen.choice(len(ds.images[name]), size=k + m, replace=False) for name in names])
+    sizes = np.diff(ds.starts)[class_ids]
+    if (sizes < k + m).any():
+        short = classes[class_ids[np.argmax(sizes < k + m)]]
+        raise CapacityError(f"class '{short}' has {ds.counts[short]} images, episode needs {k + m}")
+    picks = np.stack([gen.choice(size, size=k + m, replace=False) for size in sizes])
+    return class_ids, ds.starts[class_ids, None] + picks
 
 
 def sample_episode(ds: LabeledDataset, shape: EpisodeShape, rng: RngStream) -> Episode:
-    """The episode of `draw_episode`'s draws: each set gathered into one
-    array, one copy of each image, after every capacity check."""
+    """The episode of `draw_episode`'s draws: each set gathered from
+    `ds.pixels` with one index, one copy of each image, after every capacity check."""
     n, k, m = shape.n_way, shape.k_shot, shape.m_query
-    class_ids, picks = draw_episode(ds, shape, rng)
-    names = tuple(ds.classes[int(i)] for i in class_ids)
-    image_shape = next(iter(ds.images.values())).shape[1:]  # every class's (C, H, W)
-    support, query = np.empty((n * k, *image_shape)), np.empty((n * m, *image_shape))
-    for i, (name, draw) in enumerate(zip(names, picks)):
-        np.take(ds.images[name], draw[:k], axis=0, out=support[i * k : (i + 1) * k])
-        np.take(ds.images[name], draw[k:], axis=0, out=query[i * m : (i + 1) * m])
-
-    labels = np.arange(n, dtype=np.int64)
-    return Episode(names, k, support, np.repeat(labels, k), query, np.repeat(labels, m))
+    class_ids, rows = draw_episode(ds, shape, rng)
+    classes, labels = ds.classes, np.arange(n, dtype=np.int64)
+    return Episode(tuple(classes[i] for i in class_ids), k, ds.pixels[rows[:, :k].ravel()], np.repeat(labels, k),
+                   ds.pixels[rows[:, k:].ravel()], np.repeat(labels, m))
 
 
 def build_pseudo_query(ep: Episode, rng: RngStream) -> Episode:
@@ -253,23 +256,25 @@ def dataset_files(path: str | Path) -> dict[str, list[Path]]:
 
 
 def load_dataset(path: str | Path) -> LabeledDataset:
-    """Load `root/<class_name>/<image>.ppm` in `dataset_files` order, stacking
-    each class into one array as it is read. Non-square images are rejected up
-    front, since the pseudo-query recipe rotates by 90 and 270 degrees. The
+    """Load `root/<class_name>/<image>.ppm` in `dataset_files` order, each image decoded into its row of
+    one buffer, whose size, from the image count and the first header, is checked before it is allocated.
+    Non-square images are rejected, since the pseudo-query recipe rotates by 90 and 270 degrees. The
     domain tag is the directory name."""
-    images: dict[str, np.ndarray] = {}
-    shape_seen: tuple[int, ...] | None = None
-    for name, files in dataset_files(path).items():
-        loaded = []
-        for f in files:
-            img = read_ppm(f)
-            shape_seen = shape_seen or img.shape
-            if img.shape[1] != img.shape[2]:
-                raise DataLoadError(f"{f}: non-square image ({img.shape[1]}x{img.shape[2]}); the pseudo-query "
-                                    "recipe rotates by 90 and 270 degrees")
-            if img.shape != shape_seen:
-                raise DataLoadError(f"{f}: shape {img.shape} differs from dataset shape {shape_seen}")
-            loaded.append(img)
-        images[name] = np.stack(loaded)
+    root, files = Path(path), dataset_files(path)
+    first = next(iter(files.values()))[0]
+    shape, n = ppm_shape(first), sum(map(len, files.values()))
+    held = 8 * n * prod(shape)
+    if held > MAX_DATASET_BYTES:
+        raise DataLoadError(f"dataset directory {root} would hold {held} bytes of pixels, {n} images shaped like "
+                            f"{first}, above the cap of {MAX_DATASET_BYTES}")
+    pixels = np.empty((n, *shape))
+    for row, f in enumerate(f for pool in files.values() for f in pool):
+        img = read_ppm(f)
+        if img.shape[1] != img.shape[2]:
+            raise DataLoadError(f"{f}: non-square image ({img.shape[1]}x{img.shape[2]}); the pseudo-query "
+                                "recipe rotates by 90 and 270 degrees")
+        if img.shape != shape:
+            raise DataLoadError(f"{f}: shape {img.shape} differs from dataset shape {shape}")
+        pixels[row] = img
 
-    return LabeledDataset(domain=Path(path).name, images=images)
+    return LabeledDataset(root.name, pixels, {name: len(pool) for name, pool in files.items()})

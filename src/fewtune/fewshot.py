@@ -6,11 +6,11 @@ projection). Its state is the snapshot's arrays in `_layout` order, which `Backb
 the one constructor, wraps for `create`, `clone`, `from_bytes` and `_coordinate_copy`.
 `from_bytes` alone parses a snapshot; `load` hands it a regular file of at most MAX_SNAPSHOT_BYTES,
 read in one call. A snapshot with a NaN, an infinity or other batch-norm constants does not load,
-and a loaded snapshot's arrays are read-only. No code writes into a backbone's arrays: an SGD step
-replaces a parameter's `values` and a train-mode batch norm replaces its running statistics. So
-episodes share the snapshot's arrays without copying them, and every episode starts from the same
-snapshot. During fine-tuning the real query set is locked; only support and pseudo-query images
-are read.
+and a loaded snapshot's arrays are read-only views of its payload, which is checked as one array.
+No code writes into a backbone's arrays: an SGD step replaces a parameter's `values` and a
+train-mode batch norm replaces its running statistics. So episodes share the snapshot's arrays
+without copying them, and every episode starts from the same snapshot. During fine-tuning the real
+query set is locked; only support and pseudo-query images are read.
 
 The first dense layer trains in the row space of the images it can see.
 Its gradient X^T G lies in the span of the rows X, so `_coordinate_copy`
@@ -22,11 +22,12 @@ to rounding, on the same tape with a first-layer matmul of r instead of D
 rows.
 - `finetune` takes Q from the B stacked support and pseudo-query rows of
   its episode, r = min(B, D).
-- `meta_train` takes Q from all n rows of its dataset, from which every
-  task draws, and only when 2n <= D. Past that the narrower steps do not
-  repay the QR: at one BLAS thread, D = 768 and n = 320 took 17 ms to
-  factor and saved 0.34 ms per 75-row batch, while n = 700 ran slower.
-  Meta-training then trains at full width, bit for bit as before.
+- `meta_train` takes Q from all n rows of its dataset, a view of its pixel
+  buffer from which every task draws, and only when 2n <= D. Past that the
+  narrower steps do not repay the QR: at one BLAS thread, D = 768 and
+  n = 320 took 17 ms to factor and saved 0.34 ms per 75-row batch, while
+  n = 700 ran slower. Meta-training then trains at full width, bit for bit
+  as before.
 
 `finetune` and `meta_train` feed their step losses to one SGD loop, `_train`, which
 alone checks for a non-finite loss, a finite blow-up and, after the last step, a non-finite array.
@@ -194,17 +195,17 @@ class Backbone:
                 raise DataLoadError("snapshot arrays do not match its spec")
         except (ValueError, KeyError, TypeError, ParameterError, RecursionError) as exc:
             raise DataLoadError(f"bad snapshot header: {type(exc).__name__}: {exc}") from exc
-        expected = pos + 8 * sum(math.prod(shape) for _, shape in layout)  # the blob's length, checked once
+        sizes = [math.prod(shape) for _, shape in layout]
+        expected = pos + 8 * sum(sizes)  # the blob's length, checked once
         if len(blob) != expected:
             raise DataLoadError("snapshot truncated" if len(blob) < expected else
                                 f"{len(blob) - expected} stray bytes after the last snapshot array")
-        arrays: list[np.ndarray] = []
-        for name, shape in layout:
-            end = pos + 8 * math.prod(shape)
-            arrays.append(np.frombuffer(blob[pos:end], dtype="<f8").reshape(shape))  # read-only; the slice is a copy
-            if not np.isfinite(arrays[-1]).all():
-                raise DataLoadError(f"snapshot array {name} holds a NaN or infinite value")
-            pos = end
+        payload = np.frombuffer(blob[pos:], dtype="<f8")  # read-only; one aligned copy, without the header
+        ends = np.cumsum(sizes).tolist()
+        arrays = [payload[end - size : end].reshape(shape) for (_, shape), size, end in zip(layout, sizes, ends)]
+        if not np.isfinite(payload).all():
+            bad = next(name for (name, _), a in zip(layout, arrays) if not np.isfinite(a).all())
+            raise DataLoadError(f"snapshot array {bad} holds a NaN or infinite value")
         return cls(spec, arrays)
 
     def save(self, path: str | Path) -> None:
@@ -396,24 +397,19 @@ def meta_train(
     or a plain one after zero epochs.
 
     Desk-scale stand-in for large-scale meta-training; `on_epoch(epoch,
-    mean_loss)` is invoked after each epoch when given. The dataset's rows
-    are stacked once, and each task gathers its support and query rows by
-    the indices `draw_episode` returns. When 2n <= D for its n images of D
-    values, the first layer trains in their row space, on the coordinates R^T
-    of the stacked rows' thin QR.
+    mean_loss)` is invoked after each epoch when given. Each task gathers
+    its support and query rows from the dataset's n x D pixel rows, a view
+    of its buffer, by the rows `draw_episode` returns. When 2n <= D, the first
+    layer trains in their row space, on the coordinates R^T of the rows' thin QR.
     """
     if not params.epochs:
         return bk.clone()
-    pools = list(ds.images.values())
-    n = sum(map(len, pools))
-    # one C-ordered copy of the images, whose n x D rows are a view of it (a loaded class array is not C-contiguous)
-    rows = images_to_batch(np.concatenate(pools, out=np.empty((n, *pools[0].shape[1:]))), bk.spec.input_dim).values
-    if 2 * n <= bk.spec.input_dim:
+    rows = images_to_batch(ds.pixels, bk.spec.input_dim).values
+    if 2 * len(rows) <= bk.spec.input_dim:
         basis, upper = np.linalg.qr(rows.T)  # rows = R^T Q^T, so rows Q = R^T
         (work, mapped_back), rows = _coordinate_copy(bk, basis), np.ascontiguousarray(upper.T)
     else:
         work, mapped_back = bk.clone(), None
-    first_row = np.cumsum([0, *map(len, pools[:-1])])  # of each class in `rows`
     k, labels = shape.k_shot, np.arange(shape.n_way)
     history: list[float] = []
     trained = work
@@ -422,8 +418,7 @@ def meta_train(
         nonlocal trained
         for epoch in range(params.epochs):
             for task in range(params.episodes_per_epoch):
-                class_ids, picks = draw_episode(ds, shape, rng.child(epoch * params.episodes_per_epoch + task))
-                at = first_row[class_ids, None] + picks  # each drawn class's rows, support first
+                _, at = draw_episode(ds, shape, rng.child(epoch * params.episodes_per_epoch + task))
                 support_emb = work.forward(dc.constant(rows[at[:, :k].ravel()]), "train")
                 query_emb = work.forward(dc.constant(rows[at[:, k:].ravel()]), "train")
                 protos = compute_prototypes(support_emb, labels.repeat(k), shape.n_way)

@@ -1,7 +1,7 @@
 """Pixel operations and the stochastic pseudo-query augmentation pipeline.
 
 An image is a channels-first (C, H, W) float64 array with values in
-[0, 1]; `LabeledDataset` checks its class arrays once, and every
+[0, 1]; `LabeledDataset` checks its pixels once, and every
 operation here maps an image to an image of the same shape and range, so
 no image is checked again. An op returns a new array or a view of its
 input; none writes into its input. The pipeline applies, in this fixed

@@ -109,12 +109,11 @@ def _pattern(
 def generate_synthetic(spec: DomainSpec, rng: RngStream) -> LabeledDataset:
     """Render the dataset described by `spec`, determined by (spec, rng)."""
     rot = _gray_axis_rotation(spec.palette_angle)
-    images: dict[str, np.ndarray] = {}
+    pixels = np.empty((spec.n_classes * spec.images_per_class, 3, spec.image_size, spec.image_size))
     for c in range(spec.n_classes):
         pattern_id = c + spec.pattern_offset
         color = _class_color(pattern_id)
         class_rng = rng.child(c)
-        rendered = np.empty((spec.images_per_class, 3, spec.image_size, spec.image_size))
         for i in range(spec.images_per_class):
             gen = class_rng.child(i).generator()
             phase = gen.uniform(0.0, 2.0 * np.pi)
@@ -124,7 +123,6 @@ def generate_synthetic(spec: DomainSpec, rng: RngStream) -> LabeledDataset:
             px = np.einsum("ij,jhw->ihw", rot, px)
             if spec.noise_sigma > 0:
                 px = px + gen.normal(0.0, spec.noise_sigma, size=px.shape)
-            np.clip(px, 0.0, 1.0, out=rendered[i])
-        images[f"class_{c:02d}"] = rendered
+            np.clip(px, 0.0, 1.0, out=pixels[c * spec.images_per_class + i])
 
-    return LabeledDataset(domain=spec.tag, images=images)
+    return LabeledDataset(spec.tag, pixels, {f"class_{c:02d}": spec.images_per_class for c in range(spec.n_classes)})

@@ -11,7 +11,7 @@ import numpy as np
 
 import fewtune.diffcore as dc
 from fewtune.cli import _config_from_args, build_parser
-from fewtune.episodes import EpisodeShape, build_pseudo_query, sample_episode
+from fewtune.episodes import EpisodeShape, LabeledDataset, build_pseudo_query, sample_episode
 from fewtune.evalharness import EvalPlan, ablate, emit_report, run_eval
 from fewtune.fewshot import Backbone, BackboneSpec, MetaParams, finetune, meta_train
 from fewtune.imageaug import (
@@ -176,15 +176,7 @@ def test_criterion_4_pseudo_query_sizing():
     sizes = {}
     traced = True
     for k, expected in ((5, 100), (20, 200), (50, 200)):
-        from fewtune.episodes import LabeledDataset
-
-        images = {
-            name: np.stack([
-                rng.uniform(size=(3, 4, 4)) for _ in range(k + 3)
-            ])
-            for name in names
-        }
-        ds = LabeledDataset(domain="toy", images=images)
+        ds = LabeledDataset("toy", rng.uniform(size=(len(names) * (k + 3), 3, 4, 4)), dict.fromkeys(names, k + 3))
         ep = sample_episode(ds, EpisodeShape(5, k, 3), RngStream(4000 + k))
         build_pseudo_query(ep, RngStream(5000 + k))
         sizes[k] = len(ep.pseudo_images)

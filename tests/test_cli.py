@@ -30,7 +30,7 @@ from fewtune.errors import ContractError, DataError, DivergenceError, FewtuneErr
 from fewtune.evalharness import pass_blas_threads
 from fewtune.fewshot import Backbone, BackboneSpec, MetaParams
 from fewtune.losses import HyperParams
-from fewtune.ppm import read_ppm
+from fewtune.ppm import read_ppm, write_ppm
 from fewtune.synthetic import generate_synthetic, source_domain
 from fewtune.rng import RngStream
 
@@ -965,6 +965,23 @@ class TestExitCodes:
         result = run_limited(["metatrain", "--data", "d", "--out", "o"], tmp_path)
         odd = Path("d", "class_04", "img_999.ppm")
         assert (result.returncode, result.stderr) == (3, f"data error: {odd} is not a regular file\n")
+        assert not (tmp_path / "o").exists()
+
+    @needs_limit
+    def test_pixels_above_the_cap_are_a_data_error(self, tmp_path):
+        # a 2000x2000 first image and 100 of 2x2: 12 MB of files, which the 8-bytes-per-file-byte estimate
+        # lets through, but 101 images of the first one's shape would take 9.7 GB of float64 pixels
+        head = b"P6\n2000 2000\n255\n"
+        (tmp_path / "d" / "a").mkdir(parents=True)
+        sparse_file(tmp_path / "d" / "a" / "img_000.ppm", head, len(head) + 3 * 2000 * 2000)
+        (tmp_path / "d" / "b").mkdir()
+        for i in range(100):
+            write_ppm(np.zeros((3, 2, 2)), tmp_path / "d" / "b" / f"img_{i:03d}.ppm")
+        result = run_limited(["metatrain", "--data", "d", "--out", "o", "--hidden", "1", "--embed-dim", "1"], tmp_path)
+        first, held = Path("d", "a", "img_000.ppm"), 8 * 101 * 3 * 2000 * 2000
+        assert (result.returncode, result.stderr) == (3, f"data error: dataset directory d would hold {held} bytes of "
+                                                         f"pixels, 101 images shaped like {first}, above the cap of "
+                                                         f"{episodes.MAX_DATASET_BYTES}\n")
         assert not (tmp_path / "o").exists()
 
     def test_symlinked_ppm_still_loads(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import pickle
 import re
 
 import numpy as np
@@ -29,13 +30,8 @@ from fewtune.synthetic import DomainSpec, generate_synthetic, source_domain, tar
 
 
 def toy_dataset(n_classes=6, per_class=30, size=8, seed=0):
-    rng = np.random.default_rng(seed)
-    names = tuple(f"c{i}" for i in range(n_classes))
-    images = {
-        name: tuple(rng.uniform(size=(3, size, size)) for _ in range(per_class))
-        for name in names
-    }
-    return LabeledDataset(domain="toy", images=images)
+    pixels = np.random.default_rng(seed).uniform(size=(n_classes * per_class, 3, size, size))
+    return LabeledDataset("toy", pixels, {f"c{i}": per_class for i in range(n_classes)})
 
 
 class TestSampleEpisode:
@@ -86,15 +82,17 @@ class TestSampleEpisode:
 
     @pytest.mark.parametrize("stream", [RngStream(0), RngStream(7, (2,)), RngStream(31, (1, 4))])
     def test_episode_is_the_gather_of_its_draws(self, stream):
-        # one copy of the draws: the episode's images are the class images that draw_episode picked
+        # one copy of the draws: the episode's images are the dataset rows that draw_episode picked,
+        # each drawn class's rows distinct and inside that class
         ds, shape = toy_dataset(per_class=12), EpisodeShape(4, 3, 5)
         ep = sample_episode(ds, shape, stream)
-        class_ids, picks = draw_episode(ds, shape, stream)
-        assert picks.shape == (4, 8) and ep.class_names == tuple(ds.classes[i] for i in class_ids)
-        pools = [ds.images[name] for name in ep.class_names]
+        class_ids, rows = draw_episode(ds, shape, stream)
+        assert rows.shape == (4, 8) and ep.class_names == tuple(ds.classes[i] for i in class_ids)
+        for i, draw in zip(class_ids, rows):
+            assert len(set(draw)) == 8 and ds.starts[i] <= draw.min() and draw.max() < ds.starts[i + 1]
         for images, labels, cols in ((ep.support_images, ep.support_labels, slice(0, 3)),
                                      (ep.query_images, ep.query_labels, slice(3, 8))):
-            assert np.array_equal(images, np.concatenate([pool[draw[cols]] for pool, draw in zip(pools, picks)]))
+            assert np.array_equal(images, ds.pixels[rows[:, cols].ravel()])
             assert np.array_equal(labels, np.repeat(np.arange(4), cols.stop - cols.start))
 
 
@@ -304,28 +302,32 @@ class TestLoadDataset:
 
 
 class TestLabeledDataset:
-    """Each class is checked once, as one (n, C, H, W) array; no image is checked again."""
+    """The images are one (n, C, H, W) buffer, checked once, class by class; no image is checked again."""
 
-    @pytest.mark.parametrize("images, error, fragment", [
-        ({"a": np.zeros((3, 2, 2))}, ShapeError, r"^class 'a': expected non-empty \(images, channels, height, width\), got \(3, 2, 2\)$"),
-        ({"a": np.zeros((1, 3, 2, 2)), "b": np.zeros((0, 3, 2, 2))}, ShapeError, r"^class 'b': expected non-empty \(images, channels, height, width\), got \(0, 3, 2, 2\)$"),
-        ({"a": np.zeros((1, 3, 2, 2)), "b": np.zeros((1, 3, 4, 4))}, ShapeError,
-         r"^class 'b': image shape \(3, 4, 4\) differs from dataset shape \(3, 2, 2\)$"),
-        ({"a": np.full((1, 3, 2, 2), 1.5)}, ParameterError, r"^class 'a': pixel values must lie in \[0, 1\]$"),
-        ({"a": np.array([[[[0.5, np.nan]]]])}, ParameterError, r"^class 'a': pixel values must lie in \[0, 1\]$"),
-        ({"a": (np.zeros((3, 2, 2)), np.zeros((3, 4, 4)))}, ShapeError,
-         r"^class 'a': images do not stack into one array: .*inhomogeneous shape"),
-    ], ids=["three-axes", "empty-class", "mixed-shapes", "above-one", "nan", "ragged-class"])
-    def test_rejects(self, images, error, fragment):
+    @pytest.mark.parametrize("pixels, counts, error, fragment", [
+        (np.zeros((3, 2, 2)), {"a": 3}, ShapeError,
+         r"^expected pixels of shape \(images, channels, height, width\), got \(3, 2, 2\)$"),
+        (np.zeros((1, 3, 2, 2)), {"a": 1, "b": 0}, ShapeError,
+         r"^class 'b': expected non-empty \(images, channels, height, width\), got \(0, 3, 2, 2\)$"),
+        (np.zeros((1, 3, 2, 2)), {"a": 2, "b": -1}, ShapeError,
+         r"^class 'b': expected non-empty \(images, channels, height, width\), got \(-1, 3, 2, 2\)$"),
+        (np.zeros((3, 3, 2, 2)), {"a": 1, "b": 1}, ShapeError, r"^the classes hold 2 images, the pixels 3$"),
+        (np.full((1, 3, 2, 2), 1.5), {"a": 1}, ParameterError, r"^class 'a': pixel values must lie in \[0, 1\]$"),
+        (np.array([[[[0.5]]], [[[np.nan]]]]), {"a": 1, "b": 1}, ParameterError,
+         r"^class 'b': pixel values must lie in \[0, 1\]$"),
+    ], ids=["three-axes", "empty-class", "negative-count", "count-mismatch", "above-one", "nan"])
+    def test_rejects(self, pixels, counts, error, fragment):
         with pytest.raises(error, match=fragment):
-            LabeledDataset(domain="toy", images=images)
+            LabeledDataset("toy", pixels, counts)
 
     def test_classes_are_read_only_views(self):
-        given = np.zeros((2, 3, 2, 2))
-        ds = LabeledDataset(domain="toy", images={"a": given})
-        assert np.shares_memory(ds.images["a"], given) and given.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            ds.images["a"][0, 0, 0, 0] = 1.0
+        given = np.zeros((5, 3, 2, 2))
+        ds = LabeledDataset("toy", given, {"a": 2, "b": 3})
+        assert np.shares_memory(ds.pixels, given) and given.flags.writeable
+        assert [len(pool) for pool in ds.images.values()] == [2, 3]
+        for pool in (ds.pixels, *ds.images.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                pool[0, 0, 0, 0] = 1.0
 
     def test_loaded_and_generated_classes_are_read_only(self, tmp_path):
         generated = generate_synthetic(source_domain(n_classes=2, images_per_class=2, image_size=4), RngStream(1))
@@ -334,6 +336,28 @@ class TestLabeledDataset:
             for pool in ds.images.values():
                 with pytest.raises(ValueError, match="read-only"):
                     pool[0] = 0.5
+
+    def test_every_class_is_a_c_ordered_view_of_one_buffer(self, tmp_path):
+        generated = generate_synthetic(source_domain(n_classes=3, images_per_class=4, image_size=4), RngStream(2))
+        loaded = load_dataset(write_dataset(generated, tmp_path / "data"))
+        built = LabeledDataset("toy", np.asfortranarray(np.zeros((5, 3, 2, 2))), {"a": 2, "b": 3})
+        for ds in (generated, loaded, built):
+            assert ds.pixels.flags.c_contiguous and not ds.pixels.flags.writeable
+            rows = 0
+            for pool in ds.images.values():
+                assert pool.base is ds.pixels.base and pool.flags.c_contiguous and not pool.flags.writeable
+                assert np.shares_memory(pool, ds.pixels[rows : rows + len(pool)])
+                rows += len(pool)
+            assert rows == len(ds.pixels)
+
+    def test_pickle_ships_the_buffer_once(self):
+        ds = generate_synthetic(source_domain(n_classes=4, images_per_class=6, image_size=8), RngStream(3))
+        blob = pickle.dumps(ds)
+        assert len(blob) <= ds.pixels.nbytes + 1024
+        back = pickle.loads(blob)
+        assert back.fingerprint() == ds.fingerprint() and back.counts == ds.counts and back.domain == ds.domain
+        assert not back.pixels.flags.writeable
+        assert all(pool.base is back.pixels.base for pool in back.images.values())
 
     def test_too_big_a_directory_is_refused_before_any_read(self, tmp_path, monkeypatch):
         # sparse files: 8 x 2 x 80 MiB is above the 1 GiB cap, and nothing is written

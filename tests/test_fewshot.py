@@ -4,8 +4,10 @@ import hashlib
 import json
 import re
 import struct
+import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -913,10 +915,30 @@ class TestRowSpaceMetaTrain:
         assert not row_space
         assert out.to_bytes() == ref.to_bytes() and means == ref_means
 
+    def test_full_width_holds_no_copy_of_the_dataset(self):
+        # tasks gather their rows from a view of the dataset's own buffer, so no block that code
+        # in fewtune/ allocated and that is alive between epochs is as large as the dataset
+        bk, ds = rule_case(PAST_THE_RULE, 4)
+        here = tracemalloc.Filter(True, str(Path(fewshot.__file__).parent / "*"))
+        largest = []
+
+        def on_epoch(epoch, loss):
+            largest.append(max(trace.size for trace in tracemalloc.take_snapshot().filter_traces([here]).traces))
+
+        tracemalloc.start()
+        try:
+            meta_train(bk, ds, EpisodeShape(3, 3, 4), MetaParams(episodes_per_epoch=5, epochs=2), rng=RngStream(5),
+                       on_epoch=on_epoch)
+        finally:
+            tracemalloc.stop()
+        pools = ds.images.values()
+        assert 2 * sum(map(len, pools)) > bk.spec.input_dim and len(largest) == 2
+        assert max(largest) < sum(pool.nbytes for pool in pools)
+
     def test_first_layer_moves_in_the_row_space(self):
         bk, ds = rule_case(PAPER, 5)
         out = meta_train(bk, ds, params=MetaParams(episodes_per_epoch=30, epochs=1), rng=RngStream(6))
-        rows = images_to_batch(np.concatenate(list(ds.images.values())), bk.spec.input_dim).values
+        rows = images_to_batch(ds.pixels, bk.spec.input_dim).values
         delta = out.dense[0].weight.values - bk.dense[0].weight.values
         coeffs, *_ = np.linalg.lstsq(rows.T, delta, rcond=None)
         assert 2 * rows.shape[0] <= rows.shape[1]
