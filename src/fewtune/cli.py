@@ -6,9 +6,8 @@ the episodic evaluation or the paired ablation, and `replay` re-runs a
 saved run configuration. Exit codes: 0 success, 2 usage error, 3 data
 error, 4 contract violation.
 
-`main` pins the C allocator for its process (`evalharness.pin_allocator`).
-`metatrain` trains on one OpenBLAS thread, as each `eval` scoring pass
-does; `eval` starts no more pool processes than it has usable cores.
+`main` pins the C allocator for its process (`fewshot.pin_allocator`);
+`eval` starts no more pool processes than it has usable cores.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 from .episodes import PQS_RULES, EpisodeShape, dataset_files, load_dataset, pqs_rule, write_dataset
 from .errors import ContractError, DataError, ParameterError
-from .evalharness import MODES, EvalPlan, ablate, emit_report, pass_blas, pass_blas_threads, pin_allocator, run_eval
-from .fewshot import Backbone, BackboneSpec, MetaParams, meta_train
+from .evalharness import MODES, EvalPlan, ablate, emit_report, run_eval
+from .fewshot import Backbone, BackboneSpec, MetaParams, compute_blas_threads, meta_train, pin_allocator
 from .losses import HyperParams
 from .ppm import ppm_shape
 from .rng import RngStream
@@ -269,8 +268,7 @@ def cmd_metatrain(cfg: RunConfig) -> int:
 
     # --out is created only after meta_train succeeds
     start = time.perf_counter()
-    with pass_blas():
-        trained = meta_train(bk, ds, shape, params, rng=RngStream(cfg.seed, (1,)), on_epoch=on_epoch)
+    trained = meta_train(bk, ds, shape, params, rng=RngStream(cfg.seed, (1,)), on_epoch=on_epoch)
     _log_rate(cfg.epochs * cfg.tasks_per_epoch, "tasks", time.perf_counter() - start)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -327,7 +325,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def _log_rate(count: int, unit: str, wall: float) -> None:
-    threads = pass_blas_threads()
+    threads = compute_blas_threads()
     log.info("%d %s in %.2f s, %.2f %s/s, BLAS threads per process: %s",
              count, unit, wall, count / wall, unit, "default" if threads is None else threads)
 

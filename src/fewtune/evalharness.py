@@ -14,23 +14,12 @@ episodes finish. A pool pass keeps EPISODES_IN_FLIGHT_PER_WORKER episodes
 per worker submitted and unread, so its memory does not grow with the
 episode count and a first failure is read while the pass is young.
 
-Every scoring pass runs numpy's bundled OpenBLAS on one thread: each pool
-worker sets it when it starts, and a pass in the calling process sets it
-for the pass only and then restores the caller's count. An episode's
-matrices are small, so a second BLAS thread buys little in one process
-and oversubscribes the cores in a pool; one thread also makes the bits of
-a fine-tune independent of the machine's core count. Without that library
-the thread count is left as it is.
-
-Each pool worker also pins the C allocator when it starts (`pin_allocator`),
-as the CLI does for its own process; importing the package does not.
+Each pool worker pins the C allocator when it starts (`fewshot.pin_allocator`),
+as the CLI does for its own process.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import hashlib
 import json
 from collections import deque
@@ -41,7 +30,7 @@ import numpy as np
 
 from .episodes import EpisodeShape, LabeledDataset, build_pseudo_query, sample_episode
 from .errors import DivergenceError, ParameterError
-from .fewshot import Backbone, finetune, infer, pristine_state
+from .fewshot import Backbone, finetune, infer, pin_allocator, pristine_state
 from .losses import HyperParams
 from .rng import RngStream
 
@@ -150,78 +139,11 @@ def run_episode(
     return tuple(accuracies)
 
 
-PASS_BLAS_THREADS = 1
-
-
-@functools.cache
-def _openblas():
-    """The thread-count getter and setter of numpy's bundled OpenBLAS, found
-    next to numpy, or None when there is no such library or it lacks them."""
-    package = Path(np.__file__).parent
-    # numpy.libs/ beside the package in Linux and Windows wheels, .dylibs/ inside it on macOS
-    pattern = "libscipy_openblas*"
-    candidates = [*package.parent.glob(f"numpy.libs/{pattern}"), *package.glob(f".dylibs/{pattern}")]
-    for path in sorted(candidates):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get_threads, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        return get_threads, set_threads
-    return None
-
-
-def _set_blas_threads(count: int) -> int | None:
-    """Set OpenBLAS to `count` threads in this process; the count it had, or
-    None when the library is not found and nothing was set."""
-    blas = _openblas()
-    if blas is None:
-        return None
-    get_threads, set_threads = blas
-    before = get_threads()
-    set_threads(count)
-    return before
-
-
-@contextlib.contextmanager
-def pass_blas():
-    """OpenBLAS at PASS_BLAS_THREADS in this process for the block, then back
-    at the caller's count, also when the block raises."""
-    before = _set_blas_threads(PASS_BLAS_THREADS)
-    try:
-        yield
-    finally:
-        if before is not None:
-            _set_blas_threads(before)
-
-
-def pin_allocator() -> None:
-    """glibc's trim threshold at 64 MiB and mmap threshold at its 64-bit maximum,
-    32 MiB, so a task's arrays (up to 768 x 128 float64) reuse the pages the
-    last task freed instead of faulting in new ones. No-op without `mallopt`."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):  # no handle to the C library, or not glibc
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    for param, value in ((-1, 64 << 20), (-3, 32 << 20)):  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
-        mallopt(param, value)
-
-
-def pass_blas_threads() -> int | None:
-    """The OpenBLAS thread count each process of a scoring pass runs with;
-    None when the library is not found and the count is left alone."""
-    return None if _openblas() is None else PASS_BLAS_THREADS
-
-
 _WORKER: dict = {}
 
 
 def _init_worker(snapshot: bytes, dataset: LabeledDataset, plan: EvalPlan, modes: tuple[str, ...]):
     pin_allocator()
-    _set_blas_threads(PASS_BLAS_THREADS)
     _WORKER.update(backbone=Backbone.from_bytes(snapshot), dataset=dataset, plan=plan, modes=modes)
 
 
@@ -240,9 +162,7 @@ def score_episodes(
     indices = range(plan.hp.episodes_count)
     workers = min(workers, len(indices))
     if workers == 1:
-        # library callers share this process, so its count is given back
-        with pass_blas():
-            rows = [run_episode(bk, target, plan, i, modes) for i in indices]
+        rows = [run_episode(bk, target, plan, i, modes) for i in indices]
     else:
         # only this path pays for the import, which costs tens of ms
         from concurrent.futures import ProcessPoolExecutor

@@ -31,10 +31,22 @@ rows.
 
 `finetune` and `meta_train` feed their step losses to one SGD loop, `_train`, which
 alone checks for a non-finite loss, a finite blow-up and, after the last step, a non-finite array.
+
+`finetune`, `infer` and `meta_train` each run every BLAS call on one thread of numpy's bundled
+OpenBLAS and give the caller its count back when they return or raise; without that library the
+count is left as it is. Their matrices are small, so a second thread buys little in one process and
+oversubscribes the cores of a pool; and at two threads a product such as a paper-width fine-tune's
+backward `G W^T` rounds differently. So a seed fixes every bit of a call, on any core count and
+whoever calls: the CLI, a pool worker or a library caller. The count can be read and restored, so
+a call may own it. glibc's allocator thresholds cannot: there is no getter for M_MMAP_THRESHOLD,
+so a call could not give its host process that setting back. Only the processes the package owns,
+`cli.main` and each pool worker, call `pin_allocator`; importing the package sets nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import logging
 import math
@@ -84,6 +96,68 @@ MAX_BACKBONE_BYTES = 1 << 28
 # cap on a snapshot file: the 12-byte prefix, 32 MiB of header and the arrays' cap; the header of
 # the largest spec one --hidden argument lists, 65 536 widths, takes 16.3 MiB
 MAX_SNAPSHOT_BYTES = 12 + (32 << 20) + MAX_BACKBONE_BYTES
+
+# the OpenBLAS thread count every BLAS call of finetune, infer and meta_train runs at
+COMPUTE_BLAS_THREADS = 1
+
+
+@functools.cache
+def _openblas():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, found
+    next to numpy, or None when there is no such library or it lacks them."""
+    package = Path(np.__file__).parent
+    # numpy.libs/ beside the package in Linux and Windows wheels, .dylibs/ inside it on macOS
+    pattern = "libscipy_openblas*"
+    candidates = [*package.parent.glob(f"numpy.libs/{pattern}"), *package.glob(f".dylibs/{pattern}")]
+    for path in sorted(candidates):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get_threads, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
+
+
+def _at_compute_blas_threads(compute):
+    """`compute` with OpenBLAS at COMPUTE_BLAS_THREADS in this process for each call, then back at the
+    caller's count, also when the call raises; `compute` as it is without the library."""
+
+    @functools.wraps(compute)
+    def call(*args, **kwargs):
+        blas = _openblas()
+        if blas is None:
+            return compute(*args, **kwargs)
+        get_threads, set_threads = blas
+        before = get_threads()
+        set_threads(COMPUTE_BLAS_THREADS)
+        try:
+            return compute(*args, **kwargs)
+        finally:
+            set_threads(before)
+
+    return call
+
+
+def compute_blas_threads() -> int | None:
+    """The OpenBLAS thread count `finetune`, `infer` and `meta_train` run at;
+    None when the library is not found and the count is left alone."""
+    return None if _openblas() is None else COMPUTE_BLAS_THREADS
+
+
+def pin_allocator() -> None:
+    """glibc's trim threshold at 64 MiB and mmap threshold at its 64-bit maximum,
+    32 MiB, so a task's arrays (up to 768 x 128 float64) reuse the pages the
+    last task freed instead of faulting in new ones. No-op without `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no handle to the C library, or not glibc
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    for param, value in ((-1, 64 << 20), (-3, 32 << 20)):  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+        mallopt(param, value)
 
 
 @dataclass(frozen=True)
@@ -316,6 +390,7 @@ def _coordinate_copy(bk: Backbone, basis: np.ndarray):
     return work, mapped_back
 
 
+@_at_compute_blas_threads
 def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
     """Adapt `bk` to the episode's support and pseudo queries, leaving `bk`
     unchanged; the real query set is locked for the duration.
@@ -360,6 +435,7 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
     return state
 
 
+@_at_compute_blas_threads
 def infer(state: FinetuneState, ep: Episode, hp: HyperParams) -> float:
     """Accuracy on the real query set with the adapted backbone.
 
@@ -384,6 +460,7 @@ def pristine_state(bk: Backbone) -> FinetuneState:
     return FinetuneState(backbone=bk, head=None)
 
 
+@_at_compute_blas_threads
 def meta_train(
     bk: Backbone,
     ds: LabeledDataset,

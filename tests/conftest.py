@@ -7,7 +7,7 @@ import types
 import pytest
 from hypothesis import settings
 
-from fewtune import evalharness
+from fewtune import evalharness, fewshot
 
 # derandomize fixes the examples per test, so tier-1 stays deterministic;
 # with no example database a run leaves nothing behind that alters the next
@@ -17,9 +17,9 @@ settings.load_profile("fewtune")
 
 @pytest.fixture
 def blas_threads():
-    """numpy's OpenBLAS at 2 threads for the test, so a pass at 1 thread
+    """numpy's OpenBLAS at 2 threads for the test, so compute at 1 thread
     shows; yields the count getter and restores the count after."""
-    found = evalharness._openblas()
+    found = fewshot._openblas()
     if found is None:
         pytest.skip("numpy's bundled OpenBLAS not found")
     get_threads, set_threads = found

@@ -26,9 +26,8 @@ import fewtune.fewshot as fewshot
 from fewtune import episodes
 from fewtune.cli import RunConfig, _config_from_args, build_parser, main
 from fewtune.episodes import load_dataset
-from fewtune.errors import ContractError, DataError, DivergenceError, FewtuneError, ParameterError
-from fewtune.evalharness import pass_blas_threads
-from fewtune.fewshot import Backbone, BackboneSpec, MetaParams
+from fewtune.errors import ContractError, DataError, FewtuneError, ParameterError
+from fewtune.fewshot import Backbone, BackboneSpec, MetaParams, compute_blas_threads
 from fewtune.losses import HyperParams
 from fewtune.ppm import read_ppm, write_ppm
 from fewtune.synthetic import generate_synthetic, source_domain
@@ -316,26 +315,19 @@ class TestMetatrain:
         assert len(log) == 1 and log[0].startswith("0 ")
 
     def test_trains_at_one_blas_thread(self, tmp_path, monkeypatch, blas_threads, caplog):
-        seen = []
-
-        def recording(*args, **kwargs):
-            seen.append(blas_threads())
-            return meta_train(*args, **kwargs)
-
-        meta_train = cli.meta_train
-        monkeypatch.setattr(cli, "meta_train", recording)
+        # meta_train sets the count around its own compute; the command sets none
+        seen, proto_xent = [], fewshot.proto_xent
+        monkeypatch.setattr(fewshot, "proto_xent", lambda *args: seen.append(blas_threads()) or proto_xent(*args))
         run_synth(tmp_path / "d")
         with caplog.at_level("INFO", logger="fewtune"):
             assert run_metatrain(tmp_path / "d", tmp_path / "m") == 0
-        assert seen == [1] and blas_threads() == 2
+        assert seen == [1] * 6 and blas_threads() == 2
         line = [m for m in caplog.messages if " tasks in " in m]
         assert len(line) == 1 and re.fullmatch(r"6 tasks in [\d.]+ s, [\d.]+ tasks/s, BLAS threads per process: 1", line[0])
 
     def test_caller_count_restored_after_a_failure(self, tmp_path, monkeypatch, blas_threads):
-        def diverging(*args, **kwargs):
-            raise DivergenceError("meta-training epoch 0 task 0: loss diverged to nan at learning rate 0.01")
-
-        monkeypatch.setattr(cli, "meta_train", diverging)
+        # the first task's loss is NaN, so meta_train raises while it holds one thread
+        monkeypatch.setattr(fewshot, "proto_xent", lambda *args: fewshot.dc.constant(np.array(np.nan)))
         run_synth(tmp_path / "d")
         assert run_metatrain(tmp_path / "d", tmp_path / "m") == 4
         assert blas_threads() == 2
@@ -391,7 +383,7 @@ class TestEval:
         tmp_path, snap, data = pipeline
         with caplog.at_level("INFO", logger="fewtune"):
             assert run_eval(snap, data, tmp_path / "e") == 0
-        threads = pass_blas_threads()
+        threads = compute_blas_threads()
         assert re.fullmatch(
             r"3 episodes in [\d.]+ s, [\d.]+ episodes/s, BLAS threads per process: "
             + ("default" if threads is None else str(threads)),

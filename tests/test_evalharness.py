@@ -17,6 +17,7 @@ import pytest
 
 import fewtune.cli as cli
 import fewtune.evalharness as evalharness
+import fewtune.fewshot as fewshot
 from fewtune.episodes import EpisodeShape, sample_episode
 from fewtune.errors import DivergenceError, ParameterError
 from fewtune.evalharness import (
@@ -193,35 +194,42 @@ class TestPool:
 
 
 class TestBlasThreads:
-    """Every scoring pass runs OpenBLAS on one thread and gives the caller its count back."""
+    """Every scoring pass runs its compute on one OpenBLAS thread, which
+    fewshot sets around each call, and the caller keeps its count."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_episodes_run_at_one_thread(self, monkeypatch, blas_threads, workers):
-        # a pool worker is forked, so it runs this run_episode too
-        monkeypatch.setattr(evalharness, "run_episode", lambda *args: (float(blas_threads()),))
+    def test_episodes_run_at_one_thread(self, monkeypatch, tmp_path, blas_threads, workers):
+        # finetune and infer both compute prototypes; each process of the pass,
+        # a forked pool worker too, appends the count it sees to its own file
+        compute_prototypes = fewshot.compute_prototypes
+
+        def recording(*args):
+            with open(tmp_path / str(os.getpid()), "a") as f:
+                f.write(f"{blas_threads()}\n")
+            return compute_prototypes(*args)
+
+        monkeypatch.setattr(fewshot, "compute_prototypes", recording)
         bk, ds = tiny_setup()
-        scored = evalharness.score_episodes(bk, ds, plan(1, 4, 0), ("with_pqs",), workers)
-        assert scored == {"with_pqs": [1.0] * 4}
+        ablate(bk, ds, plan(1, 4, 1), workers)
+        seen = {path.name: path.read_text().split() for path in tmp_path.iterdir()}
+        # each episode: the head's init, then infer in each arm
+        assert sum(map(len, seen.values())) == 4 * 3 and set().union(*seen.values()) == {"1"}
+        assert (str(os.getpid()) in seen) == (workers == 1)
         assert blas_threads() == 2
-        assert evalharness.pass_blas_threads() == 1
+        assert fewshot.compute_blas_threads() == 1
 
-    def test_caller_count_restored_after_a_failure(self, monkeypatch, blas_threads):
-        def episode(bk, dataset, plan, index, modes):
-            if index == 1:
-                raise DivergenceError("episode 1, fine-tuning epoch 0: loss diverged to nan at learning rate 9.0")
-            return (1.0,)
-
-        monkeypatch.setattr(evalharness, "run_episode", episode)
+    def test_caller_count_restored_after_a_failure(self, blas_threads):
         bk, ds = tiny_setup()
-        with pytest.raises(DivergenceError):
-            evalharness.score_episodes(bk, ds, plan(1, 3, 0), ("with_pqs",))
+        diverging = EvalPlan(HyperParams(episodes_count=3, finetune_epochs=1, learning_rate=1.7e308), SHAPE, 0)
+        with pytest.raises(DivergenceError, match="^episode 0, "):
+            run_eval(bk, ds, diverging, "with_pqs")
         assert blas_threads() == 2
 
     def test_library_not_found(self, monkeypatch):
         bk, ds = tiny_setup()
         expected = run_eval(bk, ds, plan(11, 4, 2), "with_pqs")
-        monkeypatch.setattr(evalharness, "_openblas", lambda: None)
-        assert evalharness.pass_blas_threads() is None
+        monkeypatch.setattr(fewshot, "_openblas", lambda: None)
+        assert fewshot.compute_blas_threads() is None
         for workers in (1, 2):
             assert run_eval(bk, ds, plan(11, 4, 2), "with_pqs", workers).to_json() == expected.to_json()
 
@@ -251,7 +259,7 @@ class TestPinAllocator:
     PINNED = [(M_TRIM_THRESHOLD, 64 << 20), (M_MMAP_THRESHOLD, 32 << 20)]
 
     def test_sets_both_thresholds(self, mallopt_calls):
-        evalharness.pin_allocator()
+        fewshot.pin_allocator()
         assert mallopt_calls == self.PINNED
 
     def test_cli_main_pins(self, mallopt_calls, tmp_path):
@@ -259,7 +267,6 @@ class TestPinAllocator:
         assert mallopt_calls == self.PINNED
 
     def test_worker_initializer_pins(self, mallopt_calls, monkeypatch):
-        monkeypatch.setattr(evalharness, "_set_blas_threads", lambda count: None)
         monkeypatch.setattr(evalharness, "_WORKER", {})
         bk, ds = tiny_setup()
         evalharness._init_worker(bk.to_bytes(), ds, plan(1, 1, 0), ("with_pqs",))
@@ -277,7 +284,7 @@ class TestPinAllocator:
             return libc
 
         monkeypatch.setattr(ctypes, "CDLL", cdll)
-        assert evalharness.pin_allocator() is None
+        assert fewshot.pin_allocator() is None
         assert tiny_synth(tmp_path) == 0
 
     def test_import_does_not_pin(self):
@@ -293,7 +300,7 @@ import fewtune
 for module in pkgutil.iter_modules(fewtune.__path__):
     importlib.import_module("fewtune." + module.name)
 print(len(calls))
-fewtune.evalharness.pin_allocator()
+fewtune.fewshot.pin_allocator()
 print(len(calls))
 """
         env = {**os.environ, "PYTHONPATH": str(SRC)}

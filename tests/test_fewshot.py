@@ -432,8 +432,8 @@ class TestFinetune:
         # The digest was taken with numpy 2.4 on x86-64 OpenBLAS; another
         # BLAS may round the matmuls differently. At these widths it is the
         # same at 1, 2 and 4 OpenBLAS threads, but at the paper's widths the
-        # thread count moves bits too (the `X @ basis` gemm by about 1e-15),
-        # which is why every scoring pass runs OpenBLAS on one thread.
+        # thread count moves bits too, which is why `finetune` runs OpenBLAS
+        # on one thread whatever its caller's count (TestBlasThreads).
         # The digest it held before the row-space fine-tune is kept by the
         # full-space reference loop (TestRowSpaceFinetune).
         state = finetune(small_backbone(), small_episode(seed=3), HyperParams(finetune_epochs=5))
@@ -966,3 +966,50 @@ class TestRowSpaceMetaTrain:
         assert row_space and [name for name, _ in checked] == [name for name, _ in out._arrays()]
         for (name, a), (_, b) in zip(checked, out._arrays()):
             assert a.shape == b.shape and np.array_equal(a, b), name
+
+
+def at_blas_threads(count, compute):
+    """`compute()` with this process's OpenBLAS at `count` threads, and the count it had back after."""
+    get_threads, set_threads = fewshot._openblas()
+    before = get_threads()
+    set_threads(count)
+    try:
+        return compute()
+    finally:
+        set_threads(before)
+
+
+def paper_width_call(name):
+    """A direct call of one compute function at the paper's widths that returns the bytes it gives back:
+    a fine-tune of a few epochs, a row-space meta-training, or inference with an adapted backbone."""
+    if name == "meta_train":
+        bk, ds = rule_case(PAPER, 4)
+        params = MetaParams(episodes_per_epoch=6, epochs=1)
+        return lambda: meta_train(bk, ds, EpisodeShape(5, 5, 10), params, rng=RngStream(5)).to_bytes()
+    bk, ep = Backbone.create(BackboneSpec(), RngStream(4)), paper_shape_episode(4)
+    hp = HyperParams(finetune_epochs=3)
+    if name == "finetune":
+        return lambda: finetune_digest(finetune(bk, ep, hp))
+    adapted = at_blas_threads(1, lambda: finetune(bk, ep, hp))
+    return lambda: repr(infer(adapted, ep, HyperParams(transductive=True)))
+
+
+class TestBlasThreads:
+    """A direct call of finetune, infer or meta_train runs every BLAS call on one OpenBLAS thread, so a
+    caller at 2 threads gets the bits a caller at 1 gets, and its count back, also when the call raises."""
+
+    @pytest.mark.parametrize("name", ["finetune", "meta_train", "infer"])
+    def test_same_bytes_as_at_one_thread(self, monkeypatch, blas_threads, name):
+        compute = paper_width_call(name)
+        seen, compute_prototypes = [], fewshot.compute_prototypes
+        monkeypatch.setattr(fewshot, "compute_prototypes", lambda *args: seen.append(blas_threads()) or
+                            compute_prototypes(*args))
+        out = compute()
+        assert blas_threads() == 2
+        assert out == at_blas_threads(1, compute)
+        assert seen and set(seen) == {1}
+
+    def test_caller_count_restored_after_a_divergence(self, blas_threads):
+        with pytest.raises(DivergenceError):
+            finetune(small_backbone(), small_episode(), HyperParams(finetune_epochs=1, learning_rate=1.7e308))
+        assert blas_threads() == 2
