@@ -10,7 +10,9 @@ node is visited exactly once and repeated backward calls accumulate into
 Each op is one module function. `DiffTensor` is a plain record of values,
 gradient, flags and tape links: it has no operators and no op methods, so
 every node a loss adds to the tape is spelled as a call, and a scalar or
-an array enters only through `constant`.
+an array enters only through `constant`. Every op records itself through
+`node`, which is also the entry for a caller's own op with a closed-form
+backward, such as meta-training's whole-backbone forward in `fewshot`.
 
 Gradients cost only what is needed: `.grad` is allocated when the first
 adjoint arrives (a tensor no gradient reached reads as zeros), the
@@ -122,7 +124,10 @@ def param(values) -> DiffTensor:
     return DiffTensor(values, requires_grad=True)
 
 
-def _node(values: Array, parents: tuple[DiffTensor, ...], backward_fn) -> DiffTensor:
+def node(values: Array, parents: tuple[DiffTensor, ...], backward_fn) -> DiffTensor:
+    """The one way onto the tape: a tensor of `values` computed from `parents`.
+    `backward_fn(adjoint)` returns one gradient, or None, per parent, in order.
+    The output requires a gradient, and keeps its links, only when a parent does."""
     out = DiffTensor(values)
     for p in parents:
         if p.requires_grad:
@@ -205,7 +210,7 @@ def zero_grads(tensors: Iterable[DiffTensor]) -> None:
 # does not require a gradient; run_backward skips it.
 
 def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    return _node(
+    return node(
         a.values + b.values,
         (a, b),
         lambda g: (
@@ -216,7 +221,7 @@ def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
 
 
 def sub(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    return _node(
+    return node(
         a.values - b.values,
         (a, b),
         lambda g: (
@@ -227,7 +232,7 @@ def sub(a: DiffTensor, b: DiffTensor) -> DiffTensor:
 
 
 def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    return _node(
+    return node(
         a.values * b.values,
         (a, b),
         lambda g: (
@@ -238,7 +243,7 @@ def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
 
 
 def div(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    return _node(
+    return node(
         a.values / b.values,
         (a, b),
         lambda g: (
@@ -251,7 +256,7 @@ def div(a: DiffTensor, b: DiffTensor) -> DiffTensor:
 def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shapes {a.shape} and {b.shape} do not chain")
-    return _node(
+    return node(
         a.values @ b.values,
         (a, b),
         lambda g: (
@@ -264,12 +269,12 @@ def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
 def transpose(a: DiffTensor) -> DiffTensor:
     if a.values.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-    return _node(a.values.T.copy(), (a,), lambda g: (g.T,))
+    return node(a.values.T.copy(), (a,), lambda g: (g.T,))
 
 
 def reshape(a: DiffTensor, shape) -> DiffTensor:
     original = a.shape
-    return _node(a.values.reshape(shape), (a,), lambda g: (g.reshape(original),))
+    return node(a.values.reshape(shape), (a,), lambda g: (g.reshape(original),))
 
 
 # The reductions pass back a read-only broadcast view of their adjoint; an
@@ -282,7 +287,7 @@ def tensor_sum(a: DiffTensor, axis=None, keepdims: bool = False) -> DiffTensor:
         expanded = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(expanded, a.shape),)
 
-    return _node(np.sum(a.values, axis=axis, keepdims=keepdims), (a,), backward_fn)
+    return node(np.sum(a.values, axis=axis, keepdims=keepdims), (a,), backward_fn)
 
 
 def tensor_mean(a: DiffTensor, axis=None, keepdims: bool = False) -> DiffTensor:
@@ -295,7 +300,7 @@ def tensor_mean(a: DiffTensor, axis=None, keepdims: bool = False) -> DiffTensor:
         return (np.broadcast_to(expanded / count, a.shape),)
 
     # np.mean's own sum and divide, without its Python wrapper: the same bits
-    return _node(np.add.reduce(a.values, axis, keepdims=keepdims) / count, (a,), backward_fn)
+    return node(np.add.reduce(a.values, axis, keepdims=keepdims) / count, (a,), backward_fn)
 
 
 def relu(a: DiffTensor) -> DiffTensor:
@@ -306,21 +311,21 @@ def relu(a: DiffTensor) -> DiffTensor:
         grad = g * (a.values > 0.0)
         return (grad if grad.any() else None,)
 
-    return _node(np.maximum(a.values, 0.0), (a,), backward_fn)
+    return node(np.maximum(a.values, 0.0), (a,), backward_fn)
 
 
 def clamp_min(a: DiffTensor, floor: float) -> DiffTensor:
     # like relu, the boundary point gets zero gradient
-    return _node(np.maximum(a.values, floor), (a,), lambda g: (g * (a.values > floor),))
+    return node(np.maximum(a.values, floor), (a,), lambda g: (g * (a.values > floor),))
 
 
 def exp(a: DiffTensor) -> DiffTensor:
     out_values = np.exp(a.values)
-    return _node(out_values, (a,), lambda g: (g * out_values,))
+    return node(out_values, (a,), lambda g: (g * out_values,))
 
 
 def log(a: DiffTensor) -> DiffTensor:
-    return _node(np.log(a.values), (a,), lambda g: (g / a.values,))
+    return node(np.log(a.values), (a,), lambda g: (g / a.values,))
 
 
 def sqrt(a: DiffTensor) -> DiffTensor:
@@ -332,7 +337,7 @@ def sqrt(a: DiffTensor) -> DiffTensor:
         safe = np.where(a.values > 0.0, out_values, 1.0)
         return (np.where(a.values > 0.0, g / (2.0 * safe), 0.0),)
 
-    return _node(out_values, (a,), backward_fn)
+    return node(out_values, (a,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +384,12 @@ class BatchNormState:
         )
 
 
+def check_batch_rows(rows: int) -> None:
+    """Batch statistics need at least 2 rows."""
+    if rows < 2:
+        raise DegenerateBatchError(f"batch statistics need at least 2 rows, got {rows}")
+
+
 def batch_norm(x: DiffTensor, state: BatchNormState, mode: str) -> DiffTensor:
     """Normalize rows of x (BxD) per feature.
 
@@ -390,10 +401,7 @@ def batch_norm(x: DiffTensor, state: BatchNormState, mode: str) -> DiffTensor:
     if mode not in MODES:
         raise ParameterError(f"unknown batch_norm mode {mode!r}")
     if mode in ("train", "transductive"):
-        if x.shape[0] < 2:
-            raise DegenerateBatchError(
-                f"batch statistics need at least 2 rows, got {x.shape[0]}"
-            )
+        check_batch_rows(x.shape[0])
         mu = tensor_mean(x, axis=0, keepdims=True)
         centered = sub(x, mu)
         var = tensor_mean(mul(centered, centered), axis=0, keepdims=True)

@@ -26,8 +26,18 @@ rows.
   buffer from which every task draws, and only when 2n <= D. Past that the
   narrower steps do not repay the QR: at one BLAS thread, D = 768 and
   n = 320 took 17 ms to factor and saved 0.34 ms per 75-row batch, while
-  n = 700 ran slower. Meta-training then trains at full width, bit for bit
-  as before.
+  n = 700 ran slower. Meta-training then trains at full width.
+
+`meta_train` puts each support and query batch on the tape as one node,
+`Backbone.train_forward`, whose parents are the backbone's parameters. Its
+forward is `forward(batch, "train")` bit for bit, running statistics
+included; its backward is the closed form of dense -> train-mode batch
+norm -> relu (Ioffe & Szegedy 2015), so a task's tape holds that node
+twice plus the prototypes and `proto_xent`, instead of some 52 op nodes.
+The dense biases that feed a batch norm get an exact zero gradient there,
+so meta-training leaves them as it found them. `finetune` and `infer` keep
+`forward`'s op-by-op tape, which stays the reference the closed form is
+tested against, so every eval byte for a given snapshot is as before.
 
 `finetune` and `meta_train` feed their step losses to one SGD loop, `_train`, which
 alone checks for a non-finite loss, a finite blow-up and, after the last step, a non-finite array.
@@ -37,9 +47,10 @@ OpenBLAS and give the caller its count back when they return or raise; without t
 count is left as it is. Their matrices are small, so a second thread buys little in one process and
 oversubscribes the cores of a pool; and at two threads a product such as a paper-width fine-tune's
 backward `G W^T` rounds differently. So a seed fixes every bit of a call, on any core count and
-whoever calls: the CLI, a pool worker or a library caller. The count can be read and restored, so
-a call may own it. glibc's allocator thresholds cannot: there is no getter for M_MMAP_THRESHOLD,
-so a call could not give its host process that setting back. Only the processes the package owns,
+whoever calls: the CLI, a pool worker or a library caller. Calls that overlap in several Python
+threads share the process-wide count: the first call in sets it and the last call out restores it.
+The count can be read and restored, so a call may own it. glibc's allocator thresholds cannot:
+there is no getter for M_MMAP_THRESHOLD, so a call could not give its host process that setting back. Only the processes the package owns,
 `cli.main` and each pool worker, call `pin_allocator`; importing the package sets nothing.
 """
 
@@ -50,8 +61,10 @@ import functools
 import json
 import logging
 import math
+import os
 import stat
 import struct
+import threading
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -121,22 +134,46 @@ def _openblas():
     return None
 
 
+class _ComputeThreads:
+    """OpenBLAS at COMPUTE_BLAS_THREADS while any compute call runs in this process. A lock guards
+    the count of calls in flight: the first call in saves the caller's count and sets
+    COMPUTE_BLAS_THREADS, and the last call out restores the saved count. So a call from one
+    Python thread never computes at a count another thread has just restored, and the caller's
+    count survives any overlap."""
+
+    def __init__(self):
+        self.lock, self.calls, self.caller = threading.Lock(), 0, None
+
+    def __enter__(self):
+        get_threads, set_threads = _openblas()
+        with self.lock:
+            if not self.calls:
+                self.caller = get_threads()
+                set_threads(COMPUTE_BLAS_THREADS)
+            self.calls += 1
+
+    def __exit__(self, *exc):
+        with self.lock:
+            self.calls -= 1
+            if not self.calls:
+                _openblas()[1](self.caller)
+
+
+_COMPUTE_THREADS = _ComputeThreads()
+if hasattr(os, "register_at_fork"):  # a forked child has only the thread that forked: no call in flight
+    os.register_at_fork(after_in_child=_COMPUTE_THREADS.__init__)
+
+
 def _at_compute_blas_threads(compute):
     """`compute` with OpenBLAS at COMPUTE_BLAS_THREADS in this process for each call, then back at the
     caller's count, also when the call raises; `compute` as it is without the library."""
 
     @functools.wraps(compute)
     def call(*args, **kwargs):
-        blas = _openblas()
-        if blas is None:
+        if _openblas() is None:
             return compute(*args, **kwargs)
-        get_threads, set_threads = blas
-        before = get_threads()
-        set_threads(COMPUTE_BLAS_THREADS)
-        try:
+        with _COMPUTE_THREADS:
             return compute(*args, **kwargs)
-        finally:
-            set_threads(before)
 
     return call
 
@@ -224,6 +261,52 @@ class Backbone:
                 x = dc.batch_norm(x, self.norms[i], mode)
                 x = dc.relu(x)
         return x
+
+    def train_forward(self, rows: np.ndarray) -> DiffTensor:
+        """`forward(dc.constant(rows), "train")` as one tape node whose parents are `parameters()`.
+
+        The forward runs `forward`'s own expressions, so the embeddings and the running statistics
+        are the same bit for bit. The backward is the closed form of dense -> train-mode batch norm
+        -> relu: with dx_hat = gamma dy, the gradient before a batch norm is
+        dz = (dx_hat - mean(dx_hat) - x_hat mean(dx_hat x_hat)) / s, s = sqrt(var + BN_EPS),
+        computed as gamma / s (dy - mean(dy) - x_hat mean(dy x_hat)), which reuses beta's and
+        gamma's gradients. dz sums to zero over the batch, so a dense bias that feeds a batch norm
+        gets no gradient (None, read as exact zeros) and SGD leaves it as it is. No gradient is
+        computed for `rows`.
+        """
+        dc.check_batch_rows(len(rows))
+        count, m = len(rows), dc.BN_MOMENTUM
+        weights = [layer.weight.values for layer in self.dense]
+        inputs, normed = [], []  # each dense layer's input; each batch norm's gamma, x_hat, s and relu gate
+        x = rows
+        for weight, layer, norm in zip(weights, self.dense, self.norms):
+            inputs.append(x)
+            z = x @ weight + layer.bias.values
+            mu = np.add.reduce(z, 0, keepdims=True) / count
+            centered = z - mu
+            var = np.add.reduce(centered * centered, 0, keepdims=True) / count
+            scale = np.sqrt(var + dc.BN_EPS)
+            x_hat = centered / scale
+            norm.running_mean = (1.0 - m) * norm.running_mean + m * mu
+            norm.running_var = (1.0 - m) * norm.running_var + m * var
+            y = norm.gamma.values * x_hat + norm.beta.values
+            normed.append((norm.gamma.values, x_hat, scale, y > 0.0))
+            x = np.maximum(y, 0.0)
+        inputs.append(x)
+
+        def backward_fn(g: np.ndarray):
+            dense = [(inputs[-1].T @ g, np.add.reduce(g, 0, keepdims=True))]
+            norms = []
+            for i in reversed(range(len(normed))):
+                gamma, x_hat, scale, gate = normed[i]
+                dy = (g @ weights[i + 1].T) * gate
+                d_gamma, d_beta = np.add.reduce(dy * x_hat, 0, keepdims=True), np.add.reduce(dy, 0, keepdims=True)
+                norms[:0] = [d_gamma, d_beta]
+                g = (gamma / scale) * (dy - d_beta / count - x_hat * (d_gamma / count))
+                dense.insert(0, (inputs[i].T @ g, None))
+            return [grad for pair in dense for grad in pair] + norms
+
+        return dc.node(x @ weights[-1] + self.dense[-1].bias.values, tuple(self.parameters()), backward_fn)
 
     # -- snapshot ----------------------------------------------------------
 
@@ -496,8 +579,8 @@ def meta_train(
         for epoch in range(params.epochs):
             for task in range(params.episodes_per_epoch):
                 _, at = draw_episode(ds, shape, rng.child(epoch * params.episodes_per_epoch + task))
-                support_emb = work.forward(dc.constant(rows[at[:, :k].ravel()]), "train")
-                query_emb = work.forward(dc.constant(rows[at[:, k:].ravel()]), "train")
+                support_emb = work.train_forward(rows[at[:, :k].ravel()])
+                query_emb = work.train_forward(rows[at[:, k:].ravel()])
                 protos = compute_prototypes(support_emb, labels.repeat(k), shape.n_way)
                 loss = proto_xent(query_emb, labels.repeat(shape.m_query), protos)
                 yield f"meta-training epoch {epoch}", f"task {task}", loss

@@ -24,7 +24,7 @@ from fewtune.episodes import (
     write_dataset,
 )
 from fewtune.errors import CapacityError, DataLoadError, ParameterError, QueryIsolationError, ShapeError
-from fewtune.ppm import ppm_shape, read_ppm, write_ppm
+from fewtune.ppm import MAX_HEADER_BYTES, ppm_shape, read_ppm, write_ppm
 from fewtune.rng import RngStream
 from fewtune.synthetic import DomainSpec, generate_synthetic, source_domain, target_domain
 
@@ -246,6 +246,24 @@ class TestPpm:
         pixels = np.frombuffer(raster, np.uint8).reshape(height, width, 3).transpose(2, 0, 1)
         np.testing.assert_array_equal(read_ppm(path), pixels / 255.0)
 
+    @pytest.mark.parametrize("spare", [0, 1], ids=["at-the-bound", "one-byte-past"])
+    @pytest.mark.parametrize("end", [b"\n", b""], ids=["whitespace", "maxval-at-the-bound"])
+    def test_header_bound(self, tmp_path, spare, end):
+        # a comment fills the header up to MAX_HEADER_BYTES with the whitespace byte that ends it, or
+        # with maxval's last digit, which the raster's first byte would follow; then one byte more
+        fixed = b"P6\n#\n1 1\n255" + end
+        comment = b"x" * (MAX_HEADER_BYTES - len(fixed) + spare)
+        path = tmp_path / "img.ppm"
+        path.write_bytes(b"P6\n#" + comment + fixed[4:] + b"\x07\x08\x09" + bytes(MAX_HEADER_BYTES))
+        if spare or not end:
+            for read in (ppm_shape, read_ppm):
+                with pytest.raises(DataLoadError, match=f"^{re.escape(str(path))}: PPM header is longer than "
+                                                        f"{MAX_HEADER_BYTES} bytes$"):
+                    read(path)
+        else:
+            assert ppm_shape(path) == (3, 1, 1)
+            np.testing.assert_array_equal(read_ppm(path).ravel(), np.array([7, 8, 9]) / 255.0)
+
     @pytest.mark.parametrize("data, message", [
         (b"P6\n2#c\n1\n255\n" + bytes(6), "malformed PPM header"),  # a '#' glued to a token is part of it
         (b"P6\n1 1\n# the data ends in a comment", "malformed PPM header"),
@@ -256,8 +274,9 @@ class TestPpm:
     def test_header_refusals(self, tmp_path, data, message):
         path = tmp_path / "bad.ppm"
         path.write_bytes(data)
-        with pytest.raises(DataLoadError, match=f"^{re.escape(str(path))}: {message}$"):
-            read_ppm(path)
+        for read in (read_ppm, ppm_shape):
+            with pytest.raises(DataLoadError, match=f"^{re.escape(str(path))}: {message}$"):
+                read(path)
 
 
 class TestLoadDataset:

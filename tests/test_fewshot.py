@@ -4,6 +4,8 @@ import hashlib
 import json
 import re
 import struct
+import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -16,10 +18,11 @@ from hypothesis import strategies as st
 
 import fewtune.diffcore as dc
 import fewtune.fewshot as fewshot
-from fewtune.episodes import EpisodeShape, build_pseudo_query, sample_episode
+from fewtune.episodes import EpisodeShape, build_pseudo_query, draw_episode, sample_episode
 from fewtune.errors import (
     ContractError,
     DataLoadError,
+    DegenerateBatchError,
     DivergenceError,
     ParameterError,
     QueryIsolationError,
@@ -43,6 +46,7 @@ from fewtune.fewshot import (
 from fewtune.losses import HyperParams, compute_prototypes, finetune_objective, proto_xent
 from fewtune.rng import RngStream
 from fewtune.synthetic import generate_synthetic, source_domain
+from helpers import gradient_check
 
 SMALL_SPEC = BackboneSpec(input_dim=48, hidden=(16, 12), embed_dim=8)  # 4x4x3 inputs
 
@@ -470,7 +474,7 @@ class TestFinetune:
 
 def cut_free_relu(a):
     """relu whose backward always passes its adjoint on, zeros included."""
-    return dc._node(np.maximum(a.values, 0.0), (a,), lambda g: (g * (a.values > 0.0),))
+    return dc.node(np.maximum(a.values, 0.0), (a,), lambda g: (g * (a.values > 0.0),))
 
 
 def objective_grads(state, ep, hp):
@@ -829,10 +833,11 @@ class TestMetaTrain:
         bk, ds, shape, params = pinned_meta_train_inputs()
         means = []
         out = meta_train(bk, ds, shape, params, rng=RngStream(3), on_epoch=lambda epoch, loss: means.append(loss))
+        # The closed-form backward of the one-node backbone moved these means by at most 2.3e-15.
         assert hashlib.sha256(out.to_bytes()).hexdigest() == (
-            "f9164936e28cecaef4f7a6605fbe34e687b24b32dfff57f28332433a67bb3a83"
+            "5faf7408630803d6bdb1b91f1c3a54a542986b2b27ebc86aeb90e687bbe1c5ad"
         )
-        assert means == [0.5221960650442075, 0.1270878076411695, 0.10606814506973153]
+        assert means == [0.5221960650442078, 0.12708780764116986, 0.10606814506972925]
 
     def test_deterministic(self):
         params = MetaParams(episodes_per_epoch=8, epochs=1)
@@ -879,6 +884,13 @@ def rule_case(case, seed):
     return Backbone.create(spec, RngStream(seed, (1,))), ds
 
 
+def assert_matches_full_space(out, means, ref, ref_means):
+    np.testing.assert_allclose(means, ref_means, rtol=1e-9, atol=1e-12)
+    for (name, a), (_, b) in zip(out._arrays(), ref._arrays()):
+        # the pre-batch-norm and dense2 biases have a zero gradient and hold only roundoff
+        np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12, err_msg=name)
+
+
 class TestRowSpaceMetaTrain:
     """Meta-training gathers each task's rows from the stacked dataset; when
     its n images of D values have 2n <= D, the first layer trains in their
@@ -899,21 +911,19 @@ class TestRowSpaceMetaTrain:
         bk, ds = rule_case(case, seed)
         shape, params = EpisodeShape(5, 5, 10), MetaParams(episodes_per_epoch=40, epochs=2)
         out, means, row_space = traced_meta_train(monkeypatch, bk, ds, shape, params, RngStream(seed, (2,)))
-        ref, ref_means = full_space_meta_train(bk, ds, shape, params, RngStream(seed, (2,)))
         assert row_space
-        np.testing.assert_allclose(means, ref_means, rtol=1e-9, atol=1e-12)
-        for (name, a), (_, b) in zip(out._arrays(), ref._arrays()):
-            # the pre-batch-norm and dense2 biases have a zero gradient and hold only roundoff
-            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12, err_msg=name)
+        assert_matches_full_space(out, means, *full_space_meta_train(bk, ds, shape, params, RngStream(seed, (2,))))
 
+    # past the rule the first layer trains at full width; the one-node backbone's closed-form backward
+    # then differs from the taped loop by rounding alone, about 1.6e-14 of an array's largest entry
     @pytest.mark.parametrize("case", [PAST_THE_RULE, SMALL], ids=["past-the-rule", "small"])
-    def test_full_width_past_the_rule_is_bit_exact(self, monkeypatch, case):
+    def test_full_width_past_the_rule_matches_full_space(self, monkeypatch, case):
         bk, ds = rule_case(case, 4)
         params = MetaParams(episodes_per_epoch=15, epochs=2)
         out, means, row_space = traced_meta_train(monkeypatch, bk, ds, EpisodeShape(3, 3, 4), params, RngStream(5))
-        ref, ref_means = full_space_meta_train(bk, ds, EpisodeShape(3, 3, 4), params, RngStream(5))
         assert not row_space
-        assert out.to_bytes() == ref.to_bytes() and means == ref_means
+        assert_matches_full_space(out, means, *full_space_meta_train(bk, ds, EpisodeShape(3, 3, 4), params,
+                                                                     RngStream(5)))
 
     def test_full_width_holds_no_copy_of_the_dataset(self):
         # tasks gather their rows from a view of the dataset's own buffer, so no block that code
@@ -968,6 +978,74 @@ class TestRowSpaceMetaTrain:
             assert a.shape == b.shape and np.array_equal(a, b), name
 
 
+def parameter_names(bk):
+    """The snapshot names of `bk.parameters()`, in that order."""
+    return [name for name, _ in bk._arrays() if "running" not in name]
+
+
+class TestTrainForward:
+    """`Backbone.train_forward`, meta-training's backbone as one tape node: the taped train-mode
+    forward's bits, and every parameter's gradient in closed form."""
+
+    @staticmethod
+    def weighted_sum(emb, seed):
+        """A random weighting of every entry, so each embedding entry gets its own adjoint."""
+        return dc.tensor_sum(dc.mul(emb, dc.constant(np.random.default_rng(seed).normal(size=emb.shape))))
+
+    def test_gradient_check_every_parameter(self):
+        bk = small_backbone(1)
+        rows = np.random.default_rng(2).uniform(size=(7, SMALL_SPEC.input_dim))
+        for name, p in zip(parameter_names(bk), bk.parameters()):
+            assert gradient_check(lambda t: self.weighted_sum(bk.train_forward(rows), 3), p) < 1e-6, name
+
+    @pytest.mark.parametrize("spec, rows", [(SMALL_SPEC, 7), (BackboneSpec(), 75)], ids=["tiny", "paper"])
+    def test_same_bits_as_the_taped_forward(self, spec, rows):
+        taped, node = Backbone.create(spec, RngStream(5)), Backbone.create(spec, RngStream(5))
+        for seed in range(3):  # each pass reads the running statistics the last one wrote
+            batch = np.random.default_rng(seed).uniform(size=(rows, spec.input_dim))
+            assert np.array_equal(node.train_forward(batch).values, taped.forward(dc.constant(batch), "train").values)
+        for (name, a), (_, b) in zip(node._arrays(), taped._arrays()):
+            assert np.array_equal(a, b), name
+
+    # both batches of a paper-shape task on one tape: the n = 320 images at full width, or on the
+    # coordinates of their row space, as meta_train trains them
+    @pytest.mark.parametrize("row_space", [False, True], ids=["full-width", "row-space"])
+    def test_gradients_match_the_tape(self, row_space):
+        bk, ds = rule_case(PAPER, 7)
+        rows = images_to_batch(ds.pixels, bk.spec.input_dim).values
+        if row_space:
+            basis, upper = np.linalg.qr(rows.T)
+            (bk, _), rows = fewshot._coordinate_copy(bk, basis), np.ascontiguousarray(upper.T)
+        _, at = draw_episode(ds, EpisodeShape(5, 5, 15), RngStream(8))
+        batches = rows[at[:, :5].ravel()], rows[at[:, 5:].ravel()]
+        grads = []
+        for embed_rows in (lambda bk, x: bk.train_forward(x), lambda bk, x: bk.forward(dc.constant(x), "train")):
+            work = bk.clone()
+            support, query = (embed_rows(work, x) for x in batches)
+            loss = proto_xent(query, np.arange(5).repeat(15), compute_prototypes(support, np.arange(5).repeat(5)))
+            # the weighted sum gives dense2.bias a live gradient, which proto_xent alone does not
+            dc.backward(dc.add(loss, dc.add(self.weighted_sum(support, 9), self.weighted_sum(query, 10))))
+            grads.append([p.grad for p in work.parameters()])
+        largest = max(np.abs(taped).max() for taped in grads[1])
+        for name, ours, taped in zip(parameter_names(bk), *grads):
+            if name in ("dense0.bias", "dense1.bias"):  # they feed a train-mode batch norm: the tape holds roundoff
+                assert not ours.any() and np.abs(taped).max() <= 1e-12 * largest, name
+            else:
+                assert np.abs(ours - taped).max() <= 1e-12 * np.abs(taped).max(), name
+
+    def test_one_row_is_a_degenerate_batch(self):
+        with pytest.raises(DegenerateBatchError, match="^batch statistics need at least 2 rows, got 1$"):
+            small_backbone().train_forward(np.zeros((1, SMALL_SPEC.input_dim)))
+
+    @pytest.mark.parametrize("case", [PAPER, PAST_THE_RULE], ids=["row-space", "full-width"])
+    def test_meta_train_leaves_the_pre_norm_biases_at_zero(self, case):
+        bk, ds = rule_case(case, 3)
+        out = meta_train(bk, ds, EpisodeShape(3, 3, 4), MetaParams(episodes_per_epoch=10, epochs=1), rng=RngStream(4))
+        arrays = dict(out._arrays())
+        assert not np.array_equal(arrays["dense0.weight"], bk.dense[0].weight.values)
+        assert not arrays["dense0.bias"].any() and not arrays["dense1.bias"].any()
+
+
 def at_blas_threads(count, compute):
     """`compute()` with this process's OpenBLAS at `count` threads, and the count it had back after."""
     get_threads, set_threads = fewshot._openblas()
@@ -1008,6 +1086,27 @@ class TestBlasThreads:
         assert blas_threads() == 2
         assert out == at_blas_threads(1, compute)
         assert seen and set(seen) == {1}
+
+    def test_overlapping_calls_from_threads(self, blas_threads):
+        # more threads than cores, switching often: each gets the bytes its call gives alone,
+        # and the caller's count is back once all are done
+        computes = [paper_width_call(name) for name in ("finetune", "meta_train", "finetune")]
+        alone = [compute() for compute in computes]
+        results = [[] for _ in computes]
+        threads = [threading.Thread(target=lambda compute=compute, out=out: out.extend(compute() for _ in range(4)))
+                   for compute, out in zip(computes, results)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[out] * 4 for out in alone]
+        assert blas_threads() == 2
 
     def test_caller_count_restored_after_a_divergence(self, blas_threads):
         with pytest.raises(DivergenceError):
