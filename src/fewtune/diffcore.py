@@ -431,6 +431,8 @@ def sgd_step(params: Iterable[DiffTensor], learning_rate: float, momentum: float
     for p in params:
         v = p._velocity
         if v is None:
+            if p._grad is None:  # the update would leave it as it is: v would be +0
+                continue
             v = p._velocity = np.zeros_like(p.values)
         v *= momentum
         v += p.grad

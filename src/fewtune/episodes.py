@@ -3,16 +3,11 @@
 An image is a channels-first (C, H, W) float64 array in [0, 1]. A `LabeledDataset` holds every
 image, class after class, in one read-only C-ordered (n, C, H, W) buffer, checked once when the
 dataset is built; each class is a view of its rows. Every image op keeps the value range, so no
-image is checked again. An `Episode` holds its class names, K, the support and real query images,
-each set one array gathered from the buffer, with their labels, and the pseudo query images,
-stacked into one array, with their sources. An episode relabels its sampled classes to 0..N-1 in
-draw order.
-
-`draw_episode` alone makes an episode's draws, and returns them as rows of the buffer:
-`sample_episode` gathers images from them, and meta-training gathers the same images from a view
-of the buffer, so a stream gives both the same episode. The real query set exists for evaluation
-only; `Episode.query_guard` lets the fine-tuning stage lock it so any read raises, and a read
-counter backs the isolation tests.
+image is checked again. `sample_episode` is the one function that draws an episode, for evaluation
+and meta-training alike: an `Episode` holds the rows of the buffer it drew, and its labels, rows and
+image sets follow from them. The real query set exists for evaluation and meta-training only;
+`Episode.query_guard` lets the fine-tuning stage lock it so any read raises, and a read counter
+backs the isolation tests.
 """
 
 from __future__ import annotations
@@ -100,21 +95,19 @@ class LabeledDataset:
 
 @dataclass(eq=False)
 class Episode:
-    """One N-way K-shot task: support, guarded real query, pseudo query.
+    """One N-way K-shot task: the (n, k+m) rows of `dataset.pixels` that `sample_episode` drew.
 
-    Each image set is one (count, C, H, W) array. `build_pseudo_query` fills the pseudo
-    query set: `pseudo_sources[i]` is the index into `support_images` of the image that
-    pseudo image i augments, and its label is that image's.
-    """
+    Row i of `draws` is class i's draw, labelled i: its first k are support, the rest the guarded real
+    query. Each image set is one (count, C, H, W) array, gathered when it is read. `build_pseudo_query`
+    adds the pseudo query set: pseudo image i augments support image `pseudo_sources[i]`, and its label
+    is that image's."""
 
+    dataset: LabeledDataset = field(repr=False)
     class_names: tuple[str, ...]
     k_shot: int
-    support_images: np.ndarray = field(repr=False)
-    support_labels: np.ndarray = field(repr=False)
-    _query_images: np.ndarray = field(repr=False)
-    _query_labels: np.ndarray = field(repr=False)
-    pseudo_images: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0, 0)), repr=False)
-    pseudo_sources: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64), repr=False)
+    draws: np.ndarray = field(repr=False)
+    pseudo_images: np.ndarray | None = field(default=None, repr=False)
+    pseudo_sources: np.ndarray | None = field(default=None, repr=False)
     query_reads: int = field(default=0, init=False)
     _query_locked: bool = field(default=False, init=False, repr=False)
 
@@ -123,23 +116,37 @@ class Episode:
         return len(self.class_names)
 
     @property
+    def support_rows(self) -> np.ndarray:
+        return self.draws[:, : self.k_shot].ravel()
+
+    @property
+    def support_images(self) -> np.ndarray:
+        return self.dataset.pixels[self.support_rows]
+
+    @property
+    def support_labels(self) -> np.ndarray:
+        return np.arange(self.n_way, dtype=np.int64).repeat(self.k_shot)
+
+    @property
     def pseudo_labels(self) -> np.ndarray:
         return self.support_labels[self.pseudo_sources]
 
-    def _query_access(self):
+    @property
+    def query_rows(self) -> np.ndarray:
+        """The real query set's rows of `dataset.pixels`. Each query accessor reads them once: one counted
+        read, refused while the set is locked."""
         if self._query_locked:
             raise QueryIsolationError("real query set read while locked for fine-tuning")
         self.query_reads += 1
+        return self.draws[:, self.k_shot :].ravel()
 
     @property
     def query_images(self) -> np.ndarray:
-        self._query_access()
-        return self._query_images
+        return self.dataset.pixels[self.query_rows]
 
     @property
     def query_labels(self) -> np.ndarray:
-        self._query_access()
-        return self._query_labels
+        return np.arange(self.n_way, dtype=np.int64).repeat(len(self.query_rows) // self.n_way)
 
     @contextmanager
     def query_guard(self):
@@ -163,12 +170,11 @@ def pqs_rule(n_way: int, k_shot: int) -> tuple[int, int | None]:
     return PQS_RULES.get(k_shot, (min(4, ceil(100 / (n_way * k_shot))), None))
 
 
-def draw_episode(ds: LabeledDataset, shape: EpisodeShape, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """The draws behind one episode: n class indices into `ds.classes`, then,
-    for each drawn class in order, k+m of its images, all without replacement,
-    as rows of `ds.pixels`. Row i of the (n, k+m) rows is class i's draw; its
-    first k are support, the rest query. Too few classes, or a drawn class with
-    fewer than k+m images, is a CapacityError before any image is drawn."""
+def sample_episode(ds: LabeledDataset, shape: EpisodeShape, rng: RngStream) -> Episode:
+    """The one draw of an episode: n class indices into `ds.classes`, then, for
+    each drawn class in order, k+m of its images, all without replacement, kept
+    as rows of `ds.pixels`; no pixel is copied. Too few classes, or a drawn class
+    with fewer than k+m images, is a CapacityError before any image is drawn."""
     n, k, m = shape.n_way, shape.k_shot, shape.m_query
     classes = ds.classes
     if len(classes) < n:
@@ -180,38 +186,29 @@ def draw_episode(ds: LabeledDataset, shape: EpisodeShape, rng: RngStream) -> tup
         short = classes[class_ids[np.argmax(sizes < k + m)]]
         raise CapacityError(f"class '{short}' has {ds.counts[short]} images, episode needs {k + m}")
     picks = np.stack([gen.choice(size, size=k + m, replace=False) for size in sizes])
-    return class_ids, ds.starts[class_ids, None] + picks
-
-
-def sample_episode(ds: LabeledDataset, shape: EpisodeShape, rng: RngStream) -> Episode:
-    """The episode of `draw_episode`'s draws: each set gathered from
-    `ds.pixels` with one index, one copy of each image, after every capacity check."""
-    n, k, m = shape.n_way, shape.k_shot, shape.m_query
-    class_ids, rows = draw_episode(ds, shape, rng)
-    classes, labels = ds.classes, np.arange(n, dtype=np.int64)
-    return Episode(tuple(classes[i] for i in class_ids), k, ds.pixels[rows[:, :k].ravel()], np.repeat(labels, k),
-                   ds.pixels[rows[:, k:].ravel()], np.repeat(labels, m))
+    return Episode(ds, tuple(classes[i] for i in class_ids.tolist()), k, ds.starts[class_ids, None] + picks)
 
 
 def build_pseudo_query(ep: Episode, rng: RngStream) -> Episode:
-    """Fill ep.pseudo_images, one stacked array, and ep.pseudo_sources by
-    augmenting support images per `pqs_rule`. Mutates and returns ep.
+    """Fill ep.pseudo_images, one stacked array, and ep.pseudo_sources by augmenting
+    the support images, gathered once, per `pqs_rule`. Mutates and returns ep.
 
     With a subsample rule, each class's sources are drawn from `rng.child(0)`;
     pseudo image i is drawn from `rng.child(1).child(i)`.
     """
-    if not len(ep.support_images):
+    support = ep.support_images
+    if not len(support):
         raise ContractError("episode has no support set")
     per_support, subsample = pqs_rule(ep.n_way, ep.k_shot)
 
-    sources = np.arange(len(ep.support_images))
+    sources = np.arange(len(support))
     if subsample is not None:
         gen = rng.child(0).generator()
-        members = [np.flatnonzero(ep.support_labels == label) for label in range(ep.n_way)]
+        members = sources.reshape(ep.n_way, ep.k_shot)  # support image i is class i // k's
         sources = np.concatenate([m[gen.choice(len(m), size=subsample, replace=False)] for m in members])
 
     ep.pseudo_sources = np.repeat(sources, per_support)
-    augmented = [augment(ep.support_images[src], rng.child(1).child(draw)) for draw, src in enumerate(ep.pseudo_sources)]
+    augmented = [augment(support[src], rng.child(1).child(draw)) for draw, src in enumerate(ep.pseudo_sources)]
     ep.pseudo_images = np.stack(augmented)
     return ep
 

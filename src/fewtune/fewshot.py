@@ -23,10 +23,10 @@ rows.
 - `finetune` takes Q from the B stacked support and pseudo-query rows of
   its episode, r = min(B, D).
 - `meta_train` takes Q from all n rows of its dataset, a view of its pixel
-  buffer from which every task draws, and only when 2n <= D. Past that the
-  narrower steps do not repay the QR: at one BLAS thread, D = 768 and
-  n = 320 took 17 ms to factor and saved 0.34 ms per 75-row batch, while
-  n = 700 ran slower. Meta-training then trains at full width.
+  buffer from which `sample_episode` draws every task, and only when 2n <= D.
+  Past that the narrower steps do not repay the QR: at one BLAS thread,
+  D = 768 and n = 320 took 17 ms to factor and saved 0.34 ms per 75-row
+  batch, while n = 700 ran slower. Meta-training then trains at full width.
 
 `meta_train` puts each support and query batch on the tape as one node,
 `Backbone.train_forward`, whose parents are the backbone's parameters. Its
@@ -34,10 +34,10 @@ forward is `forward(batch, "train")` bit for bit, running statistics
 included; its backward is the closed form of dense -> train-mode batch
 norm -> relu (Ioffe & Szegedy 2015), so a task's tape holds that node
 twice plus the prototypes and `proto_xent`, instead of some 52 op nodes.
-The dense biases that feed a batch norm get an exact zero gradient there,
-so meta-training leaves them as it found them. `finetune` and `infer` keep
-`forward`'s op-by-op tape, which stays the reference the closed form is
-tested against, so every eval byte for a given snapshot is as before.
+The dense biases that feed a batch norm get no gradient there, so `sgd_step` skips them
+and meta-training leaves them as it found them. `finetune` and `infer` keep `forward`'s
+op-by-op tape, which stays the reference the closed form is tested against, so every eval
+byte for a given snapshot is as before.
 
 `finetune` and `meta_train` feed their step losses to one SGD loop, `_train`, which
 alone checks for a non-finite loss, a finite blow-up and, after the last step, a non-finite array.
@@ -72,7 +72,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import BatchNormState, DiffTensor
-from .episodes import Episode, EpisodeShape, LabeledDataset, draw_episode
+from .episodes import Episode, EpisodeShape, LabeledDataset, sample_episode
 from .errors import ContractError, DataLoadError, DivergenceError, ParameterError, ShapeError
 from .losses import HyperParams, compute_prototypes, finetune_objective, proto_xent
 from .rng import RngStream
@@ -482,7 +482,7 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
     stacked images' row space, built on `bk`'s own arrays, whose
     first-layer change is mapped back once after the last step.
     """
-    if not len(ep.pseudo_images):
+    if ep.pseudo_images is None:
         raise ContractError("episode has no pseudo query set; run build_pseudo_query first")
     state = FinetuneState(backbone=bk, head=None)
     params: list[DiffTensor] = []  # filled by steps() once the coordinate copy is built
@@ -495,11 +495,11 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
         basis, _ = np.linalg.qr(np.concatenate([support, pseudo]).T)  # D x min(B, D), orthonormal
         work, mapped_back = _coordinate_copy(bk, basis)
         support_batch, pseudo_batch = dc.constant(support @ basis), dc.constant(pseudo @ basis)
-        pseudo_labels = ep.pseudo_labels
+        support_labels, pseudo_labels = ep.support_labels, ep.pseudo_labels
         # head starts at the normalized support prototypes; transductive
         # mode keeps the init free of running-stat side effects
         init_emb = work.forward(support_batch, "transductive")
-        init_protos = compute_prototypes(init_emb, ep.support_labels, ep.n_way)
+        init_protos = compute_prototypes(init_emb, support_labels, ep.n_way)
         state.head = head = dc.param(_normalized_rows(init_protos.values))
         params.extend(work.parameters() + [head])
 
@@ -507,7 +507,7 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
             support_emb = work.forward(support_batch, "train")
             pseudo_emb = work.forward(pseudo_batch, "train")
             yield "fine-tuning", f"epoch {epoch}", finetune_objective(
-                support_emb, ep.support_labels, pseudo_emb, pseudo_labels, head, hp
+                support_emb, support_labels, pseudo_emb, pseudo_labels, head, hp
             )
             head.values = _normalized_rows(head.values)
         state.backbone = mapped_back()  # the first layer's whole change, once; zero after zero epochs
@@ -557,9 +557,10 @@ def meta_train(
     or a plain one after zero epochs.
 
     Desk-scale stand-in for large-scale meta-training; `on_epoch(epoch,
-    mean_loss)` is invoked after each epoch when given. Each task gathers
-    its support and query rows from the dataset's n x D pixel rows, a view
-    of its buffer, by the rows `draw_episode` returns. When 2n <= D, the first
+    mean_loss)` is invoked after each epoch when given. Each task is an
+    `Episode` from `sample_episode`, whose support and query rows pick its
+    batches out of the dataset's n x D pixel rows, a view of its buffer, and
+    whose labels it trains on; no image is gathered. When 2n <= D, the first
     layer trains in their row space, on the coordinates R^T of the rows' thin QR.
     """
     if not params.epochs:
@@ -570,7 +571,6 @@ def meta_train(
         (work, mapped_back), rows = _coordinate_copy(bk, basis), np.ascontiguousarray(upper.T)
     else:
         work, mapped_back = bk.clone(), None
-    k, labels = shape.k_shot, np.arange(shape.n_way)
     history: list[float] = []
     trained = work
 
@@ -578,11 +578,11 @@ def meta_train(
         nonlocal trained
         for epoch in range(params.epochs):
             for task in range(params.episodes_per_epoch):
-                _, at = draw_episode(ds, shape, rng.child(epoch * params.episodes_per_epoch + task))
-                support_emb = work.train_forward(rows[at[:, :k].ravel()])
-                query_emb = work.train_forward(rows[at[:, k:].ravel()])
-                protos = compute_prototypes(support_emb, labels.repeat(k), shape.n_way)
-                loss = proto_xent(query_emb, labels.repeat(shape.m_query), protos)
+                ep = sample_episode(ds, shape, rng.child(epoch * params.episodes_per_epoch + task))
+                support_emb = work.train_forward(rows[ep.support_rows])
+                query_emb = work.train_forward(rows[ep.query_rows])
+                protos = compute_prototypes(support_emb, ep.support_labels, ep.n_way)
+                loss = proto_xent(query_emb, ep.query_labels, protos)
                 yield f"meta-training epoch {epoch}", f"task {task}", loss
             if on_epoch is not None:
                 on_epoch(epoch, float(np.mean(history[-params.episodes_per_epoch:])))

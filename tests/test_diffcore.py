@@ -337,6 +337,23 @@ class TestSgd:
             assert np.array_equal(p.values, values)
             assert np.array_equal(p._velocity, velocity)
 
+    def test_no_gradient_and_no_velocity_is_skipped(self):
+        # a parameter no gradient ever reached keeps its array and gets no velocity buffer
+        arr = np.array([1.5, -0.0, 2.0])
+        p = dc.param(arr)
+        for _ in range(3):
+            dc.sgd_step([p], 0.1, 0.9)
+        assert p.values is arr and p._velocity is None
+
+    def test_velocity_without_a_gradient_still_moves(self):
+        p = dc.param([1.0, -1.0])
+        p.grad = np.array([2.0, -4.0])
+        dc.sgd_step([p], 0.1, 0.5)
+        dc.zero_grads([p])
+        dc.sgd_step([p], 0.1, 0.5)  # v = 0.5 * (2, -4) = (1, -2); p = (0.8, -0.6) - 0.1 * v
+        np.testing.assert_allclose(p.values, [0.7, -0.4], atol=1e-12)
+        np.testing.assert_array_equal(p._velocity, [1.0, -2.0])
+
     def test_caller_array_untouched(self):
         arr = np.array([1.0, -2.0, 0.5])
         p = dc.param(arr)

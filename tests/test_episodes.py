@@ -17,7 +17,6 @@ from fewtune.episodes import (
     EpisodeShape,
     LabeledDataset,
     build_pseudo_query,
-    draw_episode,
     load_dataset,
     pqs_rule,
     sample_episode,
@@ -38,7 +37,7 @@ class TestSampleEpisode:
     def test_cardinalities(self):
         ep = sample_episode(toy_dataset(), EpisodeShape(5, 5, 15), RngStream(0))
         assert len(ep.support_images) == 25
-        assert len(ep._query_images) == 75
+        assert len(ep.query_images) == 75
         assert len(set(ep.class_names)) == 5
 
     def test_partition_when_class_exhausted(self):
@@ -82,18 +81,38 @@ class TestSampleEpisode:
 
     @pytest.mark.parametrize("stream", [RngStream(0), RngStream(7, (2,)), RngStream(31, (1, 4))])
     def test_episode_is_the_gather_of_its_draws(self, stream):
-        # one copy of the draws: the episode's images are the dataset rows that draw_episode picked,
-        # each drawn class's rows distinct and inside that class
+        # the episode's images are the dataset rows it drew, each drawn class's rows
+        # distinct and inside that class, and the same stream draws the same rows
         ds, shape = toy_dataset(per_class=12), EpisodeShape(4, 3, 5)
         ep = sample_episode(ds, shape, stream)
-        class_ids, rows = draw_episode(ds, shape, stream)
-        assert rows.shape == (4, 8) and ep.class_names == tuple(ds.classes[i] for i in class_ids)
-        for i, draw in zip(class_ids, rows):
+        rows = ep.draws
+        assert rows.shape == (4, 8) and np.array_equal(rows, sample_episode(ds, shape, stream).draws)
+        for name, draw in zip(ep.class_names, rows):
+            i = ds.classes.index(name)
             assert len(set(draw)) == 8 and ds.starts[i] <= draw.min() and draw.max() < ds.starts[i + 1]
-        for images, labels, cols in ((ep.support_images, ep.support_labels, slice(0, 3)),
-                                     (ep.query_images, ep.query_labels, slice(3, 8))):
+        for images, labels, at, cols in ((ep.support_images, ep.support_labels, ep.support_rows, slice(0, 3)),
+                                         (ep.query_images, ep.query_labels, ep.query_rows, slice(3, 8))):
+            assert np.array_equal(at, rows[:, cols].ravel())
             assert np.array_equal(images, ds.pixels[rows[:, cols].ravel()])
             assert np.array_equal(labels, np.repeat(np.arange(4), cols.stop - cols.start))
+
+    def test_episode_copies_no_pixels(self):
+        # until build_pseudo_query, an episode stores its draws and no image: each image set is
+        # gathered from the dataset's buffer when it is read
+        ds, shape = toy_dataset(per_class=12), EpisodeShape(4, 3, 5)
+        ep = sample_episode(ds, shape, RngStream(40))
+        assert ep.dataset is ds and ep.pseudo_images is None and ep.pseudo_sources is None
+        stored = [value for value in vars(ep).values() if isinstance(value, np.ndarray)]
+        assert len(stored) == 1 and stored[0] is ep.draws and ep.draws.shape == (4, 8)
+        assert np.issubdtype(ep.draws.dtype, np.integer)
+        assert np.array_equal(ep.support_images, ds.pixels[ep.draws[:, :3].ravel()])
+        assert np.array_equal(ep.query_images, ds.pixels[ep.draws[:, 3:].ravel()])
+        reads = ep.query_reads
+        with ep.query_guard():
+            for accessor in ("query_images", "query_labels", "query_rows"):
+                with pytest.raises(QueryIsolationError):
+                    getattr(ep, accessor)
+        assert ep.query_reads == reads
 
 
 class TestQueryGuard:

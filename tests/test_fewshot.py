@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 import fewtune.diffcore as dc
 import fewtune.fewshot as fewshot
-from fewtune.episodes import EpisodeShape, build_pseudo_query, draw_episode, sample_episode
+from fewtune import episodes
+from fewtune.episodes import Episode, EpisodeShape, build_pseudo_query, sample_episode
 from fewtune.errors import (
     ContractError,
     DataLoadError,
@@ -745,9 +746,11 @@ class TestInfer:
     def test_self_query_separable_episode(self):
         # query set equal to the support set on a fitted episode
         bk = small_backbone()
-        ep = small_episode(seed=9, with_pqs=False)
-        ep._query_images = ep.support_images.copy()
-        ep._query_labels = ep.support_labels.copy()
+        drawn = small_episode(seed=9, with_pqs=False)
+        support = drawn.draws[:, : drawn.k_shot]
+        ep = Episode(drawn.dataset, drawn.class_names, drawn.k_shot, np.concatenate([support, support], axis=1))
+        assert np.array_equal(ep.query_images, ep.support_images)
+        assert np.array_equal(ep.query_labels, ep.support_labels)
         state = pristine_state(bk)
         support_emb = embed(state.backbone, ep.support_images, "eval")
         protos = compute_prototypes(support_emb, ep.support_labels, ep.n_way)
@@ -859,6 +862,20 @@ class TestMetaTrain:
         before = bk.to_bytes()
         meta_train(bk, small_dataset(), params=MetaParams(episodes_per_epoch=5, epochs=1), rng=RngStream(3))
         assert bk.to_bytes() == before
+
+    def test_each_task_is_drawn_by_sample_episode(self, monkeypatch):
+        # one draw function for evaluation and meta-training: a task is one sample_episode call
+        calls, sample = [], episodes.sample_episode
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sample(*args, **kwargs)
+
+        for module in (episodes, fewshot):
+            monkeypatch.setattr(module, "sample_episode", counted)
+        params = MetaParams(episodes_per_epoch=4, epochs=3)
+        meta_train(small_backbone(), small_dataset(), params=params, rng=RngStream(5))
+        assert len(calls) == params.epochs * params.episodes_per_epoch
 
 
 def traced_meta_train(monkeypatch, bk, ds, shape, params, rng):
@@ -1016,8 +1033,8 @@ class TestTrainForward:
         if row_space:
             basis, upper = np.linalg.qr(rows.T)
             (bk, _), rows = fewshot._coordinate_copy(bk, basis), np.ascontiguousarray(upper.T)
-        _, at = draw_episode(ds, EpisodeShape(5, 5, 15), RngStream(8))
-        batches = rows[at[:, :5].ravel()], rows[at[:, 5:].ravel()]
+        ep = sample_episode(ds, EpisodeShape(5, 5, 15), RngStream(8))
+        batches = rows[ep.support_rows], rows[ep.query_rows]
         grads = []
         for embed_rows in (lambda bk, x: bk.train_forward(x), lambda bk, x: bk.forward(dc.constant(x), "train")):
             work = bk.clone()
