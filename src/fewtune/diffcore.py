@@ -29,7 +29,9 @@ their adjoint instead of a copy (adjoints are never written to), and
 `tensor_mean` is numpy's own sum and divide without `np.mean`'s wrapper,
 which gives the same bits.
 
-Batch normalization reads `BN_MOMENTUM` and `BN_EPS` directly; a
+The tape holds only what is differentiated: a forward pass without a
+gradient runs in numpy off it (`fewshot.embed`), so `batch_norm` is train
+mode only. It reads `BN_MOMENTUM` and `BN_EPS` directly; a
 `BatchNormState` holds only the affine parameters and running statistics.
 
 The op set is intentionally small: just enough to express dense layers,
@@ -47,8 +49,6 @@ import numpy as np
 from .errors import ContractError, DegenerateBatchError, ParameterError, ShapeError
 
 Array = np.ndarray
-
-MODES = ("train", "eval", "transductive")
 
 BN_MOMENTUM = 0.1  # weight of the newest batch in the running statistics
 BN_EPS = 1e-5  # added to the variance before the square root
@@ -390,29 +390,17 @@ def check_batch_rows(rows: int) -> None:
         raise DegenerateBatchError(f"batch statistics need at least 2 rows, got {rows}")
 
 
-def batch_norm(x: DiffTensor, state: BatchNormState, mode: str) -> DiffTensor:
-    """Normalize rows of x (BxD) per feature.
-
-    train: batch statistics, running stats updated.
-    eval: running statistics only.
-    transductive: batch statistics of the inference batch, no update.
-    Variance is the biased (1/B) estimator throughout.
-    """
-    if mode not in MODES:
-        raise ParameterError(f"unknown batch_norm mode {mode!r}")
-    if mode in ("train", "transductive"):
-        check_batch_rows(x.shape[0])
-        mu = tensor_mean(x, axis=0, keepdims=True)
-        centered = sub(x, mu)
-        var = tensor_mean(mul(centered, centered), axis=0, keepdims=True)
-        x_hat = div(centered, sqrt(add(var, constant(BN_EPS))))
-        if mode == "train":
-            m = BN_MOMENTUM
-            state.running_mean = (1.0 - m) * state.running_mean + m * mu.values
-            state.running_var = (1.0 - m) * state.running_var + m * var.values
-    else:
-        centered = sub(x, constant(state.running_mean))
-        x_hat = div(centered, constant(np.sqrt(state.running_var + BN_EPS)))
+def batch_norm(x: DiffTensor, state: BatchNormState) -> DiffTensor:
+    """Train-mode normalization of the rows of x (BxD) per feature by the
+    batch's statistics, with the biased (1/B) variance; the running
+    statistics move BN_MOMENTUM of the way to them."""
+    check_batch_rows(x.shape[0])
+    mu = tensor_mean(x, axis=0, keepdims=True)
+    centered = sub(x, mu)
+    var = tensor_mean(mul(centered, centered), axis=0, keepdims=True)
+    x_hat = div(centered, sqrt(add(var, constant(BN_EPS))))
+    state.running_mean = (1.0 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mu.values
+    state.running_var = (1.0 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var.values
     return add(mul(state.gamma, x_hat), state.beta)
 
 

@@ -28,16 +28,15 @@ rows.
   D = 768 and n = 320 took 17 ms to factor and saved 0.34 ms per 75-row
   batch, while n = 700 ran slower. Meta-training then trains at full width.
 
-`meta_train` puts each support and query batch on the tape as one node,
-`Backbone.train_forward`, whose parents are the backbone's parameters. Its
-forward is `forward(batch, "train")` bit for bit, running statistics
-included; its backward is the closed form of dense -> train-mode batch
-norm -> relu (Ioffe & Szegedy 2015), so a task's tape holds that node
-twice plus the prototypes and `proto_xent`, instead of some 52 op nodes.
-The dense biases that feed a batch norm get no gradient there, so `sgd_step` skips them
-and meta-training leaves them as it found them. `finetune` and `infer` keep `forward`'s
-op-by-op tape, which stays the reference the closed form is tested against, so every eval
-byte for a given snapshot is as before.
+The tape holds only what is differentiated. `embed` is the one forward off it, in numpy with the
+taped forward's expressions; `infer` and `finetune`'s head init call it, and so does `meta_train`,
+which puts each support and query batch on the tape as one node, `Backbone.train_forward`, whose
+parents are the backbone's parameters. That node's forward is `embed`'s train mode, `forward(batch)`
+bit for bit, running statistics included; its backward is the closed form of dense -> train-mode
+batch norm -> relu (Ioffe & Szegedy 2015), so a task's tape holds that node twice plus the
+prototypes and `proto_xent`, instead of some 52 op nodes. The dense biases that feed a batch norm
+get no gradient there, so `sgd_step` skips them and meta-training leaves them as they were.
+`Backbone.forward`, train mode op by op, is `finetune`'s step and the reference of the closed form.
 
 `finetune` and `meta_train` feed their step losses to one SGD loop, `_train`, which
 alone checks for a non-finite loss, a finite blow-up and, after the last step, a non-finite array.
@@ -253,60 +252,42 @@ class Backbone:
     def clone(self) -> "Backbone":
         return Backbone(self.spec, [a.copy() for _, a in self._arrays()])
 
-    def forward(self, batch: DiffTensor, mode: str) -> DiffTensor:
+    def forward(self, batch: DiffTensor) -> DiffTensor:
+        """The train-mode forward, op by op on the tape."""
         x = batch
         for i, layer in enumerate(self.dense):
             x = dc.add(dc.matmul(x, layer.weight), layer.bias)
             if i < len(self.norms):
-                x = dc.batch_norm(x, self.norms[i], mode)
-                x = dc.relu(x)
+                x = dc.relu(dc.batch_norm(x, self.norms[i]))
         return x
 
     def train_forward(self, rows: np.ndarray) -> DiffTensor:
-        """`forward(dc.constant(rows), "train")` as one tape node whose parents are `parameters()`.
+        """`forward(dc.constant(rows))` as one tape node whose parents are `parameters()`.
 
-        The forward runs `forward`'s own expressions, so the embeddings and the running statistics
-        are the same bit for bit. The backward is the closed form of dense -> train-mode batch norm
-        -> relu: with dx_hat = gamma dy, the gradient before a batch norm is
-        dz = (dx_hat - mean(dx_hat) - x_hat mean(dx_hat x_hat)) / s, s = sqrt(var + BN_EPS),
-        computed as gamma / s (dy - mean(dy) - x_hat mean(dy x_hat)), which reuses beta's and
-        gamma's gradients. dz sums to zero over the batch, so a dense bias that feeds a batch norm
-        gets no gradient (None, read as exact zeros) and SGD leaves it as it is. No gradient is
+        The forward is `embed`'s train mode: the same embeddings and running statistics, bit for bit.
+        The backward is the closed form of dense -> train-mode batch norm -> relu: with dx_hat = gamma dy,
+        the gradient before a batch norm is dz = (dx_hat - mean(dx_hat) - x_hat mean(dx_hat x_hat)) / s,
+        s = sqrt(var + BN_EPS), computed as gamma / s (dy - mean(dy) - x_hat mean(dy x_hat)), which reuses
+        beta's and gamma's gradients. dz sums to zero over the batch, so a dense bias that feeds a batch
+        norm gets no gradient (None, read as exact zeros) and SGD leaves it as it is. No gradient is
         computed for `rows`.
         """
-        dc.check_batch_rows(len(rows))
-        count, m = len(rows), dc.BN_MOMENTUM
-        weights = [layer.weight.values for layer in self.dense]
-        inputs, normed = [], []  # each dense layer's input; each batch norm's gamma, x_hat, s and relu gate
-        x = rows
-        for weight, layer, norm in zip(weights, self.dense, self.norms):
-            inputs.append(x)
-            z = x @ weight + layer.bias.values
-            mu = np.add.reduce(z, 0, keepdims=True) / count
-            centered = z - mu
-            var = np.add.reduce(centered * centered, 0, keepdims=True) / count
-            scale = np.sqrt(var + dc.BN_EPS)
-            x_hat = centered / scale
-            norm.running_mean = (1.0 - m) * norm.running_mean + m * mu
-            norm.running_var = (1.0 - m) * norm.running_var + m * var
-            y = norm.gamma.values * x_hat + norm.beta.values
-            normed.append((norm.gamma.values, x_hat, scale, y > 0.0))
-            x = np.maximum(y, 0.0)
-        inputs.append(x)
+        out, inputs, normed = _forward(self, rows, "train")
+        count, weights = len(rows), [layer.weight.values for layer in self.dense]
 
         def backward_fn(g: np.ndarray):
             dense = [(inputs[-1].T @ g, np.add.reduce(g, 0, keepdims=True))]
             norms = []
             for i in reversed(range(len(normed))):
-                gamma, x_hat, scale, gate = normed[i]
-                dy = (g @ weights[i + 1].T) * gate
+                gamma, x_hat, scale = normed[i]
+                dy = (g @ weights[i + 1].T) * (inputs[i + 1] > 0.0)  # relu's gate, read off its output
                 d_gamma, d_beta = np.add.reduce(dy * x_hat, 0, keepdims=True), np.add.reduce(dy, 0, keepdims=True)
                 norms[:0] = [d_gamma, d_beta]
                 g = (gamma / scale) * (dy - d_beta / count - x_hat * (d_gamma / count))
                 dense.insert(0, (inputs[i].T @ g, None))
             return [grad for pair in dense for grad in pair] + norms
 
-        return dc.node(x @ weights[-1] + self.dense[-1].bias.values, tuple(self.parameters()), backward_fn)
+        return dc.node(out, tuple(self.parameters()), backward_fn)
 
     # -- snapshot ----------------------------------------------------------
 
@@ -401,22 +382,52 @@ def _layout(spec: BackboneSpec) -> list[tuple[str, tuple[int, ...]]]:
     return dense + [(f"norm{i}.{name}", (1, width)) for i, width in enumerate(spec.hidden) for name in stats]
 
 
-def images_to_batch(images: np.ndarray, input_dim: int) -> DiffTensor:
-    """An (n, C, H, W) image array as n rows of flattened pixels, a view that copies nothing."""
+def images_to_batch(images: np.ndarray, input_dim: int) -> np.ndarray:
+    """An (n, C, H, W) image array, or n flat rows, as (n, input_dim) rows: a view that copies nothing."""
     size = math.prod(images.shape[1:])
     if size != input_dim:
         raise ShapeError(f"images flatten to [{size}], backbone expects {input_dim}")
-    return dc.constant(images.reshape(len(images), input_dim))
+    return images.reshape(len(images), input_dim)
 
 
-def embed(bk: Backbone, images: np.ndarray, mode: str) -> DiffTensor:
-    """Forward an (n, C, H, W) image array to n x D embeddings."""
-    return bk.forward(images_to_batch(images, bk.spec.input_dim), mode)
+def _forward(bk: Backbone, rows: np.ndarray, mode: str):
+    """`embed` of n rows, with each dense layer's input and each batch norm's gamma, x_hat and
+    s = sqrt(var + BN_EPS), which `train_forward`'s backward reads."""
+    if mode not in ("train", "eval", "transductive"):
+        raise ParameterError(f"unknown batch_norm mode {mode!r}")
+    count, m = len(rows), dc.BN_MOMENTUM
+    inputs, normed, x = [], [], rows
+    for layer, norm in zip(bk.dense, bk.norms):
+        inputs.append(x)
+        z = x @ layer.weight.values + layer.bias.values
+        if mode == "eval":
+            centered, scale = z - norm.running_mean, np.sqrt(norm.running_var + dc.BN_EPS)
+        else:
+            dc.check_batch_rows(count)
+            mu = np.add.reduce(z, 0, keepdims=True) / count
+            centered = z - mu
+            var = np.add.reduce(centered * centered, 0, keepdims=True) / count
+            scale = np.sqrt(var + dc.BN_EPS)
+            if mode == "train":
+                norm.running_mean = (1.0 - m) * norm.running_mean + m * mu
+                norm.running_var = (1.0 - m) * norm.running_var + m * var
+        x_hat = centered / scale
+        normed.append((norm.gamma.values, x_hat, scale))
+        x = np.maximum(norm.gamma.values * x_hat + norm.beta.values, 0.0)
+    inputs.append(x)
+    return x @ bk.dense[-1].weight.values + bk.dense[-1].bias.values, inputs, normed
 
 
-def classify_cosine(query_emb: DiffTensor, protos: DiffTensor) -> tuple[np.ndarray, np.ndarray]:
+def embed(bk: Backbone, images: np.ndarray, mode: str) -> np.ndarray:
+    """n x D embeddings of (n, C, H, W) images or n flat rows, in numpy with `Backbone.forward`'s
+    expressions. Batch norms use the running statistics in "eval" mode and the batch's own in
+    "transductive" and "train" mode; "train" also moves the running statistics towards the batch's."""
+    return _forward(bk, images_to_batch(images, bk.spec.input_dim), mode)[0]
+
+
+def classify_cosine(query_emb: np.ndarray, protos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Argmax of cosine similarity per query; ties go to the lowest class."""
-    scores = dc.cosine_matrix(query_emb, protos).values
+    scores = _normalized_rows(query_emb) @ np.ascontiguousarray(_normalized_rows(protos).T)
     return np.argmax(scores, axis=1), scores
 
 
@@ -490,22 +501,22 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
     def steps():
         # the images are fixed for the whole episode: stack them once, and
         # train a copy whose first layer takes coordinates in their row space
-        support = images_to_batch(ep.support_images, bk.spec.input_dim).values
-        pseudo = images_to_batch(ep.pseudo_images, bk.spec.input_dim).values
+        support = images_to_batch(ep.support_images, bk.spec.input_dim)
+        pseudo = images_to_batch(ep.pseudo_images, bk.spec.input_dim)
         basis, _ = np.linalg.qr(np.concatenate([support, pseudo]).T)  # D x min(B, D), orthonormal
         work, mapped_back = _coordinate_copy(bk, basis)
         support_batch, pseudo_batch = dc.constant(support @ basis), dc.constant(pseudo @ basis)
         support_labels, pseudo_labels = ep.support_labels, ep.pseudo_labels
-        # head starts at the normalized support prototypes; transductive
-        # mode keeps the init free of running-stat side effects
-        init_emb = work.forward(support_batch, "transductive")
-        init_protos = compute_prototypes(init_emb, support_labels, ep.n_way)
+        # head starts at the normalized support prototypes, a forward off the tape;
+        # transductive mode keeps the init free of running-stat side effects
+        init_emb = embed(work, support_batch.values, "transductive")
+        init_protos = compute_prototypes(dc.constant(init_emb), support_labels, ep.n_way)
         state.head = head = dc.param(_normalized_rows(init_protos.values))
         params.extend(work.parameters() + [head])
 
         for epoch in range(hp.finetune_epochs):
-            support_emb = work.forward(support_batch, "train")
-            pseudo_emb = work.forward(pseudo_batch, "train")
+            support_emb = work.forward(support_batch)
+            pseudo_emb = work.forward(pseudo_batch)
             yield "fine-tuning", f"epoch {epoch}", finetune_objective(
                 support_emb, support_labels, pseudo_emb, pseudo_labels, head, hp
             )
@@ -529,7 +540,7 @@ def infer(state: FinetuneState, ep: Episode, hp: HyperParams) -> float:
     """
     with np.errstate(all="ignore"):
         support_emb = embed(state.backbone, ep.support_images, "eval")
-        protos = compute_prototypes(support_emb, ep.support_labels, ep.n_way)
+        protos = compute_prototypes(dc.constant(support_emb), ep.support_labels, ep.n_way).values
         query_mode = "transductive" if hp.transductive else "eval"
         query_emb = embed(state.backbone, ep.query_images, query_mode)
         preds, scores = classify_cosine(query_emb, protos)
@@ -565,7 +576,7 @@ def meta_train(
     """
     if not params.epochs:
         return bk.clone()
-    rows = images_to_batch(ds.pixels, bk.spec.input_dim).values
+    rows = images_to_batch(ds.pixels, bk.spec.input_dim)
     if 2 * len(rows) <= bk.spec.input_dim:
         basis, upper = np.linalg.qr(rows.T)  # rows = R^T Q^T, so rows Q = R^T
         (work, mapped_back), rows = _coordinate_copy(bk, basis), np.ascontiguousarray(upper.T)

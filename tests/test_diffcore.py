@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import fewtune.diffcore as dc
 from fewtune.errors import ContractError, DegenerateBatchError, ParameterError, ShapeError
+from fewtune.fewshot import Backbone, BackboneSpec, embed
 
 from helpers import gradient_check
 
@@ -181,49 +182,62 @@ class TestSquaredEuclidean:
         np.testing.assert_array_equal(same, expected)
 
 
+def one_norm_backbone(dim):
+    """A backbone whose embeddings are its one batch norm's output, up to rounding: identity dense
+    layers, a zero first bias, beta 4 and a last bias of -4. The shift of 4 keeps the relu between
+    them open in "eval" mode for the inputs below, and in "transductive" or "train" mode for any
+    batch of at most 16 rows, whose normalized values are at most sqrt(rows - 1) from zero."""
+    eye, ones, zeros = np.eye(dim), np.ones((1, dim)), np.zeros((1, dim))
+    arrays = [eye, zeros, eye, zeros - 4.0, ones, zeros + 4.0, zeros, ones]  # in fewshot._layout order
+    return Backbone(BackboneSpec(dim, (dim,), dim), arrays)
+
+
 class TestBatchNorm:
+    """The taped batch norm is train mode only; `fewshot.embed` normalizes off the tape in every mode."""
+
     def test_train_mode_standardizes(self):
         rng = np.random.default_rng(3)
         x = dc.constant(rng.normal(5_000.0, 1_000.0, size=(64, 8)))
         state = dc.BatchNormState.create(8)
-        out = dc.batch_norm(x, state, "train").values
+        out = dc.batch_norm(x, state).values
         assert np.abs(out.mean(axis=0)).max() < 1e-9
         assert np.abs(out.var(axis=0) - 1.0).max() < 1e-6
 
     def test_train_mode_updates_running_stats(self):
         state = dc.BatchNormState.create(2)
-        dc.batch_norm(dc.constant([[0.0, 0.0], [2.0, 4.0]]), state, "train")
+        dc.batch_norm(dc.constant([[0.0, 0.0], [2.0, 4.0]]), state)
         np.testing.assert_allclose(state.running_mean, [[0.1, 0.2]], atol=1e-12)
 
     def test_eval_mode_is_affine_only(self):
-        state = dc.BatchNormState.create(2)
         x = np.array([[1.0, -2.0], [0.5, 3.0]])
-        out = dc.batch_norm(dc.constant(x), state, "eval").values
+        out = embed(one_norm_backbone(2), x, "eval")
         np.testing.assert_allclose(out, x / np.sqrt(1.0 + dc.BN_EPS), atol=1e-12)
 
     def test_transductive_removes_shift(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(16, 4))
-        state = dc.BatchNormState.create(4)
-        out_a = dc.batch_norm(dc.constant(x), state, "transductive").values
-        out_b = dc.batch_norm(dc.constant(x + 7.25), state, "transductive").values
+        bk = one_norm_backbone(4)
+        out_a = embed(bk, x, "transductive")
+        out_b = embed(bk, x + 7.25, "transductive")
         np.testing.assert_allclose(out_a, out_b, atol=1e-9)
 
     def test_transductive_leaves_running_stats(self):
-        state = dc.BatchNormState.create(2)
-        before = state.running_mean.copy()
-        dc.batch_norm(dc.constant([[1.0, 2.0], [3.0, 4.0]]), state, "transductive")
-        np.testing.assert_array_equal(state.running_mean, before)
+        bk = one_norm_backbone(2)
+        before = bk.norms[0].running_mean.copy()
+        embed(bk, np.array([[1.0, 2.0], [3.0, 4.0]]), "transductive")
+        np.testing.assert_array_equal(bk.norms[0].running_mean, before)
 
     def test_degenerate_batch(self):
         state = dc.BatchNormState.create(2)
         with pytest.raises(DegenerateBatchError):
-            dc.batch_norm(dc.constant([[1.0, 2.0]]), state, "train")
+            dc.batch_norm(dc.constant([[1.0, 2.0]]), state)
+        for mode in ("transductive", "train"):  # the batch-statistics passes off the tape
+            with pytest.raises(DegenerateBatchError):
+                embed(one_norm_backbone(2), np.array([[1.0, 2.0]]), mode)
 
     def test_unknown_mode(self):
-        state = dc.BatchNormState.create(2)
         with pytest.raises(ParameterError):
-            dc.batch_norm(dc.constant([[1.0, 2.0], [3.0, 4.0]]), state, "test")
+            embed(one_norm_backbone(2), np.array([[1.0, 2.0], [3.0, 4.0]]), "test")
 
 
 class TestBackward:
@@ -436,7 +450,7 @@ class TestRandomPointGradients:
             c = dc.constant(rng.normal(size=(5, 3)))
             x = dc.param(rng.normal(size=(5, 3)) * 2.0)
             assert gradient_check(
-                lambda t: dc.tensor_sum(dc.mul(dc.batch_norm(t, state, "transductive"), c)), x
+                lambda t: dc.tensor_sum(dc.mul(dc.batch_norm(t, state), c)), x
             ) < self.TOL
 
 
@@ -513,16 +527,13 @@ class TestGradientProperties:
         assert self.check(lambda t: op(t, dc.constant(p)), q, seed)
         assert self.check(lambda t: op(dc.constant(q), t), p, seed)
 
-    @pytest.mark.parametrize("mode", dc.MODES)
     @given(rows=st.integers(2, 4), cols=dims, seed=seeds)
-    def test_batch_norm(self, mode, rows, cols, seed):
+    def test_batch_norm(self, rows, cols, seed):
         rng = np.random.default_rng(seed)
         state = dc.BatchNormState.create(cols)
-        state.running_mean = rng.normal(size=(1, cols))
-        state.running_var = rng.uniform(0.5, 2.0, size=(1, cols))
         # rows at least 1 apart in every column keep the batch variance away from 0
         x = rng.uniform(-1.0, 1.0, size=(rows, cols)) + 3.0 * np.arange(rows)[:, None]
-        assert self.check(lambda t: dc.batch_norm(t, state, mode), x, seed)
+        assert self.check(lambda t: dc.batch_norm(t, state), x, seed)
 
 
 class TestTensorMeanBits:

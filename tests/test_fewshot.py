@@ -101,8 +101,8 @@ class TestBackbone:
     def test_eval_mode_deterministic(self):
         bk = small_backbone()
         imgs = np.stack([np.random.default_rng(0).uniform(size=(3, 4, 4))] * 3)
-        a = embed(bk, imgs, "eval").values
-        b = embed(bk, imgs, "eval").values
+        a = embed(bk, imgs, "eval")
+        b = embed(bk, imgs, "eval")
         assert np.array_equal(a, b)
         assert np.array_equal(a[0], a[1])
 
@@ -111,11 +111,11 @@ class TestBackbone:
         rng = np.random.default_rng(1)
         base = np.stack([rng.uniform(size=(3, 4, 4)) for _ in range(4)])
         shifted = np.concatenate([base[:2], np.clip(base[2:] * 0.3 + 0.5, 0, 1)])
-        eval_a = embed(bk, base, "eval").values[:2]
-        eval_b = embed(bk, shifted, "eval").values[:2]
+        eval_a = embed(bk, base, "eval")[:2]
+        eval_b = embed(bk, shifted, "eval")[:2]
         assert np.array_equal(eval_a, eval_b)
-        td_a = embed(bk, base, "transductive").values[:2]
-        td_b = embed(bk, shifted, "transductive").values[:2]
+        td_a = embed(bk, base, "transductive")[:2]
+        td_b = embed(bk, shifted, "transductive")[:2]
         assert not np.allclose(td_a, td_b)
 
     def test_wrong_input_size(self):
@@ -126,7 +126,7 @@ class TestBackbone:
     def test_batch_rows_are_the_flattened_images(self):
         rng = np.random.default_rng(4)
         images = np.stack([rng.uniform(size=(3, 4, 4)) for _ in range(7)])
-        batch = images_to_batch(images, 48).values
+        batch = images_to_batch(images, 48)
         assert batch.shape == (7, 48) and batch.dtype == np.float64
         for row, img in zip(batch, images):
             assert row.tobytes() == img.reshape(-1).tobytes()
@@ -262,9 +262,9 @@ class TestSnapshotRoundTrip:
         blob = bk.to_bytes()
         back = Backbone.from_bytes(blob)
         assert back.to_bytes() == blob
-        batch = dc.constant(gen.normal(size=(3, input_dim)))
+        batch = gen.normal(size=(3, input_dim))
         for mode in ("eval", "transductive"):
-            np.testing.assert_array_equal(back.forward(batch, mode).values, bk.forward(batch, mode).values)
+            np.testing.assert_array_equal(embed(back, batch, mode), embed(bk, batch, mode))
         with pytest.raises(DataLoadError):
             Backbone.from_bytes(blob[: int(cut * len(blob))])
 
@@ -309,20 +309,20 @@ class TestSnapshotCap:
 
 class TestClassifyCosine:
     def test_query_at_prototype(self):
-        protos = compute_prototypes(dc.constant([[1.0, 0.0], [0.0, 1.0]]), [0, 1])
-        preds, scores = classify_cosine(dc.constant([[0.9, 0.1]]), protos)
+        protos = compute_prototypes(dc.constant([[1.0, 0.0], [0.0, 1.0]]), [0, 1]).values
+        preds, scores = classify_cosine(np.array([[0.9, 0.1]]), protos)
         assert preds.tolist() == [0]
         assert scores.shape == (1, 2)
 
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(2)
-        protos = compute_prototypes(dc.constant(rng.normal(size=(4, 6))), [0, 1, 2, 3])
+        protos = compute_prototypes(dc.constant(rng.normal(size=(4, 6))), [0, 1, 2, 3]).values
         q = rng.normal(size=(5, 6))
-        base, _ = classify_cosine(dc.constant(q), protos)
-        scaled, _ = classify_cosine(dc.constant(q * rng.uniform(0.5, 8.0, (5, 1))), protos)
+        base, _ = classify_cosine(q, protos)
+        scaled, _ = classify_cosine(q * rng.uniform(0.5, 8.0, (5, 1)), protos)
         assert np.array_equal(base, scaled)
-        protos2 = compute_prototypes(dc.constant(protos.values * 3.7), [0, 1, 2, 3])
-        global_scaled, _ = classify_cosine(dc.constant(q), protos2)
+        protos2 = compute_prototypes(dc.constant(protos * 3.7), [0, 1, 2, 3]).values
+        global_scaled, _ = classify_cosine(q, protos2)
         assert np.array_equal(base, global_scaled)
 
     def test_planar_angles(self):
@@ -330,13 +330,13 @@ class TestClassifyCosine:
             rad = np.deg2rad(deg)
             return [np.cos(rad), np.sin(rad)]
 
-        protos = compute_prototypes(dc.constant([at(0.0), at(90.0)]), [0, 1])
-        preds, _ = classify_cosine(dc.constant([at(10.0)]), protos)
+        protos = compute_prototypes(dc.constant([at(0.0), at(90.0)]), [0, 1]).values
+        preds, _ = classify_cosine(np.array([at(10.0)]), protos)
         assert preds.tolist() == [0]
 
     def test_tie_breaks_to_lowest_index(self):
-        protos = compute_prototypes(dc.constant([[1.0, 0.0], [1.0, 0.0]]), [0, 1])
-        preds, _ = classify_cosine(dc.constant([[1.0, 0.0]]), protos)
+        protos = compute_prototypes(dc.constant([[1.0, 0.0], [1.0, 0.0]]), [0, 1]).values
+        preds, _ = classify_cosine(np.array([[1.0, 0.0]]), protos)
         assert preds.tolist() == [0]
 
 
@@ -407,11 +407,10 @@ class TestFinetune:
         seen = []
         batch_norm = dc.batch_norm
 
-        def spy(x, state, mode):
-            out = batch_norm(x, state, mode)
-            if mode == "train":
-                x_hat = (out.values - state.beta.values) / state.gamma.values
-                seen.append((len(seen) % len(bk.norms), x.values.copy(), x_hat))
+        def spy(x, state):
+            out = batch_norm(x, state)
+            x_hat = (out.values - state.beta.values) / state.gamma.values
+            seen.append((len(seen) % len(bk.norms), x.values.copy(), x_hat))
             return out
 
         monkeypatch.setattr(dc, "batch_norm", spy)
@@ -483,8 +482,8 @@ def objective_grads(state, ep, hp):
     objective at `state`, and whether the support embeddings got any."""
     work = state.backbone.clone()
     head = dc.param(state.head.values.copy())
-    support = work.forward(images_to_batch(ep.support_images, work.spec.input_dim), "train")
-    pseudo = work.forward(images_to_batch(ep.pseudo_images, work.spec.input_dim), "train")
+    support = work.forward(dc.constant(images_to_batch(ep.support_images, work.spec.input_dim)))
+    pseudo = work.forward(dc.constant(images_to_batch(ep.pseudo_images, work.spec.input_dim)))
     dc.backward(finetune_objective(support, ep.support_labels, pseudo, ep.pseudo_labels, head, hp))
     return [p.grad for p in work.parameters() + [head]], support._grad is not None
 
@@ -530,15 +529,15 @@ def full_space_finetune(bk, ep, hp):
     row-space loop must match up to rounding."""
     work = bk.clone()
     with np.errstate(all="ignore"):
-        support_batch = images_to_batch(ep.support_images, work.spec.input_dim)
-        pseudo_batch = images_to_batch(ep.pseudo_images, work.spec.input_dim)
-        init_emb = work.forward(support_batch, "transductive")
+        support_batch = dc.constant(images_to_batch(ep.support_images, work.spec.input_dim))
+        pseudo_batch = dc.constant(images_to_batch(ep.pseudo_images, work.spec.input_dim))
+        init_emb = dc.constant(embed(work, ep.support_images, "transductive"))
         head = dc.param(_normalized_rows(compute_prototypes(init_emb, ep.support_labels, ep.n_way).values))
         params = work.parameters() + [head]
         losses = []
         for _ in range(hp.finetune_epochs):
-            support_emb = work.forward(support_batch, "train")
-            pseudo_emb = work.forward(pseudo_batch, "train")
+            support_emb = work.forward(support_batch)
+            pseudo_emb = work.forward(pseudo_batch)
             loss = finetune_objective(support_emb, ep.support_labels, pseudo_emb, ep.pseudo_labels, head, hp)
             dc.backward(loss)
             dc.sgd_step(params, hp.learning_rate, hp.momentum)
@@ -558,8 +557,8 @@ def full_space_meta_train(bk, ds, shape, params, rng):
         losses = []
         for task in range(params.episodes_per_epoch):
             ep = sample_episode(ds, shape, rng.child(epoch * params.episodes_per_epoch + task))
-            support_emb = embed(work, ep.support_images, "train")
-            query_emb = embed(work, ep.query_images, "train")
+            support_emb, query_emb = (work.forward(dc.constant(images_to_batch(images, work.spec.input_dim)))
+                                      for images in (ep.support_images, ep.query_images))
             loss = proto_xent(query_emb, ep.query_labels, compute_prototypes(support_emb, ep.support_labels, ep.n_way))
             dc.backward(loss)
             dc.sgd_step(trainable, params.learning_rate, params.momentum)
@@ -608,7 +607,7 @@ class TestRowSpaceFinetune:
     def test_first_layer_moves_in_the_row_space(self):
         bk, ep = Backbone.create(BackboneSpec(), RngStream(5)), paper_shape_episode(5)
         state = finetune(bk, ep, HyperParams(finetune_epochs=10))
-        images = images_to_batch(np.concatenate([ep.support_images, ep.pseudo_images]), bk.spec.input_dim).values
+        images = images_to_batch(np.concatenate([ep.support_images, ep.pseudo_images]), bk.spec.input_dim)
         delta = state.backbone.dense[0].weight.values - bk.dense[0].weight.values
         coeffs, *_ = np.linalg.lstsq(images.T, delta, rcond=None)
         assert images.shape[0] < images.shape[1]
@@ -725,7 +724,7 @@ class TestInfer:
             q = np.ones((20, 6)) + rng.normal(scale=1e-9, size=(20, 6))
             p = np.ones((5, 6)) + rng.normal(scale=1e-9, size=(5, 6))
             labels = rng.integers(0, 5, size=20)
-            preds, _ = classify_cosine(dc.constant(q), compute_prototypes(dc.constant(p), np.arange(5)))
+            preds, _ = classify_cosine(q, compute_prototypes(dc.constant(p), np.arange(5)).values)
             hits.append(np.mean(preds == labels))
         assert abs(np.mean(hits) - 0.2) < 0.05
 
@@ -735,7 +734,7 @@ class TestInfer:
         hp = HyperParams(transductive=False)
         state = pristine_state(bk)
         support_emb = embed(state.backbone, ep.support_images, "eval")
-        protos = compute_prototypes(support_emb, ep.support_labels, ep.n_way)
+        protos = compute_prototypes(dc.constant(support_emb), ep.support_labels, ep.n_way).values
         full_preds, _ = classify_cosine(embed(state.backbone, ep.query_images, "eval"), protos)
         singles = []
         for img in ep.query_images:
@@ -753,12 +752,49 @@ class TestInfer:
         assert np.array_equal(ep.query_labels, ep.support_labels)
         state = pristine_state(bk)
         support_emb = embed(state.backbone, ep.support_images, "eval")
-        protos = compute_prototypes(support_emb, ep.support_labels, ep.n_way)
+        protos = compute_prototypes(dc.constant(support_emb), ep.support_labels, ep.n_way).values
         preds, _ = classify_cosine(support_emb, protos)
         separable = bool(np.all(preds == ep.support_labels))
         acc = infer(state, ep, HyperParams(transductive=False))
         if separable:
             assert acc == 1.0
+
+
+def created_tensors(monkeypatch):
+    """Every DiffTensor created from here on, and the ids of those that `dc.param` made."""
+    created, params = [], set()
+    init, param = dc.DiffTensor.__init__, dc.param
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        created.append(self)
+
+    monkeypatch.setattr(dc.DiffTensor, "__init__", recording_init)
+    monkeypatch.setattr(dc, "param", lambda values: params.add(id(p := param(values))) or p)
+    return created, params
+
+
+class TestForwardOnly:
+    """A forward pass that takes no gradient leaves nothing on the tape: `infer` and `finetune`'s
+    head init create no tensor with a parent, and none that requires a gradient but a parameter."""
+
+    @pytest.mark.parametrize("transductive", [False, True])
+    @pytest.mark.parametrize("adapted", [False, True], ids=["pristine", "fine-tuned"])
+    def test_infer(self, monkeypatch, adapted, transductive):
+        ep = small_episode()
+        bk = small_backbone()
+        state = finetune(bk, ep, HyperParams(finetune_epochs=3)) if adapted else pristine_state(bk)
+        created, _ = created_tensors(monkeypatch)
+        infer(state, ep, HyperParams(transductive=transductive))
+        assert created and all(not t.requires_grad and not t._parents for t in created)
+
+    def test_head_init(self, monkeypatch):
+        # zero epochs: finetune builds the coordinate copy and the head, and takes no step
+        created, params = created_tensors(monkeypatch)
+        state = finetune(small_backbone(), small_episode(), HyperParams(finetune_epochs=0))
+        assert id(state.head) in params
+        assert all(not t._parents for t in created)
+        assert all(id(t) in params for t in created if t.requires_grad)
 
 
 class TestEpisodeIndependence:
@@ -965,7 +1001,7 @@ class TestRowSpaceMetaTrain:
     def test_first_layer_moves_in_the_row_space(self):
         bk, ds = rule_case(PAPER, 5)
         out = meta_train(bk, ds, params=MetaParams(episodes_per_epoch=30, epochs=1), rng=RngStream(6))
-        rows = images_to_batch(ds.pixels, bk.spec.input_dim).values
+        rows = images_to_batch(ds.pixels, bk.spec.input_dim)
         delta = out.dense[0].weight.values - bk.dense[0].weight.values
         coeffs, *_ = np.linalg.lstsq(rows.T, delta, rcond=None)
         assert 2 * rows.shape[0] <= rows.shape[1]
@@ -1020,7 +1056,7 @@ class TestTrainForward:
         taped, node = Backbone.create(spec, RngStream(5)), Backbone.create(spec, RngStream(5))
         for seed in range(3):  # each pass reads the running statistics the last one wrote
             batch = np.random.default_rng(seed).uniform(size=(rows, spec.input_dim))
-            assert np.array_equal(node.train_forward(batch).values, taped.forward(dc.constant(batch), "train").values)
+            assert np.array_equal(node.train_forward(batch).values, taped.forward(dc.constant(batch)).values)
         for (name, a), (_, b) in zip(node._arrays(), taped._arrays()):
             assert np.array_equal(a, b), name
 
@@ -1029,14 +1065,14 @@ class TestTrainForward:
     @pytest.mark.parametrize("row_space", [False, True], ids=["full-width", "row-space"])
     def test_gradients_match_the_tape(self, row_space):
         bk, ds = rule_case(PAPER, 7)
-        rows = images_to_batch(ds.pixels, bk.spec.input_dim).values
+        rows = images_to_batch(ds.pixels, bk.spec.input_dim)
         if row_space:
             basis, upper = np.linalg.qr(rows.T)
             (bk, _), rows = fewshot._coordinate_copy(bk, basis), np.ascontiguousarray(upper.T)
         ep = sample_episode(ds, EpisodeShape(5, 5, 15), RngStream(8))
         batches = rows[ep.support_rows], rows[ep.query_rows]
         grads = []
-        for embed_rows in (lambda bk, x: bk.train_forward(x), lambda bk, x: bk.forward(dc.constant(x), "train")):
+        for embed_rows in (lambda bk, x: bk.train_forward(x), lambda bk, x: bk.forward(dc.constant(x))):
             work = bk.clone()
             support, query = (embed_rows(work, x) for x in batches)
             loss = proto_xent(query, np.arange(5).repeat(15), compute_prototypes(support, np.arange(5).repeat(5)))
