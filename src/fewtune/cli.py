@@ -6,7 +6,6 @@ the episodic evaluation or the paired ablation, and `replay` re-runs a
 saved run configuration. Exit codes: 0 success, 2 usage error, 3 data
 error, 4 contract violation.
 
-`main` pins the C allocator for its process (`fewshot.pin_allocator`);
 `eval` starts no more pool processes than it has usable cores.
 """
 
@@ -28,7 +27,7 @@ from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 from .episodes import PQS_RULES, EpisodeShape, dataset_files, load_dataset, pqs_rule, write_dataset
 from .errors import ContractError, DataError, ParameterError
 from .evalharness import MODES, EvalPlan, ablate, emit_report, run_eval
-from .fewshot import Backbone, BackboneSpec, MetaParams, compute_blas_threads, meta_train, pin_allocator
+from .fewshot import Backbone, BackboneSpec, MetaParams, compute_blas_threads, meta_train
 from .losses import HyperParams
 from .ppm import ppm_shape
 from .rng import RngStream
@@ -387,7 +386,6 @@ def dispatch(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    pin_allocator()
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr)
     args = build_parser().parse_args(argv)
     try:

@@ -98,16 +98,13 @@ class Episode:
     """One N-way K-shot task: the (n, k+m) rows of `dataset.pixels` that `sample_episode` drew.
 
     Row i of `draws` is class i's draw, labelled i: its first k are support, the rest the guarded real
-    query. Each image set is one (count, C, H, W) array, gathered when it is read. `build_pseudo_query`
-    adds the pseudo query set: pseudo image i augments support image `pseudo_sources[i]`, and its label
-    is that image's."""
+    query. Each image set is one (count, C, H, W) array, gathered when it is read. The pseudo query set
+    is not part of an episode: `build_pseudo_query` returns it, and `finetune` takes it."""
 
     dataset: LabeledDataset = field(repr=False)
     class_names: tuple[str, ...]
     k_shot: int
     draws: np.ndarray = field(repr=False)
-    pseudo_images: np.ndarray | None = field(default=None, repr=False)
-    pseudo_sources: np.ndarray | None = field(default=None, repr=False)
     query_reads: int = field(default=0, init=False)
     _query_locked: bool = field(default=False, init=False, repr=False)
 
@@ -126,10 +123,6 @@ class Episode:
     @property
     def support_labels(self) -> np.ndarray:
         return np.arange(self.n_way, dtype=np.int64).repeat(self.k_shot)
-
-    @property
-    def pseudo_labels(self) -> np.ndarray:
-        return self.support_labels[self.pseudo_sources]
 
     @property
     def query_rows(self) -> np.ndarray:
@@ -189,9 +182,10 @@ def sample_episode(ds: LabeledDataset, shape: EpisodeShape, rng: RngStream) -> E
     return Episode(ds, tuple(classes[i] for i in class_ids.tolist()), k, ds.starts[class_ids, None] + picks)
 
 
-def build_pseudo_query(ep: Episode, rng: RngStream) -> Episode:
-    """Fill ep.pseudo_images, one stacked array, and ep.pseudo_sources by augmenting
-    the support images, gathered once, per `pqs_rule`. Mutates and returns ep.
+def build_pseudo_query(ep: Episode, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """The pseudo query set (images, sources), built by augmenting the support images, gathered once,
+    per `pqs_rule`: images is one stacked array, and image i augments support image sources[i], whose
+    label it takes. `ep` is left as it was.
 
     With a subsample rule, each class's sources are drawn from `rng.child(0)`;
     pseudo image i is drawn from `rng.child(1).child(i)`.
@@ -201,16 +195,15 @@ def build_pseudo_query(ep: Episode, rng: RngStream) -> Episode:
         raise ContractError("episode has no support set")
     per_support, subsample = pqs_rule(ep.n_way, ep.k_shot)
 
-    sources = np.arange(len(support))
+    sources = np.arange(len(support), dtype=np.int64)
     if subsample is not None:
         gen = rng.child(0).generator()
         members = sources.reshape(ep.n_way, ep.k_shot)  # support image i is class i // k's
         sources = np.concatenate([m[gen.choice(len(m), size=subsample, replace=False)] for m in members])
 
-    ep.pseudo_sources = np.repeat(sources, per_support)
-    augmented = [augment(support[src], rng.child(1).child(draw)) for draw, src in enumerate(ep.pseudo_sources)]
-    ep.pseudo_images = np.stack(augmented)
-    return ep
+    sources = np.repeat(sources, per_support)
+    images = np.stack([augment(support[src], rng.child(1).child(draw)) for draw, src in enumerate(sources)])
+    return images, sources
 
 
 def write_dataset(ds: LabeledDataset, root: str | Path) -> Path:

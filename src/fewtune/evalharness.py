@@ -13,9 +13,6 @@ pool, the workers are ended, so neither the running nor the queued
 episodes finish. A pool pass keeps EPISODES_IN_FLIGHT_PER_WORKER episodes
 per worker submitted and unread, so its memory does not grow with the
 episode count and a first failure is read while the pass is young.
-
-Each pool worker pins the C allocator when it starts (`fewshot.pin_allocator`),
-as the CLI does for its own process.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ import numpy as np
 
 from .episodes import EpisodeShape, LabeledDataset, build_pseudo_query, sample_episode
 from .errors import DivergenceError, ParameterError
-from .fewshot import Backbone, finetune, infer, pin_allocator, pristine_state
+from .fewshot import Backbone, finetune, infer, pristine_state
 from .losses import HyperParams
 from .rng import RngStream
 
@@ -129,8 +126,7 @@ def run_episode(
     try:
         for mode in modes:
             if mode == "with_pqs":
-                build_pseudo_query(ep, stream.child(1))
-                state = finetune(bk, ep, plan.hp)
+                state = finetune(bk, ep, build_pseudo_query(ep, stream.child(1)), plan.hp)
             else:
                 state = pristine_state(bk)
             accuracies.append(infer(state, ep, plan.hp))
@@ -143,7 +139,6 @@ _WORKER: dict = {}
 
 
 def _init_worker(snapshot: bytes, dataset: LabeledDataset, plan: EvalPlan, modes: tuple[str, ...]):
-    pin_allocator()
     _WORKER.update(backbone=Backbone.from_bytes(snapshot), dataset=dataset, plan=plan, modes=modes)
 
 

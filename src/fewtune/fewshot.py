@@ -48,9 +48,8 @@ oversubscribes the cores of a pool; and at two threads a product such as a paper
 backward `G W^T` rounds differently. So a seed fixes every bit of a call, on any core count and
 whoever calls: the CLI, a pool worker or a library caller. Calls that overlap in several Python
 threads share the process-wide count: the first call in sets it and the last call out restores it.
-The count can be read and restored, so a call may own it. glibc's allocator thresholds cannot:
-there is no getter for M_MMAP_THRESHOLD, so a call could not give its host process that setting back. Only the processes the package owns,
-`cli.main` and each pool worker, call `pin_allocator`; importing the package sets nothing.
+The count can be read and restored, so a call may own it. No other process-wide setting is touched:
+the C allocator runs at its defaults, and importing the package sets nothing.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import BatchNormState, DiffTensor
 from .episodes import Episode, EpisodeShape, LabeledDataset, sample_episode
-from .errors import ContractError, DataLoadError, DivergenceError, ParameterError, ShapeError
+from .errors import DataLoadError, DivergenceError, ParameterError, ShapeError
 from .losses import HyperParams, compute_prototypes, finetune_objective, proto_xent
 from .rng import RngStream
 
@@ -181,19 +180,6 @@ def compute_blas_threads() -> int | None:
     """The OpenBLAS thread count `finetune`, `infer` and `meta_train` run at;
     None when the library is not found and the count is left alone."""
     return None if _openblas() is None else COMPUTE_BLAS_THREADS
-
-
-def pin_allocator() -> None:
-    """glibc's trim threshold at 64 MiB and mmap threshold at its 64-bit maximum,
-    32 MiB, so a task's arrays (up to 768 x 128 float64) reuse the pages the
-    last task freed instead of faulting in new ones. No-op without `mallopt`."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):  # no handle to the C library, or not glibc
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    for param, value in ((-1, 64 << 20), (-3, 32 << 20)):  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
-        mallopt(param, value)
 
 
 @dataclass(frozen=True)
@@ -485,16 +471,16 @@ def _coordinate_copy(bk: Backbone, basis: np.ndarray):
 
 
 @_at_compute_blas_threads
-def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
-    """Adapt `bk` to the episode's support and pseudo queries, leaving `bk`
+def finetune(bk: Backbone, ep: Episode, pseudo: tuple[np.ndarray, np.ndarray], hp: HyperParams) -> FinetuneState:
+    """Adapt `bk` to the episode's support images and the pseudo query set
+    `pseudo`, the (images, sources) pair of `build_pseudo_query`, leaving `bk`
     unchanged; the real query set is locked for the duration.
 
     A coordinate copy trains: a backbone over a thin-QR basis of the
     stacked images' row space, built on `bk`'s own arrays, whose
     first-layer change is mapped back once after the last step.
     """
-    if ep.pseudo_images is None:
-        raise ContractError("episode has no pseudo query set; run build_pseudo_query first")
+    pseudo_images, pseudo_sources = pseudo
     state = FinetuneState(backbone=bk, head=None)
     params: list[DiffTensor] = []  # filled by steps() once the coordinate copy is built
 
@@ -502,11 +488,11 @@ def finetune(bk: Backbone, ep: Episode, hp: HyperParams) -> FinetuneState:
         # the images are fixed for the whole episode: stack them once, and
         # train a copy whose first layer takes coordinates in their row space
         support = images_to_batch(ep.support_images, bk.spec.input_dim)
-        pseudo = images_to_batch(ep.pseudo_images, bk.spec.input_dim)
-        basis, _ = np.linalg.qr(np.concatenate([support, pseudo]).T)  # D x min(B, D), orthonormal
+        pseudo_rows = images_to_batch(pseudo_images, bk.spec.input_dim)
+        basis, _ = np.linalg.qr(np.concatenate([support, pseudo_rows]).T)  # D x min(B, D), orthonormal
         work, mapped_back = _coordinate_copy(bk, basis)
-        support_batch, pseudo_batch = dc.constant(support @ basis), dc.constant(pseudo @ basis)
-        support_labels, pseudo_labels = ep.support_labels, ep.pseudo_labels
+        support_batch, pseudo_batch = dc.constant(support @ basis), dc.constant(pseudo_rows @ basis)
+        support_labels, pseudo_labels = ep.support_labels, ep.support_labels[pseudo_sources]
         # head starts at the normalized support prototypes, a forward off the tape;
         # transductive mode keeps the init free of running-stat side effects
         init_emb = embed(work, support_batch.values, "transductive")

@@ -178,12 +178,11 @@ def test_criterion_4_pseudo_query_sizing():
     for k, expected in ((5, 100), (20, 200), (50, 200)):
         ds = LabeledDataset("toy", rng.uniform(size=(len(names) * (k + 3), 3, 4, 4)), dict.fromkeys(names, k + 3))
         ep = sample_episode(ds, EpisodeShape(5, k, 3), RngStream(4000 + k))
-        build_pseudo_query(ep, RngStream(5000 + k))
-        sizes[k] = len(ep.pseudo_images)
-        traced &= all(
-            label == ep.support_labels[src]
-            for label, src in zip(ep.pseudo_labels, ep.pseudo_sources)
-        )
+        images, sources = build_pseudo_query(ep, RngStream(5000 + k))
+        sizes[k] = len(images)
+        # pseudo image i takes the label of support image sources[i]: each class gets an equal share
+        labels = ep.support_labels[sources]
+        traced &= len(sources) == len(images) and (np.bincount(labels, minlength=5) == expected // 5).all()
     ok = sizes == {5: 100, 20: 200, 50: 200} and traced
     report(4, ok, f"pseudo sizes {sizes}, labels trace to support sources: {traced}")
 
@@ -241,8 +240,7 @@ def test_criterion_6_query_isolation():
     for i in range(100):
         stream = RngStream(1006, (i,))
         ep = sample_episode(ds, EpisodeShape(5, 5, 5), stream.child(0))
-        build_pseudo_query(ep, rng=stream.child(1))
-        finetune(bk, ep, hp)
+        finetune(bk, ep, build_pseudo_query(ep, rng=stream.child(1)), hp)
         total_reads += ep.query_reads
     report(6, total_reads == 0, f"query reads during 100 fine-tuned episodes: {total_reads}")
 

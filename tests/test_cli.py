@@ -1,6 +1,7 @@
 """Command-line interface: wiring, exit codes, reproducibility."""
 
 import argparse
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -13,6 +14,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tomllib
 import warnings
 from pathlib import Path
 
@@ -141,6 +143,26 @@ class TestDocsMatchTheParser:
         dests = {a.dest for p in sub.choices.values() for a in p._actions if a.option_strings}
         fields = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
         assert fields - dests == set()
+
+
+class TestInstall:
+    def test_install_line_declares_every_test_import(self):
+        # README's install line pulls the `test` extra, and the extra with the package's
+        # dependencies names every third-party module the suites import
+        root = README.parent
+        project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+        declared = {re.match(r"[\w.-]+", req).group() for req in project["dependencies"] + project["optional-dependencies"]["test"]}
+        assert 'pip install -e ".[test]" --no-build-isolation' in README.read_text()
+        files = [*root.glob("tests/*.py"), *root.glob("bench/*.py")]
+        local = {"fewtune", *(f.stem for f in files)}
+        imported = set()
+        for f in files:
+            for node in ast.walk(ast.parse(f.read_text())):
+                if isinstance(node, ast.Import):
+                    imported |= {alias.name.split(".")[0] for alias in node.names}
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        assert imported - set(sys.stdlib_module_names) - local - declared == set()
 
 
 class TestReplayConfigErrors:

@@ -97,11 +97,11 @@ class TestSampleEpisode:
             assert np.array_equal(labels, np.repeat(np.arange(4), cols.stop - cols.start))
 
     def test_episode_copies_no_pixels(self):
-        # until build_pseudo_query, an episode stores its draws and no image: each image set is
-        # gathered from the dataset's buffer when it is read
+        # an episode stores its draws and no image: each image set is gathered from the
+        # dataset's buffer when it is read
         ds, shape = toy_dataset(per_class=12), EpisodeShape(4, 3, 5)
         ep = sample_episode(ds, shape, RngStream(40))
-        assert ep.dataset is ds and ep.pseudo_images is None and ep.pseudo_sources is None
+        assert ep.dataset is ds
         stored = [value for value in vars(ep).values() if isinstance(value, np.ndarray)]
         assert len(stored) == 1 and stored[0] is ep.draws and ep.draws.shape == (4, 8)
         assert np.issubdtype(ep.draws.dtype, np.integer)
@@ -136,17 +136,31 @@ class TestPqsPolicy:
     def test_published_sizes(self, k, expected):
         ds = toy_dataset(n_classes=6, per_class=k + 5)
         ep = sample_episode(ds, EpisodeShape(5, k, 5), RngStream(9))
-        build_pseudo_query(ep, RngStream(10))
-        assert len(ep.pseudo_images) == expected
-        per_class = np.bincount(ep.pseudo_labels, minlength=5)
+        images, sources = build_pseudo_query(ep, RngStream(10))
+        assert len(images) == len(sources) == expected
+        per_class = np.bincount(ep.support_labels[sources], minlength=5)
         assert (per_class == expected // 5).all()
 
     def test_labels_trace_to_sources(self):
         ds = toy_dataset()
         ep = sample_episode(ds, EpisodeShape(5, 5, 5), RngStream(11))
-        build_pseudo_query(ep, RngStream(12))
-        for label, src in zip(ep.pseudo_labels, ep.pseudo_sources):
-            assert label == ep.support_labels[src]
+        _, sources = build_pseudo_query(ep, RngStream(12))
+        # 4 pseudo images per support image, in support order, so each takes its source's label
+        assert np.array_equal(sources, np.repeat(np.arange(25), 4))
+        assert np.array_equal(ep.support_labels[sources], np.repeat(np.arange(5), 20))
+
+    @pytest.mark.parametrize("k", [5, 50], ids=["all-supports", "subsample"])
+    def test_returns_the_set_and_leaves_the_episode(self, k):
+        ds = toy_dataset(n_classes=6, per_class=k + 2)
+        ep = sample_episode(ds, EpisodeShape(5, k, 2), RngStream(13))
+        made = dict(vars(ep))
+        draws = ep.draws.copy()
+        images, sources = build_pseudo_query(ep, RngStream(14))
+        assert type(images) is np.ndarray and images.shape == (200 if k == 50 else 100, *ds.pixels.shape[1:])
+        assert type(sources) is np.ndarray and sources.dtype == np.int64 and sources.shape == images.shape[:1]
+        assert vars(ep).keys() == made.keys()
+        assert all(vars(ep)[name] is value for name, value in made.items())
+        assert np.array_equal(ep.draws, draws)
 
     def test_fallback_rule(self):
         assert 7 not in PQS_RULES
@@ -158,9 +172,8 @@ class TestPqsPolicy:
         eps = []
         for _ in range(2):
             ep = sample_episode(ds, EpisodeShape(5, 5, 5), RngStream(15))
-            build_pseudo_query(ep, RngStream(16))
-            eps.append(ep)
-        for a, b in zip(eps[0].pseudo_images, eps[1].pseudo_images):
+            eps.append(build_pseudo_query(ep, RngStream(16)))
+        for a, b in zip(*eps):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("k, digest", [
@@ -172,17 +185,18 @@ class TestPqsPolicy:
         # every draw of sampling and of the pseudo-query recipe, at each
         # published shot count (50-shot takes the subsample path)
         ds = toy_dataset(n_classes=7, per_class=k + 4, size=4, seed=k)
-        ep = build_pseudo_query(sample_episode(ds, EpisodeShape(5, k, 3), RngStream(31, (k,))), RngStream(32, (k,)))
+        ep = sample_episode(ds, EpisodeShape(5, k, 3), RngStream(31, (k,)))
+        pseudo_images, pseudo_sources = build_pseudo_query(ep, RngStream(32, (k,)))
         h = hashlib.sha256("\0".join(ep.class_names).encode())
         for images, labels in (
             (ep.support_images, ep.support_labels),
             (ep.query_images, ep.query_labels),
-            (ep.pseudo_images, ep.pseudo_labels),
+            (pseudo_images, ep.support_labels[pseudo_sources]),
         ):
             for img in images:
                 h.update(np.ascontiguousarray(img, dtype="<f8").tobytes())
             h.update(np.asarray(labels, dtype="<i8").tobytes())
-        h.update(np.asarray(ep.pseudo_sources, dtype="<i8").tobytes())
+        h.update(np.asarray(pseudo_sources, dtype="<i8").tobytes())
         assert h.hexdigest() == digest
 
 

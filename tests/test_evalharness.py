@@ -132,11 +132,11 @@ class TestRunEval:
         bk, ds = tiny_setup()
         calls = []
 
-        def diverging(bk, ep, hp):
+        def diverging(bk, ep, pseudo, hp):
             calls.append(ep)
             if len(calls) == 3:
                 raise DivergenceError("fine-tuning epoch 1: loss diverged to nan at learning rate 9.0")
-            return finetune(bk, ep, hp)
+            return finetune(bk, ep, pseudo, hp)
 
         monkeypatch.setattr(evalharness, "finetune", diverging)
         with pytest.raises(DivergenceError, match=r"^episode 2, fine-tuning epoch 1: "):
@@ -234,10 +234,6 @@ class TestBlasThreads:
             assert run_eval(bk, ds, plan(11, 4, 2), "with_pqs", workers).to_json() == expected.to_json()
 
 
-# glibc's mallopt parameter numbers
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-
-
 def tiny_synth(tmp_path):
     return cli.main(["synth", "--out", str(tmp_path / "d"), "--classes", "2", "--images-per-class", "1", "--size", "2"])
 
@@ -254,42 +250,21 @@ def mallopt_calls(monkeypatch):
 
 
 class TestPinAllocator:
-    """The C allocator's thresholds are set once per process: by the CLI and by each pool worker."""
+    """No process the package owns sets the C allocator's thresholds: glibc's defaults stand."""
 
-    PINNED = [(M_TRIM_THRESHOLD, 64 << 20), (M_MMAP_THRESHOLD, 32 << 20)]
-
-    def test_sets_both_thresholds(self, mallopt_calls):
-        fewshot.pin_allocator()
-        assert mallopt_calls == self.PINNED
-
-    def test_cli_main_pins(self, mallopt_calls, tmp_path):
+    def test_no_process_pins(self, mallopt_calls, monkeypatch, tmp_path):
+        # the CLI's process and a pool worker; importing is checked in a fresh interpreter below
         assert tiny_synth(tmp_path) == 0
-        assert mallopt_calls == self.PINNED
-
-    def test_worker_initializer_pins(self, mallopt_calls, monkeypatch):
         monkeypatch.setattr(evalharness, "_WORKER", {})
         bk, ds = tiny_setup()
         evalharness._init_worker(bk.to_bytes(), ds, plan(1, 1, 0), ("with_pqs",))
-        assert mallopt_calls == self.PINNED
-
-    @pytest.mark.parametrize("libc", [types.SimpleNamespace(), None], ids=["no-mallopt", "no-handle"])
-    def test_nothing_without_mallopt(self, monkeypatch, tmp_path, libc):
-        real = ctypes.CDLL
-
-        def cdll(name, *args, **kwargs):
-            if name is not None:
-                return real(name, *args, **kwargs)
-            if libc is None:
-                raise OSError("no C library")
-            return libc
-
-        monkeypatch.setattr(ctypes, "CDLL", cdll)
-        assert fewshot.pin_allocator() is None
-        assert tiny_synth(tmp_path) == 0
+        assert mallopt_calls == []
+        ctypes.CDLL(None).mallopt(-1, 0)  # the stand-in records a call made through it
+        assert mallopt_calls == [(-1, 0)]
 
     def test_import_does_not_pin(self):
         # a fresh interpreter imports every module with mallopt recorded; the
-        # recording is shown to work by one call of the pin afterwards
+        # recording is shown to work by one call of the stand-in afterwards
         code = """
 import ctypes, importlib, pkgutil
 calls = []
@@ -300,12 +275,12 @@ import fewtune
 for module in pkgutil.iter_modules(fewtune.__path__):
     importlib.import_module("fewtune." + module.name)
 print(len(calls))
-fewtune.fewshot.pin_allocator()
+ctypes.CDLL(None).mallopt(-1, 0)
 print(len(calls))
 """
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert result.stdout.split() == ["0", "2"]
+        assert result.stdout.split() == ["0", "1"]
 
 
 class TestAblate:

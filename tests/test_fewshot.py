@@ -21,7 +21,6 @@ import fewtune.fewshot as fewshot
 from fewtune import episodes
 from fewtune.episodes import Episode, EpisodeShape, build_pseudo_query, sample_episode
 from fewtune.errors import (
-    ContractError,
     DataLoadError,
     DegenerateBatchError,
     DivergenceError,
@@ -63,11 +62,14 @@ def small_dataset(seed=0, n_classes=6, per_class=24):
     )
 
 
-def small_episode(seed=0, n=5, k=5, m=5, with_pqs=True):
-    ep = sample_episode(small_dataset(), EpisodeShape(n, k, m), RngStream(seed, (1,)))
-    if with_pqs:
-        build_pseudo_query(ep, rng=RngStream(seed, (2,)))
-    return ep
+def small_episode(seed=0, n=5, k=5, m=5):
+    return sample_episode(small_dataset(), EpisodeShape(n, k, m), RngStream(seed, (1,)))
+
+
+def small_task(seed=0, n=5, k=5, m=5):
+    """A small episode and its pseudo query set, the (images, sources) pair `finetune` takes."""
+    ep = small_episode(seed, n, k, m)
+    return ep, build_pseudo_query(ep, rng=RngStream(seed, (2,)))
 
 
 def snapshot_equal(a: Backbone, b: Backbone) -> bool:
@@ -343,26 +345,19 @@ class TestClassifyCosine:
 class TestFinetune:
     def test_zero_epochs_keeps_snapshot(self):
         bk = small_backbone()
-        ep = small_episode()
-        state = finetune(bk, ep, HyperParams(finetune_epochs=0))
+        state = finetune(bk, *small_task(), HyperParams(finetune_epochs=0))
         assert snapshot_equal(state.backbone, bk)
         assert state.loss_history == []
 
-    def test_requires_pseudo_query(self):
-        bk = small_backbone()
-        ep = small_episode(with_pqs=False)
-        with pytest.raises(ContractError):
-            finetune(bk, ep, HyperParams(finetune_epochs=1))
-
     def test_never_reads_real_query(self):
         bk = small_backbone()
-        ep = small_episode()
-        finetune(bk, ep, HyperParams(finetune_epochs=3))
+        ep, pseudo = small_task()
+        finetune(bk, ep, pseudo, HyperParams(finetune_epochs=3))
         assert ep.query_reads == 0
 
     def test_objective_cannot_read_the_query(self, monkeypatch):
         # every step runs with the query set locked
-        ep = small_episode()
+        ep, pseudo = small_task()
 
         def peeking(*args):
             _ = ep.query_images
@@ -370,7 +365,7 @@ class TestFinetune:
 
         monkeypatch.setattr(fewshot, "finetune_objective", peeking)
         with pytest.raises(QueryIsolationError):
-            finetune(small_backbone(), ep, HyperParams(finetune_epochs=2))
+            finetune(small_backbone(), ep, pseudo, HyperParams(finetune_epochs=2))
 
     def test_query_locked_inside(self):
         # a hostile objective that peeks at the query set must blow up;
@@ -383,19 +378,19 @@ class TestFinetune:
     def test_pristine_backbone_untouched(self):
         bk = small_backbone()
         before = bk.to_bytes()
-        finetune(bk, small_episode(), HyperParams(finetune_epochs=3))
+        finetune(bk, *small_task(), HyperParams(finetune_epochs=3))
         assert bk.to_bytes() == before
 
     def test_deterministic(self):
         bk = small_backbone()
-        a = finetune(bk, small_episode(seed=4), HyperParams(finetune_epochs=4))
-        b = finetune(bk, small_episode(seed=4), HyperParams(finetune_epochs=4))
+        a = finetune(bk, *small_task(seed=4), HyperParams(finetune_epochs=4))
+        b = finetune(bk, *small_task(seed=4), HyperParams(finetune_epochs=4))
         assert snapshot_equal(a.backbone, b.backbone)
         assert np.array_equal(a.head.values, b.head.values)
         assert a.loss_history == b.loss_history
 
     def test_head_rows_unit_norm(self):
-        state = finetune(small_backbone(), small_episode(), HyperParams(finetune_epochs=2))
+        state = finetune(small_backbone(), *small_task(), HyperParams(finetune_epochs=2))
         norms = np.linalg.norm(state.head.values, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
@@ -403,7 +398,7 @@ class TestFinetune:
         # each step normalizes the support and the pseudo batch with its own
         # batch statistics, and so updates every layer's running stats twice
         bk = small_backbone()
-        ep = small_episode()
+        ep, pseudo = small_task()
         seen = []
         batch_norm = dc.batch_norm
 
@@ -415,10 +410,10 @@ class TestFinetune:
 
         monkeypatch.setattr(dc, "batch_norm", spy)
         epochs = 3
-        state = finetune(bk, ep, HyperParams(finetune_epochs=epochs))
+        state = finetune(bk, ep, pseudo, HyperParams(finetune_epochs=epochs))
 
         rows = [x.shape[0] for layer, x, _ in seen if layer == 0]
-        assert rows == [len(ep.support_images), len(ep.pseudo_images)] * epochs
+        assert rows == [len(ep.support_images), len(pseudo[0])] * epochs
         for _, _, x_hat in seen:
             np.testing.assert_allclose(x_hat.mean(axis=0), 0.0, atol=1e-9)
         for i, norm in enumerate(state.backbone.norms):
@@ -440,7 +435,7 @@ class TestFinetune:
         # on one thread whatever its caller's count (TestBlasThreads).
         # The digest it held before the row-space fine-tune is kept by the
         # full-space reference loop (TestRowSpaceFinetune).
-        state = finetune(small_backbone(), small_episode(seed=3), HyperParams(finetune_epochs=5))
+        state = finetune(small_backbone(), *small_task(seed=3), HyperParams(finetune_epochs=5))
         assert finetune_digest(state) == "e7a52508e4865ffdf96f9c79ad2e9f1585067431c121f7c151b6a3c09f266f81"
 
     def test_post_run_check_sees_the_returned_arrays(self, monkeypatch):
@@ -454,7 +449,7 @@ class TestFinetune:
             checked.extend(state())
 
         monkeypatch.setattr(fewshot, "_train", spy)
-        result = finetune(small_backbone(), small_episode(), HyperParams(finetune_epochs=3))
+        result = finetune(small_backbone(), *small_task(), HyperParams(finetune_epochs=3))
         returned = [*result.backbone._arrays(), ("head", result.head.values)]
         assert [name for name, _ in checked] == [name for name, _ in returned]
         for (name, a), (_, b) in zip(checked, returned):
@@ -466,8 +461,7 @@ class TestFinetune:
         wins = 0
         total = 100
         for i in range(total):
-            ep = small_episode(seed=100 + i)
-            state = finetune(bk, ep, HyperParams(finetune_epochs=15))
+            state = finetune(bk, *small_task(seed=100 + i), HyperParams(finetune_epochs=15))
             wins += state.loss_history[-1] <= state.loss_history[0]
         assert wins >= 0.9 * total
 
@@ -477,14 +471,15 @@ def cut_free_relu(a):
     return dc.node(np.maximum(a.values, 0.0), (a,), lambda g: (g * (a.values > 0.0),))
 
 
-def objective_grads(state, ep, hp):
+def objective_grads(state, ep, pseudo, hp):
     """Every parameter's gradient after one backward of the fine-tune
     objective at `state`, and whether the support embeddings got any."""
-    work = state.backbone.clone()
+    (pseudo_images, pseudo_sources), work = pseudo, state.backbone.clone()
     head = dc.param(state.head.values.copy())
     support = work.forward(dc.constant(images_to_batch(ep.support_images, work.spec.input_dim)))
-    pseudo = work.forward(dc.constant(images_to_batch(ep.pseudo_images, work.spec.input_dim)))
-    dc.backward(finetune_objective(support, ep.support_labels, pseudo, ep.pseudo_labels, head, hp))
+    pseudo_emb = work.forward(dc.constant(images_to_batch(pseudo_images, work.spec.input_dim)))
+    pseudo_labels = ep.support_labels[pseudo_sources]
+    dc.backward(finetune_objective(support, ep.support_labels, pseudo_emb, pseudo_labels, head, hp))
     return [p.grad for p in work.parameters() + [head]], support._grad is not None
 
 
@@ -496,19 +491,19 @@ class TestDeadBranchCut:
     @pytest.mark.parametrize("epochs, hinge_live", [(0, True), (50, False)], ids=["live", "dead"])
     def test_grads_equal_cut_free(self, monkeypatch, epochs, hinge_live):
         hp = HyperParams()
-        ep = small_episode(seed=2)
-        state = finetune(small_backbone(), ep, HyperParams(finetune_epochs=epochs))
-        cut, support_reached = objective_grads(state, ep, hp)
+        ep, pseudo = small_task(seed=2)
+        state = finetune(small_backbone(), ep, pseudo, HyperParams(finetune_epochs=epochs))
+        cut, support_reached = objective_grads(state, ep, pseudo, hp)
         assert support_reached is hinge_live
         monkeypatch.setattr(dc, "relu", cut_free_relu)
-        full, support_reached = objective_grads(state, ep, hp)
+        full, support_reached = objective_grads(state, ep, pseudo, hp)
         assert support_reached
         assert len(cut) == len(full)
         for a, b in zip(cut, full):
             assert np.array_equal(a, b)
 
     def test_paper_shape_step_has_117_tape_nodes(self, monkeypatch):
-        ep = paper_shape_episode(6)
+        ep, pseudo = paper_shape_task(6)
         nodes = []
         from_root = dc.ComputeGraph.from_root
 
@@ -518,19 +513,20 @@ class TestDeadBranchCut:
             return graph
 
         monkeypatch.setattr(dc.ComputeGraph, "from_root", counting)
-        finetune(Backbone.create(BackboneSpec(), RngStream(6)), ep, HyperParams(finetune_epochs=1))
-        assert len(ep.pseudo_images) == 100
+        finetune(Backbone.create(BackboneSpec(), RngStream(6)), ep, pseudo, HyperParams(finetune_epochs=1))
+        assert len(pseudo[0]) == 100
         assert nodes == [117]
 
 
-def full_space_finetune(bk, ep, hp):
+def full_space_finetune(bk, ep, pseudo, hp):
     """`finetune` with the first layer trained on all of its input
     dimensions, as before the row-space fine-tune: the reference that the
     row-space loop must match up to rounding."""
-    work = bk.clone()
+    (pseudo_images, pseudo_sources), work = pseudo, bk.clone()
     with np.errstate(all="ignore"):
         support_batch = dc.constant(images_to_batch(ep.support_images, work.spec.input_dim))
-        pseudo_batch = dc.constant(images_to_batch(ep.pseudo_images, work.spec.input_dim))
+        pseudo_batch = dc.constant(images_to_batch(pseudo_images, work.spec.input_dim))
+        pseudo_labels = ep.support_labels[pseudo_sources]
         init_emb = dc.constant(embed(work, ep.support_images, "transductive"))
         head = dc.param(_normalized_rows(compute_prototypes(init_emb, ep.support_labels, ep.n_way).values))
         params = work.parameters() + [head]
@@ -538,7 +534,7 @@ def full_space_finetune(bk, ep, hp):
         for _ in range(hp.finetune_epochs):
             support_emb = work.forward(support_batch)
             pseudo_emb = work.forward(pseudo_batch)
-            loss = finetune_objective(support_emb, ep.support_labels, pseudo_emb, ep.pseudo_labels, head, hp)
+            loss = finetune_objective(support_emb, ep.support_labels, pseudo_emb, pseudo_labels, head, hp)
             dc.backward(loss)
             dc.sgd_step(params, hp.learning_rate, hp.momentum)
             head.values = _normalized_rows(head.values)
@@ -576,11 +572,10 @@ def finetune_digest(state):
     return digest.hexdigest()
 
 
-def paper_shape_episode(seed):
+def paper_shape_task(seed):
     ds = generate_synthetic(source_domain(n_classes=5, images_per_class=8), RngStream(seed))
     ep = sample_episode(ds, EpisodeShape(5, 5, 3), RngStream(seed, (1,)))
-    build_pseudo_query(ep, rng=RngStream(seed, (2,)))
-    return ep
+    return ep, build_pseudo_query(ep, rng=RngStream(seed, (2,)))
 
 
 class TestRowSpaceFinetune:
@@ -593,11 +588,11 @@ class TestRowSpaceFinetune:
     @pytest.mark.parametrize("seed", [3, 8])
     def test_matches_full_space(self, paper_widths, seed):
         if paper_widths:
-            bk, ep = Backbone.create(BackboneSpec(), RngStream(seed)), paper_shape_episode(seed)
+            bk, task = Backbone.create(BackboneSpec(), RngStream(seed)), paper_shape_task(seed)
         else:
-            bk, ep = small_backbone(seed), small_episode(seed=seed)
+            bk, task = small_backbone(seed), small_task(seed=seed)
         hp = HyperParams(finetune_epochs=30)
-        state, ref = finetune(bk, ep, hp), full_space_finetune(bk, ep, hp)
+        state, ref = finetune(bk, *task, hp), full_space_finetune(bk, *task, hp)
         np.testing.assert_allclose(state.loss_history, ref.loss_history, rtol=1e-12, atol=0)
         arrays = [*state.backbone._arrays(), ("head", state.head.values)]
         for (name, a), (_, b) in zip(arrays, [*ref.backbone._arrays(), ("head", ref.head.values)]):
@@ -605,9 +600,9 @@ class TestRowSpaceFinetune:
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12, err_msg=name)
 
     def test_first_layer_moves_in_the_row_space(self):
-        bk, ep = Backbone.create(BackboneSpec(), RngStream(5)), paper_shape_episode(5)
-        state = finetune(bk, ep, HyperParams(finetune_epochs=10))
-        images = images_to_batch(np.concatenate([ep.support_images, ep.pseudo_images]), bk.spec.input_dim)
+        bk, (ep, pseudo) = Backbone.create(BackboneSpec(), RngStream(5)), paper_shape_task(5)
+        state = finetune(bk, ep, pseudo, HyperParams(finetune_epochs=10))
+        images = images_to_batch(np.concatenate([ep.support_images, pseudo[0]]), bk.spec.input_dim)
         delta = state.backbone.dense[0].weight.values - bk.dense[0].weight.values
         coeffs, *_ = np.linalg.lstsq(images.T, delta, rcond=None)
         assert images.shape[0] < images.shape[1]
@@ -617,7 +612,7 @@ class TestRowSpaceFinetune:
     def test_reference_is_the_full_space_loop(self):
         # the digest test_bits_pinned held for `finetune` before the
         # row-space fine-tune
-        state = full_space_finetune(small_backbone(), small_episode(seed=3), HyperParams(finetune_epochs=5))
+        state = full_space_finetune(small_backbone(), *small_task(seed=3), HyperParams(finetune_epochs=5))
         assert finetune_digest(state) == "78a3a98d94a368640542423913e495225247ad557b773d67993b34a8829d64f1"
 
 
@@ -636,7 +631,7 @@ class TestDivergence:
 
     def test_finetune(self):
         with pytest.raises(DivergenceError, match=r"^fine-tuning epoch \d+: loss diverged to nan at learning rate 1e\+100$"):
-            finetune(small_backbone(), small_episode(), HyperParams(finetune_epochs=5, learning_rate=1e100))
+            finetune(small_backbone(), *small_task(), HyperParams(finetune_epochs=5, learning_rate=1e100))
 
     def test_meta_train(self):
         with pytest.raises(DivergenceError, match=r"^meta-training epoch 0 task \d+: .* at learning rate 1000.0$"):
@@ -646,7 +641,7 @@ class TestDivergence:
     # at this learning rate the one step's loss is finite but its update overflows
     def test_finetune_last_step(self):
         with pytest.raises(DivergenceError, match=LAST_STEP.format(where="fine-tuning epoch 0")):
-            finetune(small_backbone(), small_episode(), HyperParams(finetune_epochs=1, learning_rate=1.7e308))
+            finetune(small_backbone(), *small_task(), HyperParams(finetune_epochs=1, learning_rate=1.7e308))
 
     def test_meta_train_last_step(self):
         with pytest.raises(DivergenceError, match=LAST_STEP.format(where="meta-training epoch 0 task 0")):
@@ -661,7 +656,7 @@ class TestDivergence:
         for layer in state.backbone.dense:
             layer.weight.values = layer.weight.values * 1e150
         with pytest.raises(DivergenceError, match=r"^inference: a query score is not finite$"):
-            infer(state, small_episode(with_pqs=False), HyperParams(transductive=transductive))
+            infer(state, small_episode(), HyperParams(transductive=transductive))
 
 
 class TestBlowUpWarning:
@@ -671,7 +666,7 @@ class TestBlowUpWarning:
 
     def test_large_learning_rate_warns_once(self, caplog):
         with caplog.at_level("WARNING", logger="fewtune"):
-            state = finetune(small_backbone(), small_episode(), HyperParams(finetune_epochs=20, learning_rate=1.0))
+            state = finetune(small_backbone(), *small_task(), HyperParams(finetune_epochs=20, learning_rate=1.0))
         [message] = caplog.messages
         peak, epoch, ratio = re.fullmatch(self.PEAKED.format(run="fine-tuning", step=r"epoch (\d+)"), message).groups()
         history = state.loss_history
@@ -681,7 +676,7 @@ class TestBlowUpWarning:
     def test_default_runs_never_warn(self, caplog):
         with caplog.at_level("WARNING", logger="fewtune"):
             for seed in range(3):
-                finetune(small_backbone(), small_episode(seed=seed), HyperParams())
+                finetune(small_backbone(), *small_task(seed=seed), HyperParams())
             meta_train(small_backbone(), small_dataset(), params=MetaParams(episodes_per_epoch=20, epochs=3),
                        rng=RngStream(1))
         assert caplog.messages == []
@@ -712,7 +707,7 @@ class TestInfer:
         for layer in bk.dense:
             layer.weight.values[:] = 0.0
         accs = [
-            infer(pristine_state(bk), small_episode(seed=200 + i, with_pqs=False), HyperParams())
+            infer(pristine_state(bk), small_episode(seed=200 + i), HyperParams())
             for i in range(20)
         ]
         np.testing.assert_allclose(accs, 0.2, atol=1e-12)
@@ -730,7 +725,7 @@ class TestInfer:
 
     def test_transductive_off_batch_independent(self):
         bk = small_backbone()
-        ep = small_episode(with_pqs=False)
+        ep = small_episode()
         hp = HyperParams(transductive=False)
         state = pristine_state(bk)
         support_emb = embed(state.backbone, ep.support_images, "eval")
@@ -745,7 +740,7 @@ class TestInfer:
     def test_self_query_separable_episode(self):
         # query set equal to the support set on a fitted episode
         bk = small_backbone()
-        drawn = small_episode(seed=9, with_pqs=False)
+        drawn = small_episode(seed=9)
         support = drawn.draws[:, : drawn.k_shot]
         ep = Episode(drawn.dataset, drawn.class_names, drawn.k_shot, np.concatenate([support, support], axis=1))
         assert np.array_equal(ep.query_images, ep.support_images)
@@ -781,9 +776,9 @@ class TestForwardOnly:
     @pytest.mark.parametrize("transductive", [False, True])
     @pytest.mark.parametrize("adapted", [False, True], ids=["pristine", "fine-tuned"])
     def test_infer(self, monkeypatch, adapted, transductive):
-        ep = small_episode()
+        ep, pseudo = small_task()
         bk = small_backbone()
-        state = finetune(bk, ep, HyperParams(finetune_epochs=3)) if adapted else pristine_state(bk)
+        state = finetune(bk, ep, pseudo, HyperParams(finetune_epochs=3)) if adapted else pristine_state(bk)
         created, _ = created_tensors(monkeypatch)
         infer(state, ep, HyperParams(transductive=transductive))
         assert created and all(not t.requires_grad and not t._parents for t in created)
@@ -791,7 +786,7 @@ class TestForwardOnly:
     def test_head_init(self, monkeypatch):
         # zero epochs: finetune builds the coordinate copy and the head, and takes no step
         created, params = created_tensors(monkeypatch)
-        state = finetune(small_backbone(), small_episode(), HyperParams(finetune_epochs=0))
+        state = finetune(small_backbone(), *small_task(), HyperParams(finetune_epochs=0))
         assert id(state.head) in params
         assert all(not t._parents for t in created)
         assert all(id(t) in params for t in created if t.requires_grad)
@@ -803,8 +798,8 @@ class TestEpisodeIndependence:
         hp = HyperParams(finetune_epochs=3)
 
         def run(i):
-            ep = small_episode(seed=300 + i)
-            return infer(finetune(bk, ep, hp), ep, hp)
+            ep, pseudo = small_task(seed=300 + i)
+            return infer(finetune(bk, ep, pseudo, hp), ep, hp)
 
         forward = [run(i) for i in range(6)]
         permuted_order = [4, 0, 5, 2, 1, 3]
@@ -823,10 +818,11 @@ class TestSharedArrays:
         for pool in ds.images.values():
             pool.flags.writeable = False
         before = bk.to_bytes()
-        ep = build_pseudo_query(sample_episode(ds, EpisodeShape(5, 5, 5), RngStream(0, (1,))), RngStream(0, (2,)))
+        ep = sample_episode(ds, EpisodeShape(5, 5, 5), RngStream(0, (1,)))
+        pseudo = build_pseudo_query(ep, RngStream(0, (2,)))
         for epochs in (0, 3):
             hp = HyperParams(finetune_epochs=epochs)
-            for state in (finetune(bk, ep, hp), pristine_state(bk)):
+            for state in (finetune(bk, ep, pseudo, hp), pristine_state(bk)):
                 for transductive in (True, False):
                     infer(state, ep, replace(hp, transductive=transductive))
         meta_train(bk, ds, params=MetaParams(episodes_per_epoch=5, epochs=1), rng=RngStream(3))
@@ -1117,11 +1113,11 @@ def paper_width_call(name):
         bk, ds = rule_case(PAPER, 4)
         params = MetaParams(episodes_per_epoch=6, epochs=1)
         return lambda: meta_train(bk, ds, EpisodeShape(5, 5, 10), params, rng=RngStream(5)).to_bytes()
-    bk, ep = Backbone.create(BackboneSpec(), RngStream(4)), paper_shape_episode(4)
+    bk, (ep, pseudo) = Backbone.create(BackboneSpec(), RngStream(4)), paper_shape_task(4)
     hp = HyperParams(finetune_epochs=3)
     if name == "finetune":
-        return lambda: finetune_digest(finetune(bk, ep, hp))
-    adapted = at_blas_threads(1, lambda: finetune(bk, ep, hp))
+        return lambda: finetune_digest(finetune(bk, ep, pseudo, hp))
+    adapted = at_blas_threads(1, lambda: finetune(bk, ep, pseudo, hp))
     return lambda: repr(infer(adapted, ep, HyperParams(transductive=True)))
 
 
@@ -1163,5 +1159,5 @@ class TestBlasThreads:
 
     def test_caller_count_restored_after_a_divergence(self, blas_threads):
         with pytest.raises(DivergenceError):
-            finetune(small_backbone(), small_episode(), HyperParams(finetune_epochs=1, learning_rate=1.7e308))
+            finetune(small_backbone(), *small_task(), HyperParams(finetune_epochs=1, learning_rate=1.7e308))
         assert blas_threads() == 2
