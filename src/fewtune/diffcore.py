@@ -31,8 +31,10 @@ which gives the same bits.
 
 The tape holds only what is differentiated: a forward pass without a
 gradient runs in numpy off it (`fewshot.embed`), so `batch_norm` is train
-mode only. It reads `BN_MOMENTUM` and `BN_EPS` directly; a
-`BatchNormState` holds only the affine parameters and running statistics.
+mode only. It reads `BN_MOMENTUM` and `BN_EPS` directly and takes the
+affine parameters and running statistics as tensors; the caller owns them.
+`update_running` moves a running statistic, for the taped op and the numpy
+forward alike.
 
 The op set is intentionally small: just enough to express dense layers,
 batch normalization, cosine / Euclidean metrics, and the losses built on
@@ -41,7 +43,6 @@ them. No convolutions, no mixed precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -365,43 +366,30 @@ def squared_euclidean_matrix(q: DiffTensor, p: DiffTensor) -> DiffTensor:
     return tensor_sum(mul(diff, diff), axis=2)
 
 
-@dataclass
-class BatchNormState:
-    """Per-feature affine parameters plus running statistics."""
-
-    gamma: DiffTensor
-    beta: DiffTensor
-    running_mean: Array
-    running_var: Array
-
-    @classmethod
-    def create(cls, dim: int) -> "BatchNormState":
-        return cls(
-            gamma=param(np.ones((1, dim))),
-            beta=param(np.zeros((1, dim))),
-            running_mean=np.zeros((1, dim)),
-            running_var=np.ones((1, dim)),
-        )
-
-
 def check_batch_rows(rows: int) -> None:
     """Batch statistics need at least 2 rows."""
     if rows < 2:
         raise DegenerateBatchError(f"batch statistics need at least 2 rows, got {rows}")
 
 
-def batch_norm(x: DiffTensor, state: BatchNormState) -> DiffTensor:
+def update_running(running: DiffTensor, batch: Array) -> None:
+    """Move a running statistic BN_MOMENTUM of the way to the batch's, replacing its values."""
+    running.values = (1.0 - BN_MOMENTUM) * running.values + BN_MOMENTUM * batch
+
+
+def batch_norm(x: DiffTensor, gamma: DiffTensor, beta: DiffTensor,
+               running_mean: DiffTensor, running_var: DiffTensor) -> DiffTensor:
     """Train-mode normalization of the rows of x (BxD) per feature by the
-    batch's statistics, with the biased (1/B) variance; the running
-    statistics move BN_MOMENTUM of the way to them."""
+    batch's statistics, with the biased (1/B) variance, then gamma x_hat + beta;
+    the running statistics, which get no gradient, move towards the batch's."""
     check_batch_rows(x.shape[0])
     mu = tensor_mean(x, axis=0, keepdims=True)
     centered = sub(x, mu)
     var = tensor_mean(mul(centered, centered), axis=0, keepdims=True)
     x_hat = div(centered, sqrt(add(var, constant(BN_EPS))))
-    state.running_mean = (1.0 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mu.values
-    state.running_var = (1.0 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var.values
-    return add(mul(state.gamma, x_hat), state.beta)
+    update_running(running_mean, mu.values)
+    update_running(running_var, var.values)
+    return add(mul(gamma, x_hat), beta)
 
 
 # ---------------------------------------------------------------------------

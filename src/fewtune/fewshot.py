@@ -2,8 +2,10 @@
 toy episodic meta-training.
 
 The backbone is a dense stack (flatten -> dense -> norm -> relu, twice, then a final dense
-projection). Its state is the snapshot's arrays in `_layout` order, which `Backbone(spec, arrays)`,
-the one constructor, wraps for `create`, `clone`, `from_bytes` and `_coordinate_copy`.
+projection). Its state is `Backbone.arrays`, the snapshot's arrays by name in the order of `_layout`,
+the one place that names and orders them; other code looks an array up by name or walks `arrays`.
+`Backbone(spec, arrays)`, the one constructor, wraps them for `create`, `clone`, `from_bytes` and
+`_coordinate_copy`.
 `from_bytes` alone parses a snapshot; `load` hands it a regular file of at most MAX_SNAPSHOT_BYTES,
 read in one call. A snapshot with a NaN, an infinity or other batch-norm constants does not load,
 and a loaded snapshot's arrays are read-only views of its payload, which is checked as one array.
@@ -69,7 +71,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import BatchNormState, DiffTensor
+from .diffcore import DiffTensor
 from .episodes import Episode, EpisodeShape, LabeledDataset, sample_episode
 from .errors import DataLoadError, DivergenceError, ParameterError, ShapeError
 from .losses import HyperParams, compute_prototypes, finetune_objective, proto_xent
@@ -200,51 +202,43 @@ class BackboneSpec:
                                  f"above the cap of {MAX_BACKBONE_BYTES}")
 
 
-@dataclass
-class DenseLayer:
-    weight: DiffTensor  # in x out
-    bias: DiffTensor  # 1 x out
-
-
 class Backbone:
-    """Embedding network: parameters plus batch-norm running statistics."""
+    """Embedding network: `arrays` maps each `_layout(spec)` name, in its order, to a tensor. The
+    batch norms' running statistics are constants; every other array is a parameter."""
 
-    def __init__(self, spec: BackboneSpec, arrays: list[np.ndarray]):
-        """Wraps `arrays`, given in `_layout(spec)` order, without copying."""
+    def __init__(self, spec: BackboneSpec, arrays: dict[str, np.ndarray]):
+        """Wraps `arrays`, keyed by `_layout(spec)`'s names in its order, without copying."""
         self.spec = spec
-        it = iter(arrays)
-        self.dense = [DenseLayer(dc.param(next(it)), dc.param(next(it))) for _ in range(len(spec.hidden) + 1)]
-        self.norms = [BatchNormState(dc.param(next(it)), dc.param(next(it)), next(it), next(it)) for _ in spec.hidden]
+        self.arrays = {name: (dc.constant if ".running_" in name else dc.param)(a) for name, a in arrays.items()}
 
     @classmethod
     def create(cls, spec: BackboneSpec, rng: RngStream) -> "Backbone":
-        widths = (spec.input_dim, *spec.hidden, spec.embed_dim)
-        arrays: list[np.ndarray] = []
-        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
-            scale = np.sqrt(2.0 / fan_in)
-            arrays += [rng.child(i).generator().normal(0.0, scale, size=(fan_in, fan_out)), np.zeros((1, fan_out))]
-        for width in spec.hidden:
-            arrays += _norm_arrays(BatchNormState.create(width))
+        """He-normal dense weights, dense layer i's from `rng.child(i)`; zero biases, betas and running
+        means; unit gammas and running variances."""
+        arrays = {}
+        for name, shape in _layout(spec):
+            layer, kind = name.split(".")
+            if kind == "weight":
+                gen = rng.child(int(layer.removeprefix("dense"))).generator()
+                arrays[name] = gen.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
+            else:
+                arrays[name] = (np.ones if kind in ("gamma", "running_var") else np.zeros)(shape)
         return cls(spec, arrays)
 
     def parameters(self) -> list[DiffTensor]:
-        params: list[DiffTensor] = []
-        for layer in self.dense:
-            params.extend((layer.weight, layer.bias))
-        for norm in self.norms:
-            params.extend((norm.gamma, norm.beta))
-        return params
+        return [t for t in self.arrays.values() if t.requires_grad]
 
     def clone(self) -> "Backbone":
-        return Backbone(self.spec, [a.copy() for _, a in self._arrays()])
+        return Backbone(self.spec, {name: a.copy() for name, a in self._arrays()})
 
     def forward(self, batch: DiffTensor) -> DiffTensor:
         """The train-mode forward, op by op on the tape."""
-        x = batch
-        for i, layer in enumerate(self.dense):
-            x = dc.add(dc.matmul(x, layer.weight), layer.bias)
-            if i < len(self.norms):
-                x = dc.relu(dc.batch_norm(x, self.norms[i]))
+        a, x = self.arrays, batch
+        for i in range(len(self.spec.hidden) + 1):
+            x = dc.add(dc.matmul(x, a[f"dense{i}.weight"]), a[f"dense{i}.bias"])
+            if i < len(self.spec.hidden):
+                x = dc.relu(dc.batch_norm(x, a[f"norm{i}.gamma"], a[f"norm{i}.beta"],
+                                          a[f"norm{i}.running_mean"], a[f"norm{i}.running_var"]))
         return x
 
     def train_forward(self, rows: np.ndarray) -> DiffTensor:
@@ -259,28 +253,27 @@ class Backbone:
         computed for `rows`.
         """
         out, inputs, normed = _forward(self, rows, "train")
-        count, weights = len(rows), [layer.weight.values for layer in self.dense]
+        count, last = len(rows), len(normed)
+        weights = [self.arrays[f"dense{i}.weight"].values for i in range(last + 1)]
+        names = [name for name, t in self.arrays.items() if t.requires_grad]
 
         def backward_fn(g: np.ndarray):
-            dense = [(inputs[-1].T @ g, np.add.reduce(g, 0, keepdims=True))]
-            norms = []
-            for i in reversed(range(len(normed))):
+            grads = {f"dense{last}.weight": inputs[-1].T @ g, f"dense{last}.bias": np.add.reduce(g, 0, keepdims=True)}
+            for i in reversed(range(last)):
                 gamma, x_hat, scale = normed[i]
                 dy = (g @ weights[i + 1].T) * (inputs[i + 1] > 0.0)  # relu's gate, read off its output
                 d_gamma, d_beta = np.add.reduce(dy * x_hat, 0, keepdims=True), np.add.reduce(dy, 0, keepdims=True)
-                norms[:0] = [d_gamma, d_beta]
+                grads[f"norm{i}.gamma"], grads[f"norm{i}.beta"] = d_gamma, d_beta
                 g = (gamma / scale) * (dy - d_beta / count - x_hat * (d_gamma / count))
-                dense.insert(0, (inputs[i].T @ g, None))
-            return [grad for pair in dense for grad in pair] + norms
+                grads[f"dense{i}.weight"] = inputs[i].T @ g
+            return [grads.get(name) for name in names]
 
-        return dc.node(out, tuple(self.parameters()), backward_fn)
+        return dc.node(out, tuple(self.arrays[name] for name in names), backward_fn)
 
     # -- snapshot ----------------------------------------------------------
 
     def _arrays(self) -> list[tuple[str, np.ndarray]]:
-        arrays = [a for layer in self.dense for a in (layer.weight.values, layer.bias.values)]
-        arrays += [a for norm in self.norms for a in _norm_arrays(norm)]
-        return [(name, a) for (name, _), a in zip(_layout(self.spec), arrays)]
+        return [(name, t.values) for name, t in self.arrays.items()]
 
     def to_bytes(self) -> bytes:
         arrays = self._arrays()
@@ -326,9 +319,10 @@ class Backbone:
                                 f"{len(blob) - expected} stray bytes after the last snapshot array")
         payload = np.frombuffer(blob[pos:], dtype="<f8")  # read-only; one aligned copy, without the header
         ends = np.cumsum(sizes).tolist()
-        arrays = [payload[end - size : end].reshape(shape) for (_, shape), size, end in zip(layout, sizes, ends)]
+        arrays = {name: payload[end - size : end].reshape(shape)
+                  for (name, shape), size, end in zip(layout, sizes, ends)}
         if not np.isfinite(payload).all():
-            bad = next(name for (name, _), a in zip(layout, arrays) if not np.isfinite(a).all())
+            bad = next(name for name, a in arrays.items() if not np.isfinite(a).all())
             raise DataLoadError(f"snapshot array {bad} holds a NaN or infinite value")
         return cls(spec, arrays)
 
@@ -350,10 +344,6 @@ class Backbone:
         except OSError as exc:
             raise DataLoadError(f"cannot read snapshot {path}: {exc}") from exc
         return cls.from_bytes(blob)
-
-
-def _norm_arrays(norm: BatchNormState) -> list[np.ndarray]:
-    return [norm.gamma.values, norm.beta.values, norm.running_mean, norm.running_var]
 
 
 def _layout(spec: BackboneSpec) -> list[tuple[str, tuple[int, ...]]]:
@@ -381,13 +371,14 @@ def _forward(bk: Backbone, rows: np.ndarray, mode: str):
     s = sqrt(var + BN_EPS), which `train_forward`'s backward reads."""
     if mode not in ("train", "eval", "transductive"):
         raise ParameterError(f"unknown batch_norm mode {mode!r}")
-    count, m = len(rows), dc.BN_MOMENTUM
+    a, count, last = bk.arrays, len(rows), len(bk.spec.hidden)
     inputs, normed, x = [], [], rows
-    for layer, norm in zip(bk.dense, bk.norms):
+    for i in range(last):
         inputs.append(x)
-        z = x @ layer.weight.values + layer.bias.values
+        z = x @ a[f"dense{i}.weight"].values + a[f"dense{i}.bias"].values
+        running_mean, running_var = a[f"norm{i}.running_mean"], a[f"norm{i}.running_var"]
         if mode == "eval":
-            centered, scale = z - norm.running_mean, np.sqrt(norm.running_var + dc.BN_EPS)
+            centered, scale = z - running_mean.values, np.sqrt(running_var.values + dc.BN_EPS)
         else:
             dc.check_batch_rows(count)
             mu = np.add.reduce(z, 0, keepdims=True) / count
@@ -395,13 +386,14 @@ def _forward(bk: Backbone, rows: np.ndarray, mode: str):
             var = np.add.reduce(centered * centered, 0, keepdims=True) / count
             scale = np.sqrt(var + dc.BN_EPS)
             if mode == "train":
-                norm.running_mean = (1.0 - m) * norm.running_mean + m * mu
-                norm.running_var = (1.0 - m) * norm.running_var + m * var
+                dc.update_running(running_mean, mu)
+                dc.update_running(running_var, var)
         x_hat = centered / scale
-        normed.append((norm.gamma.values, x_hat, scale))
-        x = np.maximum(norm.gamma.values * x_hat + norm.beta.values, 0.0)
+        gamma = a[f"norm{i}.gamma"].values
+        normed.append((gamma, x_hat, scale))
+        x = np.maximum(gamma * x_hat + a[f"norm{i}.beta"].values, 0.0)
     inputs.append(x)
-    return x @ bk.dense[-1].weight.values + bk.dense[-1].bias.values, inputs, normed
+    return x @ a[f"dense{last}.weight"].values + a[f"dense{last}.bias"].values, inputs, normed
 
 
 def embed(bk: Backbone, images: np.ndarray, mode: str) -> np.ndarray:
@@ -459,13 +451,14 @@ def _coordinate_copy(bk: Backbone, basis: np.ndarray):
     """A backbone on `bk`'s arrays whose first layer takes coordinates over the orthonormal columns of
     `basis`, its weight Q^T W, and a function that returns `bk` moved by the copy's first-layer change so far,
     W + Q (C_t - C_0), with the copy's other arrays."""
-    weight, *rest = (a for _, a in bk._arrays())
+    arrays = dict(bk._arrays())
+    weight = arrays["dense0.weight"]
     coords_0 = basis.T @ weight
-    work = Backbone(replace(bk.spec, input_dim=basis.shape[1]), [coords_0, *rest])
+    work = Backbone(replace(bk.spec, input_dim=basis.shape[1]), {**arrays, "dense0.weight": coords_0})
 
     def mapped_back() -> Backbone:
-        coords_t, *trained = (a for _, a in work._arrays())
-        return Backbone(bk.spec, [weight + basis @ (coords_t - coords_0), *trained])
+        trained = dict(work._arrays())
+        return Backbone(bk.spec, {**trained, "dense0.weight": weight + basis @ (trained["dense0.weight"] - coords_0)})
 
     return work, mapped_back
 

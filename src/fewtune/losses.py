@@ -137,13 +137,13 @@ def proto_xent(query_emb: DiffTensor, labels, protos: DiffTensor) -> DiffTensor:
 def finetune_objective(
     support_emb: DiffTensor,
     support_labels,
-    pseudo_emb: DiffTensor | None,
+    pseudo_emb: DiffTensor,
     pseudo_labels,
     class_weights: DiffTensor,
     hp: HyperParams,
 ) -> DiffTensor:
     """Large-margin loss on pseudo queries plus weighted triplet term on support."""
-    if pseudo_emb is None or pseudo_emb.shape[0] == 0:
+    if pseudo_emb.shape[0] == 0:
         raise ContractError("fine-tuning objective needs a non-empty pseudo query set")
     loss = cosface_loss(pseudo_emb, pseudo_labels, class_weights, hp.lmm_scale, hp.lmm_margin)
     if hp.ptloss_weight != 0.0:

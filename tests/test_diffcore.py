@@ -188,8 +188,15 @@ def one_norm_backbone(dim):
     them open in "eval" mode for the inputs below, and in "transductive" or "train" mode for any
     batch of at most 16 rows, whose normalized values are at most sqrt(rows - 1) from zero."""
     eye, ones, zeros = np.eye(dim), np.ones((1, dim)), np.zeros((1, dim))
-    arrays = [eye, zeros, eye, zeros - 4.0, ones, zeros + 4.0, zeros, ones]  # in fewshot._layout order
+    arrays = {"dense0.weight": eye, "dense0.bias": zeros, "dense1.weight": eye, "dense1.bias": zeros - 4.0,
+              "norm0.gamma": ones, "norm0.beta": zeros + 4.0, "norm0.running_mean": zeros, "norm0.running_var": ones}
     return Backbone(BackboneSpec(dim, (dim,), dim), arrays)
+
+
+def fresh_norm(dim):
+    """A batch norm's gamma, beta, running mean and running variance at their start values."""
+    shape = (1, dim)
+    return dc.param(np.ones(shape)), dc.param(np.zeros(shape)), dc.constant(np.zeros(shape)), dc.constant(np.ones(shape))
 
 
 class TestBatchNorm:
@@ -198,15 +205,14 @@ class TestBatchNorm:
     def test_train_mode_standardizes(self):
         rng = np.random.default_rng(3)
         x = dc.constant(rng.normal(5_000.0, 1_000.0, size=(64, 8)))
-        state = dc.BatchNormState.create(8)
-        out = dc.batch_norm(x, state).values
+        out = dc.batch_norm(x, *fresh_norm(8)).values
         assert np.abs(out.mean(axis=0)).max() < 1e-9
         assert np.abs(out.var(axis=0) - 1.0).max() < 1e-6
 
     def test_train_mode_updates_running_stats(self):
-        state = dc.BatchNormState.create(2)
-        dc.batch_norm(dc.constant([[0.0, 0.0], [2.0, 4.0]]), state)
-        np.testing.assert_allclose(state.running_mean, [[0.1, 0.2]], atol=1e-12)
+        gamma, beta, running_mean, running_var = fresh_norm(2)
+        dc.batch_norm(dc.constant([[0.0, 0.0], [2.0, 4.0]]), gamma, beta, running_mean, running_var)
+        np.testing.assert_allclose(running_mean.values, [[0.1, 0.2]], atol=1e-12)
 
     def test_eval_mode_is_affine_only(self):
         x = np.array([[1.0, -2.0], [0.5, 3.0]])
@@ -223,14 +229,13 @@ class TestBatchNorm:
 
     def test_transductive_leaves_running_stats(self):
         bk = one_norm_backbone(2)
-        before = bk.norms[0].running_mean.copy()
+        before = bk.arrays["norm0.running_mean"].values.copy()
         embed(bk, np.array([[1.0, 2.0], [3.0, 4.0]]), "transductive")
-        np.testing.assert_array_equal(bk.norms[0].running_mean, before)
+        np.testing.assert_array_equal(bk.arrays["norm0.running_mean"].values, before)
 
     def test_degenerate_batch(self):
-        state = dc.BatchNormState.create(2)
         with pytest.raises(DegenerateBatchError):
-            dc.batch_norm(dc.constant([[1.0, 2.0]]), state)
+            dc.batch_norm(dc.constant([[1.0, 2.0]]), *fresh_norm(2))
         for mode in ("transductive", "train"):  # the batch-statistics passes off the tape
             with pytest.raises(DegenerateBatchError):
                 embed(one_norm_backbone(2), np.array([[1.0, 2.0]]), mode)
@@ -446,11 +451,11 @@ class TestRandomPointGradients:
     def test_batch_norm(self):
         rng = np.random.default_rng(15)
         for _ in range(self.N_POINTS):
-            state = dc.BatchNormState.create(3)
+            norm = fresh_norm(3)
             c = dc.constant(rng.normal(size=(5, 3)))
             x = dc.param(rng.normal(size=(5, 3)) * 2.0)
             assert gradient_check(
-                lambda t: dc.tensor_sum(dc.mul(dc.batch_norm(t, state), c)), x
+                lambda t: dc.tensor_sum(dc.mul(dc.batch_norm(t, *norm), c)), x
             ) < self.TOL
 
 
@@ -530,10 +535,10 @@ class TestGradientProperties:
     @given(rows=st.integers(2, 4), cols=dims, seed=seeds)
     def test_batch_norm(self, rows, cols, seed):
         rng = np.random.default_rng(seed)
-        state = dc.BatchNormState.create(cols)
+        norm = fresh_norm(cols)
         # rows at least 1 apart in every column keep the batch variance away from 0
         x = rng.uniform(-1.0, 1.0, size=(rows, cols)) + 3.0 * np.arange(rows)[:, None]
-        assert self.check(lambda t: dc.batch_norm(t, state), x, seed)
+        assert self.check(lambda t: dc.batch_norm(t, *norm), x, seed)
 
 
 class TestTensorMeanBits:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import operator
 import re
 import struct
 import sys
@@ -74,6 +75,11 @@ def small_task(seed=0, n=5, k=5, m=5):
 
 def snapshot_equal(a: Backbone, b: Backbone) -> bool:
     return a.to_bytes() == b.to_bytes()
+
+
+def weights(bk: Backbone) -> list[dc.DiffTensor]:
+    """Every dense layer's weight."""
+    return [t for name, t in bk.arrays.items() if name.endswith(".weight")]
 
 
 class TestBackbone:
@@ -161,13 +167,63 @@ class TestBackbone:
         assert snapshot_equal(bk, back)
         for a, b in zip(bk.parameters(), back.parameters()):
             assert np.array_equal(a.values, b.values)
-        for na, nb in zip(bk.norms, back.norms):
-            assert np.array_equal(na.running_mean, nb.running_mean)
-            assert np.array_equal(na.running_var, nb.running_var)
+        running = [name for name in bk.arrays if ".running_" in name]
+        assert len(running) == 2 * len(bk.spec.hidden)
+        for name in running:
+            assert np.array_equal(bk.arrays[name].values, back.arrays[name].values), name
 
     def test_create_deterministic(self):
         assert snapshot_equal(small_backbone(7), small_backbone(7))
         assert not snapshot_equal(small_backbone(7), small_backbone(8))
+
+
+# eleven hidden layers name dense10.weight and norm10.gamma: a layer index of two digits
+DEPTHS = [(), (5,), (7, 6), tuple(range(2, 13))]
+
+
+def backbone_digest(spec: BackboneSpec) -> str:
+    """sha256 of `create`'s snapshot, then the taped `forward` and `train_forward` of one batch with
+    every parameter's gradient and the snapshot after each, then `embed` in every mode and the last snapshot."""
+    h = hashlib.sha256()
+    bk = Backbone.create(spec, RngStream(11))
+    h.update(bk.to_bytes())
+    gen = np.random.default_rng(len(spec.hidden))
+    rows, mix = gen.normal(size=(5, spec.input_dim)), dc.constant(gen.normal(size=(5, spec.embed_dim)))
+    for forward in (lambda: bk.forward(dc.constant(rows)), lambda: bk.train_forward(rows)):
+        out = forward()
+        dc.backward(dc.tensor_sum(dc.mul(out, mix)))
+        h.update(out.values.tobytes())
+        for p in bk.parameters():
+            h.update(p.grad.tobytes())
+        dc.zero_grads(bk.parameters())
+        h.update(bk.to_bytes())
+    for mode in ("eval", "transductive", "train"):
+        h.update(embed(bk, rows, mode).tobytes())
+    h.update(bk.to_bytes())
+    return h.hexdigest()
+
+
+class TestLayout:
+    """`_layout` alone names and orders a backbone's arrays: `arrays` follows it, the running statistics
+    are constants and every other array is a parameter, in the same order."""
+
+    # the digests the backbone held when its layers were objects of their own
+    @pytest.mark.parametrize("hidden, digest", zip(DEPTHS, [
+        "7d29884f0d4167fa05183328c3e3e4dbc87afb570255c28abfc014fb2ea7c3ec",
+        "fb25f9482b61b5e991119290a9da09ce0267ffc37c1c7c8ba2ebd03b7248a762",
+        "1c5eccccd25e8a69fd1f84a8a8c4b8c6b3ee052f15326c2420a93e5b830cbd8e",
+        "d2d0760cab2885dbaf2e0ffcbfcb83f613febf1aac18c261b2249b29c1df2e85",
+    ]), ids=["no-hidden", "one", "two", "eleven"])
+    def test_arrays_follow_the_layout(self, hidden, digest):
+        spec = BackboneSpec(input_dim=6, hidden=hidden, embed_dim=4)
+        bk = Backbone.create(spec, RngStream(11))
+        assert list(bk.arrays) == [name for name, _ in fewshot._layout(spec)]
+        running = [name for name in bk.arrays if name.split(".")[1] in ("running_mean", "running_var")]
+        assert len(running) == 2 * len(hidden)
+        assert not any(bk.arrays[name].requires_grad for name in running)
+        expected = [t for name, t in bk.arrays.items() if name not in running]
+        assert len(bk.parameters()) == len(expected) and all(map(operator.is_, bk.parameters(), expected))
+        assert backbone_digest(spec) == digest
 
 
 def tiny_snapshot() -> bytes:
@@ -258,9 +314,10 @@ class TestSnapshotRoundTrip:
     def test_bytes_and_forward_survive(self, input_dim, hidden, embed_dim, seed, cut):
         bk = Backbone.create(BackboneSpec(input_dim, hidden, embed_dim), RngStream(seed))
         gen = np.random.default_rng(seed)
-        for norm in bk.norms:  # non-default running statistics, so eval mode reads them
-            norm.running_mean = gen.normal(size=norm.running_mean.shape)
-            norm.running_var = gen.uniform(0.5, 2.0, size=norm.running_var.shape)
+        for i in range(len(hidden)):  # non-default running statistics, so eval mode reads them
+            mean, var = bk.arrays[f"norm{i}.running_mean"], bk.arrays[f"norm{i}.running_var"]
+            mean.values = gen.normal(size=mean.shape)
+            var.values = gen.uniform(0.5, 2.0, size=var.shape)
         blob = bk.to_bytes()
         back = Backbone.from_bytes(blob)
         assert back.to_bytes() == blob
@@ -276,7 +333,7 @@ class TestSnapshotCap:
         # 65 536 widths of 1 fill one --hidden argument ("1," each, in the 128 KiB an argument
         # may take); the arrays are built directly, which is faster than `create`'s draws
         spec = BackboneSpec(input_dim=48, hidden=(1,) * 65536, embed_dim=32)
-        arrays = [np.full(shape, float(i)) for i, (_, shape) in enumerate(fewshot._layout(spec))]
+        arrays = {name: np.full(shape, float(i)) for i, (name, shape) in enumerate(fewshot._layout(spec))}
         path = tmp_path / "wide.snap"
         Backbone(spec, arrays).save(path)
         with open(path, "rb") as f:
@@ -284,7 +341,7 @@ class TestSnapshotCap:
         assert path.stat().st_size <= fewshot.MAX_SNAPSHOT_BYTES
         back = Backbone.load(path)
         assert back.spec == spec
-        assert all(np.array_equal(a, b) for (_, a), b in zip(back._arrays(), arrays, strict=True))
+        assert all(np.array_equal(a, b) for (_, a), b in zip(back._arrays(), arrays.values(), strict=True))
 
     def test_to_bytes_refuses_a_snapshot_above_the_cap(self, monkeypatch):
         blob = tiny_snapshot()
@@ -402,10 +459,10 @@ class TestFinetune:
         seen = []
         batch_norm = dc.batch_norm
 
-        def spy(x, state):
-            out = batch_norm(x, state)
-            x_hat = (out.values - state.beta.values) / state.gamma.values
-            seen.append((len(seen) % len(bk.norms), x.values.copy(), x_hat))
+        def spy(x, gamma, beta, running_mean, running_var):
+            out = batch_norm(x, gamma, beta, running_mean, running_var)
+            x_hat = (out.values - beta.values) / gamma.values
+            seen.append((len(seen) % len(bk.spec.hidden), x.values.copy(), x_hat))
             return out
 
         monkeypatch.setattr(dc, "batch_norm", spy)
@@ -416,14 +473,15 @@ class TestFinetune:
         assert rows == [len(ep.support_images), len(pseudo[0])] * epochs
         for _, _, x_hat in seen:
             np.testing.assert_allclose(x_hat.mean(axis=0), 0.0, atol=1e-9)
-        for i, norm in enumerate(state.backbone.norms):
-            mean, var = bk.norms[i].running_mean, bk.norms[i].running_var
+        for i in range(len(bk.spec.hidden)):
+            mean, var = bk.arrays[f"norm{i}.running_mean"].values, bk.arrays[f"norm{i}.running_var"].values
             for layer, x, _ in seen:
                 if layer == i:
                     mean = (1.0 - dc.BN_MOMENTUM) * mean + dc.BN_MOMENTUM * x.mean(axis=0, keepdims=True)
                     var = (1.0 - dc.BN_MOMENTUM) * var + dc.BN_MOMENTUM * x.var(axis=0, keepdims=True)
-            np.testing.assert_allclose(norm.running_mean, mean, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(norm.running_var, var, rtol=1e-12, atol=1e-12)
+            adapted = state.backbone.arrays
+            np.testing.assert_allclose(adapted[f"norm{i}.running_mean"].values, mean, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(adapted[f"norm{i}.running_var"].values, var, rtol=1e-12, atol=1e-12)
 
     def test_bits_pinned(self):
         # sha256 of the loss history, the adapted backbone snapshot and the
@@ -603,7 +661,7 @@ class TestRowSpaceFinetune:
         bk, (ep, pseudo) = Backbone.create(BackboneSpec(), RngStream(5)), paper_shape_task(5)
         state = finetune(bk, ep, pseudo, HyperParams(finetune_epochs=10))
         images = images_to_batch(np.concatenate([ep.support_images, pseudo[0]]), bk.spec.input_dim)
-        delta = state.backbone.dense[0].weight.values - bk.dense[0].weight.values
+        delta = state.backbone.arrays["dense0.weight"].values - bk.arrays["dense0.weight"].values
         coeffs, *_ = np.linalg.lstsq(images.T, delta, rcond=None)
         assert images.shape[0] < images.shape[1]
         assert np.abs(delta).max() > 1e-3
@@ -653,8 +711,8 @@ class TestDivergence:
     @pytest.mark.parametrize("transductive", [True, False])
     def test_infer_overflow(self, transductive):
         state = pristine_state(small_backbone())
-        for layer in state.backbone.dense:
-            layer.weight.values = layer.weight.values * 1e150
+        for weight in weights(state.backbone):
+            weight.values = weight.values * 1e150
         with pytest.raises(DivergenceError, match=r"^inference: a query score is not finite$"):
             infer(state, small_episode(), HyperParams(transductive=transductive))
 
@@ -704,8 +762,8 @@ class TestInfer:
         # zero weights make every embedding identical: argmax ties to class
         # 0, so accuracy is the class-0 share, 1/N with balanced queries
         bk = small_backbone()
-        for layer in bk.dense:
-            layer.weight.values[:] = 0.0
+        for weight in weights(bk):
+            weight.values[:] = 0.0
         accs = [
             infer(pristine_state(bk), small_episode(seed=200 + i), HyperParams())
             for i in range(20)
@@ -998,7 +1056,7 @@ class TestRowSpaceMetaTrain:
         bk, ds = rule_case(PAPER, 5)
         out = meta_train(bk, ds, params=MetaParams(episodes_per_epoch=30, epochs=1), rng=RngStream(6))
         rows = images_to_batch(ds.pixels, bk.spec.input_dim)
-        delta = out.dense[0].weight.values - bk.dense[0].weight.values
+        delta = out.arrays["dense0.weight"].values - bk.arrays["dense0.weight"].values
         coeffs, *_ = np.linalg.lstsq(rows.T, delta, rcond=None)
         assert 2 * rows.shape[0] <= rows.shape[1]
         assert np.abs(delta).max() > 1e-3
@@ -1029,7 +1087,7 @@ class TestRowSpaceMetaTrain:
 
 def parameter_names(bk):
     """The snapshot names of `bk.parameters()`, in that order."""
-    return [name for name, _ in bk._arrays() if "running" not in name]
+    return [name for name, t in bk.arrays.items() if t.requires_grad]
 
 
 class TestTrainForward:
@@ -1042,10 +1100,12 @@ class TestTrainForward:
         return dc.tensor_sum(dc.mul(emb, dc.constant(np.random.default_rng(seed).normal(size=emb.shape))))
 
     def test_gradient_check_every_parameter(self):
-        bk = small_backbone(1)
         rows = np.random.default_rng(2).uniform(size=(7, SMALL_SPEC.input_dim))
-        for name, p in zip(parameter_names(bk), bk.parameters()):
-            assert gradient_check(lambda t: self.weighted_sum(bk.train_forward(rows), 3), p) < 1e-6, name
+        # with no hidden layer there is no batch norm: the closed form is the last dense layer alone
+        for hidden in (SMALL_SPEC.hidden, ()):
+            bk = Backbone.create(replace(SMALL_SPEC, hidden=hidden), RngStream(1))
+            for name, p in zip(parameter_names(bk), bk.parameters(), strict=True):
+                assert gradient_check(lambda t: self.weighted_sum(bk.train_forward(rows), 3), p) < 1e-6, (hidden, name)
 
     @pytest.mark.parametrize("spec, rows", [(SMALL_SPEC, 7), (BackboneSpec(), 75)], ids=["tiny", "paper"])
     def test_same_bits_as_the_taped_forward(self, spec, rows):
@@ -1091,7 +1151,7 @@ class TestTrainForward:
         bk, ds = rule_case(case, 3)
         out = meta_train(bk, ds, EpisodeShape(3, 3, 4), MetaParams(episodes_per_epoch=10, epochs=1), rng=RngStream(4))
         arrays = dict(out._arrays())
-        assert not np.array_equal(arrays["dense0.weight"], bk.dense[0].weight.values)
+        assert not np.array_equal(arrays["dense0.weight"], bk.arrays["dense0.weight"].values)
         assert not arrays["dense0.bias"].any() and not arrays["dense1.bias"].any()
 
 

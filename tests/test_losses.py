@@ -313,7 +313,8 @@ class TestFinetuneObjective:
     def test_empty_pseudo_rejected(self):
         rng = np.random.default_rng(13)
         support, s_labels, _, _, weights = self._episode(rng)
-        with pytest.raises(ContractError):
+        empty = dc.constant(np.zeros((0, support.shape[1])))
+        with pytest.raises(ContractError, match="^fine-tuning objective needs a non-empty pseudo query set$"):
             finetune_objective(
-                dc.constant(support), s_labels, None, [], dc.constant(weights), HyperParams()
+                dc.constant(support), s_labels, empty, [], dc.constant(weights), HyperParams()
             )
